@@ -370,11 +370,11 @@ def entropy_series(
     """Entanglement entropies of the kept block over a uniform time grid.
 
     With ``schedule=None`` the quench is sudden (spec's pre -> post
-    parameters, closed-form scale factors); otherwise the schedule is
-    integrated numerically per mode.  Time points are independent and are
-    evaluated in parallel when ``threads`` is not 1 (0 = one worker per
-    CPU); results are merged by time index, so the output does not depend
-    on scheduling.
+    parameters); otherwise each mode follows the schedule, with the
+    Wronskian of its scale factor checked against ``tolerance``.  Time
+    points are independent and are evaluated in parallel when ``threads``
+    is not 1 (0 = one worker per CPU); results are merged by time index,
+    so the output does not depend on scheduling.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)
@@ -385,10 +385,7 @@ def entropy_series(
         sols = [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
     else:
         sols = [
-            integrate_general(
-                schedule.mode_protocol(mu, li), t_max=max(times[-1], np.finfo(float).tiny),
-                tolerance=tolerance,
-            )
+            integrate_general(schedule.mode_protocol(mu, li), tolerance=tolerance)
             for mu, li in zip(modes.mu, modes.lam_pre)
         ]
     b_all = np.empty((modes.n, times.size))

@@ -1,7 +1,7 @@
 """Per-mode scale-factor dynamics after a quench.
 
 Each normal mode of the chain carries a scale factor b(t) obeying the
-auxiliary nonlinear equation
+Ermakov equation
 
     b'' + lam(t) * b = lam(0) / b**3,      b(0) = 1,  b'(0) = 0,
 
@@ -10,24 +10,25 @@ lam(0) is its value just before the quench (the mode starts in the ground
 state of that frequency).  All of the post-quench state's time dependence
 enters through (b, b').
 
-For a sudden jump lam_i -> lam_f the solution is closed form:
+The nonlinear equation reduces to a linear one (E. Pinney, Proc. AMS 1,
+681 (1950)):
 
-    lam_f > 0:   b(t) = sqrt(n * cos(2 sqrt(lam_f) t) + m),
-                 n = (lam_f - lam_i) / (2 lam_f),  m = (lam_f + lam_i) / (2 lam_f)
-    lam_f == 0:  b(t) = sqrt(1 + lam_i t**2)
+    b**2 = u1**2 + lam(0) * u2**2,      u'' + lam(t) * u = 0,
+
+with (u1, u1') = (1, 0) and (u2, u2') = (0, 1) at t = 0.  Every protocol
+here makes lam(t) piecewise constant or piecewise linear, so the
+fundamental matrix Phi = [[u1, u2], [u1', u2']] crosses each segment
+through an exact 2x2 propagator: cos/sin for constant lam, Airy functions
+for linear lam.  A sudden jump lam_i -> lam_f is the one-segment case,
+
+    lam_f > 0:   b(t)**2 = 1 - (1 - lam_i / lam_f) * sin(sqrt(lam_f) t)**2
+    lam_f == 0:  b(t)**2 = 1 + lam_i * t**2,
 
 so b**2 is periodic with period pi / sqrt(lam_f), and the combination
 b'**2 + lam_f b**2 + lam_i / b**2 is conserved (= lam_i + lam_f).
 
-General protocols are integrated with classical fixed-step RK4.  Step
-halving is governed by drift of the Ermakov-Lewis invariant
-
-    I(t) = ((b u' - b' u)**2 + lam(0) * (u / b)**2) / 2,
-
-built from a co-integrated solution u of the linear equation
-u'' + lam(t) u = 0 with u(0) = 0, u'(0) = 1; I(t) = 1/2 for the exact
-flow.  This invariant-based acceptance is independent of the stepper's
-own error estimate.
+The Wronskian u1 u2' - u2 u1' equals 1 exactly.  Its drift across the
+segment boundaries is the self-check of a general protocol.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import airy
 
 from .errors import IntegrationError
 
@@ -88,6 +89,8 @@ class QuenchProtocol:
             raise ValueError("protocol sample times must start at 0")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("protocol sample times must be strictly increasing")
+        if np.any(values < 0):
+            raise ValueError("protocol lam values must be non-negative")
         if interpolation not in ("linear", "previous"):
             raise ValueError(f"unknown interpolation {interpolation!r}")
         return cls(
@@ -151,106 +154,159 @@ class QuenchSchedule:
         return QuenchProtocol.general(lam_initial, self.times, values, self.interpolation)
 
 
-@dataclass(frozen=True)
-class ModeSolution:
-    """One mode's scale factor.  ``evaluate`` returns (b, b') on demand.
+# Linear segments are evaluated through the modulus and phase of the Airy
+# functions (DLMF 9.8) once x = lam / |slope|**(2/3) exceeds this at both
+# ends.  Direct Airy values lose about 1e-16 * x**1.5 of relative
+# accuracy, the one-correction asymptotic forms below about 0.1 * x**-4.5;
+# either stays within 2e-12 of the exact propagator at this crossover.
+_PHASE_FORM_X = 350.0
 
-    Closed-form solutions are exact for all t >= 0.  Numeric solutions
-    store a dense RK4 grid and interpolate with cubic Hermite polynomials
-    (node derivatives for b' come from the differential equation itself),
-    valid on [0, t_max] only.
+# On shorter segments, in Airy units |slope|**(1/3) * tau, the direct
+# Airy propagator cancels to about 3e-16 / length, while the constant-lam
+# propagator at the segment midpoint is exact to length**3 / 12.
+_MIDPOINT_LENGTH = 2.5e-4
+
+
+@dataclass(frozen=True, eq=False)
+class ModeSolution:
+    """One mode's scale factor.  ``evaluate`` returns (b, b') for any t >= 0.
+
+    lam(t) is ``lams[k] + slopes[k] * (t - starts[k])`` on segment k, which
+    starts at ``starts[k]`` (``starts[0] = 0``); the last segment never
+    ends.  ``phis[k]`` is the fundamental matrix [[u1, u2], [u1', u2']] of
+    u'' + lam(t) u = 0 at ``starts[k]``.
     """
 
     lam_initial: float
-    closed: bool
-    lam_final: float | None = None
-    amp: float | None = None
-    offset: float | None = None
-    grid: np.ndarray | None = None
-    b_grid: np.ndarray | None = None
-    bdot_grid: np.ndarray | None = None
-    protocol: QuenchProtocol | None = None
+    starts: np.ndarray
+    lams: np.ndarray
+    slopes: np.ndarray
+    phis: np.ndarray
 
     def evaluate(self, t):
         """(b(t), b'(t)) for scalar or array t >= 0."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        if np.any(t < 0):
-            raise ValueError("scale factor is defined for t >= 0 only")
-        if self.closed:
-            b, bdot = self._closed_eval(t)
-        else:
-            b, bdot = self._interp_eval(t)
-        if scalar:
+        b, bdot, _, _ = self._derivatives(t)
+        if np.ndim(t) == 0:
             return float(b[0]), float(bdot[0])
         return b, bdot
 
-    def b(self, t):
-        return self.evaluate(t)[0]
-
     def second_derivative(self, t):
-        """Analytic b''(t); closed-form solutions only."""
-        if not self.closed:
-            raise ValueError("second derivative is available for closed-form solutions only")
-        t = np.asarray(t, dtype=float)
-        b, _ = self._closed_eval(np.atleast_1d(t))
-        if self.lam_final == 0.0:
-            out = self.lam_initial / b**3
-        else:
-            phase = 2.0 * np.sqrt(self.lam_final) * np.atleast_1d(t)
-            out = (
-                -2.0 * self.amp * self.lam_final * np.cos(phase) / b
-                - self.amp**2 * self.lam_final * np.sin(phase) ** 2 / b**3
-            )
-        return float(out[0]) if t.ndim == 0 else out
+        """b''(t) from the fundamental solutions, through
+        (b**2)'' = 2 (u1'**2 + lam(0) u2'**2) - 2 lam(t) b**2."""
+        bdd = self._derivatives(t)[2]
+        return float(bdd[0]) if np.ndim(t) == 0 else bdd
 
-    def _closed_eval(self, t):
-        if self.lam_final == 0.0:
-            bsq = 1.0 + self.lam_initial * t**2
-            b = np.sqrt(bsq)
-            return b, self.lam_initial * t / b
-        root = np.sqrt(self.lam_final)
-        # amp*cos(2 root t) + offset, written without the amp/offset
-        # cancellation (amp + offset = 1 analytically) so that b(0) = 1
-        # holds exactly and large coefficients cost no precision.
-        half_sin = np.sin(root * t)
-        bsq = 1.0 - 2.0 * self.amp * half_sin**2
+    def _derivatives(self, t):
+        """b, b', b'' and lam(t), as 1-d arrays."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(t < 0):
+            raise ValueError("scale factor is defined for t >= 0 only")
+        k = np.searchsorted(self.starts, t, side="right") - 1
+        tau = t - self.starts[k]
+        lam, slope = self.lams[k], self.slopes[k]
+        # Gram matrix G = Phi diag(1, lam(0)) Phi.T at the segment start.
+        # With propagator rows p (for u) and q (for u'), b**2 = p G p.T,
+        # b b' = p G q.T and u1'**2 + lam(0) u2'**2 = q G q.T.
+        (u1, u2), (v1, v2) = self.phis[k].transpose(1, 2, 0)
+        w = self.lam_initial
+        gxx = u1 * u1 + w * u2 * u2
+        gxv = u1 * v1 + w * u2 * v2
+        gvv = v1 * v1 + w * v2 * v2
+        # Constant lam: rows (cos, sin/root) and (-lam sin/root, cos),
+        # written through gap = lam gxx - gvv so that lam = lam(0) on the
+        # first segment gives b = 1 and b' = 0 exactly.
+        cos, sinw = _harmonic(lam, tau)
+        gap = lam * gxx - gvv
+        bsq = gxx - gap * sinw**2 + 2.0 * gxv * cos * sinw
+        bbdot = gxv * (cos**2 - lam * sinw**2) - gap * sinw * cos
+        dsq = gvv + gap * lam * sinw**2 - 2.0 * gxv * lam * sinw * cos
+        ramp = slope != 0.0
+        if ramp.any():
+            p00, p01, p10, p11 = _propagator(lam[ramp], slope[ramp], tau[ramp])
+            g = gxx[ramp], gxv[ramp], gvv[ramp]
+            bsq[ramp] = _form(g, p00, p01, p00, p01)
+            bbdot[ramp] = _form(g, p00, p01, p10, p11)
+            dsq[ramp] = _form(g, p10, p11, p10, p11)
+        lam = lam + slope * tau
         b = np.sqrt(bsq)
-        bdot = -self.amp * root * np.sin(2.0 * root * t) / b
-        return b, bdot
+        bdot = bbdot / b
+        return b, bdot, (dsq - lam * bsq - bdot**2) / b, lam
 
-    def _interp_eval(self, t):
-        grid = self.grid
-        if np.any(t > grid[-1] * (1.0 + 1e-12) + 1e-300):
-            raise ValueError(
-                f"numeric solution covers [0, {grid[-1]:g}] but evaluation "
-                f"was requested at t = {t.max():g}"
-            )
-        t = np.minimum(t, grid[-1])
-        idx = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid.size - 2)
-        t0 = grid[idx]
-        t1 = grid[idx + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        b0, b1 = self.b_grid[idx], self.b_grid[idx + 1]
-        d0, d1 = self.bdot_grid[idx], self.bdot_grid[idx + 1]
-        # Node accelerations straight from the differential equation.  A
-        # "previous"-interpolated eigenvalue is constant within each cell
-        # (steps never straddle sample times), so query it mid-cell to get
-        # the one-sided limit right at segment edges.
-        if self.protocol.interpolation == "previous":
-            lam0 = lam1 = self.protocol.value_at(0.5 * (t0 + t1))
-        else:
-            lam0, lam1 = self.protocol.value_at(t0), self.protocol.value_at(t1)
-        a0 = self.lam_initial / b0**3 - lam0 * b0
-        a1 = self.lam_initial / b1**3 - lam1 * b1
-        s2, s3 = s * s, s * s * s
-        h00, h10 = 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s
-        h01, h11 = -2 * s3 + 3 * s2, s3 - s2
-        b = h00 * b0 + h10 * h * d0 + h01 * b1 + h11 * h * d1
-        bdot = h00 * d0 + h10 * h * a0 + h01 * d1 + h11 * h * a1
-        return b, bdot
+
+def _form(g, p0, p1, q0, q1):
+    """p G q.T for the symmetric G = [[g0, g1], [g1, g2]]."""
+    return g[0] * p0 * q0 + g[1] * (p0 * q1 + p1 * q0) + g[2] * p1 * q1
+
+
+def _harmonic(lam, tau):
+    """cos(root tau) and sin(root tau) / root for lam = root**2 >= 0; the
+    latter is tau at lam = 0."""
+    root = np.sqrt(lam)
+    phase = root * tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.cos(phase), np.where(root > 0.0, np.sin(phase) / root, tau)
+
+
+def _propagator(lam, slope, tau):
+    """Entries (P00, P01, P10, P11) of the exact propagator of
+    u'' + (lam + slope t) u = 0 from t = 0 to t = tau (arrays broadcast)."""
+    lam, slope, tau = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lam, slope, tau)))
+    scale = np.abs(slope) ** (1.0 / 3.0)
+    short = scale * tau < _MIDPOINT_LENGTH  # every constant segment
+    far = ~short & (np.minimum(lam, lam + slope * tau) >= _PHASE_FORM_X * scale**2)
+    out = np.empty((4,) + lam.shape)
+    for branch, mask in (
+        (_midpoint_propagator, short),
+        (_airy_phase_form, far),
+        (_airy_direct, ~short & ~far),
+    ):
+        if mask.any():
+            out[:, mask] = branch(lam[mask], slope[mask], tau[mask])
+    return out
+
+
+def _midpoint_propagator(lam, slope, tau):
+    """Constant lam at the segment midpoint: exact when slope = 0."""
+    mid = lam + 0.5 * slope * tau
+    cos, sinw = _harmonic(mid, tau)
+    return np.array([cos, sinw, -mid * sinw, cos])
+
+
+def _airy_direct(lam, slope, tau):
+    # u = Ai(z), Bi(z) with z = -lam(t) / |slope|**(2/3); dz/dt = dz.
+    scale = np.abs(slope) ** (1.0 / 3.0)
+    dz = -np.sign(slope) * scale
+    ai0, aip0, bi0, bip0 = airy(-lam / scale**2)
+    ai1, aip1, bi1, bip1 = airy(-(lam + slope * tau) / scale**2)
+    return np.pi * np.array([
+        ai1 * bip0 - bi1 * aip0,
+        (bi1 * ai0 - ai1 * bi0) / dz,
+        dz * (aip1 * bip0 - bip1 * aip0),
+        bip1 * ai0 - aip1 * bi0,
+    ])
+
+
+def _airy_phase_form(lam, slope, tau):
+    # Ai(-x) = M cos(theta), Bi(-x) = M sin(theta), Ai'(-x) = N cos(phi),
+    # Bi'(-x) = N sin(phi), with zeta = (2/3) x**1.5 and, to first order,
+    #   theta = pi/4 - zeta + (5/32) zeta / x**3,  pi sqrt(x) M**2 = 1 - (5/32) / x**3,
+    #   phi = 3pi/4 - zeta - (7/32) zeta / x**3,   pi N**2 / sqrt(x) = 1 + (7/32) / x**3.
+    # Only phase differences enter; zeta1 - zeta0 is written without
+    # cancellation, and r = x**-1.5 = |slope| / lam**1.5.
+    lam1 = lam + slope * tau
+    sign = np.sign(slope)
+    dzeta = sign * (2.0 / 3.0) * tau * (lam**2 + lam * lam1 + lam1**2) / (lam**1.5 + lam1**1.5)
+    r0, r1 = np.abs(slope) / lam**1.5, np.abs(slope) / lam1**1.5
+    m0, m1 = 1.0 - (5.0 / 32.0) * r0**2, 1.0 - (5.0 / 32.0) * r1**2
+    n0, n1 = 1.0 + (7.0 / 32.0) * r0**2, 1.0 + (7.0 / 32.0) * r1**2
+    ratio = (lam1 / lam) ** 0.25
+    geo = (lam * lam1) ** 0.25
+    return np.array([
+        np.sqrt(m1 * n0) / ratio * np.cos(dzeta - (7.0 / 48.0) * r0 - (5.0 / 48.0) * r1),
+        sign * np.sqrt(m0 * m1) / geo * np.sin(dzeta - (5.0 / 48.0) * (r1 - r0)),
+        -sign * np.sqrt(n0 * n1) * geo * np.sin(dzeta + (7.0 / 48.0) * (r1 - r0)),
+        np.sqrt(n1 * m0) * ratio * np.cos(dzeta + (7.0 / 48.0) * r1 + (5.0 / 48.0) * r0),
+    ])
 
 
 def solve_sudden(lam_initial: float, lam_final: float) -> ModeSolution:
@@ -259,25 +315,24 @@ def solve_sudden(lam_initial: float, lam_final: float) -> ModeSolution:
         raise ValueError(f"lam_initial must be positive, got {lam_initial}")
     if lam_final < 0:
         raise ValueError(f"lam_final must be non-negative, got {lam_final}")
-    if lam_final == 0.0:
-        return ModeSolution(lam_initial=float(lam_initial), closed=True, lam_final=0.0)
-    amp = (lam_final - lam_initial) / (2.0 * lam_final)
-    offset = (lam_final + lam_initial) / (2.0 * lam_final)
     return ModeSolution(
         lam_initial=float(lam_initial),
-        closed=True,
-        lam_final=float(lam_final),
-        amp=amp,
-        offset=offset,
+        starts=np.zeros(1),
+        lams=np.array([float(lam_final)]),
+        slopes=np.zeros(1),
+        phis=np.eye(2)[None],
     )
 
 
 def ode_residual(solution: ModeSolution, times) -> np.ndarray:
-    """|b'' + lam(t) b - lam(0)/b**3| on a grid; closed-form solutions only."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    b, _ = solution.evaluate(times)
-    bdd = solution.second_derivative(times)
-    return np.abs(bdd + solution.lam_final * b - solution.lam_initial / b**3)
+    """|b'' + lam(t) b - lam(0)/b**3| on a grid.
+
+    b'' comes from the fundamental solutions, not from this equation, so
+    by Lagrange's identity the residual is lam(0) |W**2 - 1| / b**3 for
+    the computed Wronskian W.
+    """
+    b, _, bdd, lam = solution._derivatives(times)
+    return np.abs(bdd + lam * b - solution.lam_initial / b**3)
 
 
 def sudden_invariant(solution: ModeSolution, times) -> np.ndarray:
@@ -285,24 +340,19 @@ def sudden_invariant(solution: ModeSolution, times) -> np.ndarray:
     sudden quenches."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     b, bdot = solution.evaluate(times)
-    return bdot**2 + solution.lam_final * b**2 + solution.lam_initial / b**2
+    return bdot**2 + solution.lams[-1] * b**2 + solution.lam_initial / b**2
 
 
-def integrate_general(
-    protocol: QuenchProtocol,
-    t_max: float,
-    tolerance: float = 1e-10,
-    max_refinements: int = 22,
-) -> ModeSolution:
-    """Integrate the scale-factor equation for an arbitrary protocol.
+def integrate_general(protocol: QuenchProtocol, tolerance: float = 1e-10) -> ModeSolution:
+    """Scale factor for an arbitrary protocol, valid for all t >= 0.
 
-    Classical RK4 with uniform steps inside each protocol segment (steps
-    never straddle a sample time, where lam(t) is allowed to kink or
-    jump).  The step is halved globally until the Ermakov-Lewis invariant
-    drifts by less than ``tolerance`` over the whole grid; exceeding
-    ``max_refinements`` halvings raises :class:`IntegrationError` carrying
-    the first failing time.
+    The fundamental matrix is carried across each protocol segment by the
+    segment's exact propagator.  If its determinant, the Wronskian, drifts
+    from 1 by more than ``tolerance`` at a segment boundary,
+    :class:`IntegrationError` is raised carrying the first failing time.
     """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     if protocol.kind == "sudden":
         protocol = QuenchProtocol.general(
             protocol.lam_initial,
@@ -310,119 +360,24 @@ def integrate_general(
             [protocol.lam_final],
             interpolation="previous",
         )
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    lam0 = protocol.lam_initial
-    interior = protocol.times[(protocol.times > 0.0) & (protocol.times < t_max)]
-    bounds = np.concatenate(([0.0], interior, [t_max]))
-    lam_scale = max(np.abs(protocol.values).max(), lam0)
-    h_target = min(0.02, 0.2 / np.sqrt(lam_scale)) if lam_scale > 0 else 0.02
-
-    first_bad = 0.0
-    for level in range(max_refinements + 1):
-        ts, bs, ds, us, vs = _rk4_run(protocol, bounds, h_target / 2**level)
-        if np.all(bs > 0):
-            drift = np.abs(0.5 * ((bs * vs - ds * us) ** 2 + lam0 * (us / bs) ** 2) - 0.5)
-            if drift.max() < tolerance:
-                return ModeSolution(
-                    lam_initial=lam0,
-                    closed=False,
-                    grid=ts,
-                    b_grid=bs,
-                    bdot_grid=ds,
-                    protocol=protocol,
-                )
-            first_bad = ts[int(np.argmax(drift >= tolerance))]
-        else:
-            first_bad = ts[int(np.argmax(bs <= 0))]
-    raise IntegrationError(
-        f"step refinement exhausted ({max_refinements} halvings) without "
-        f"meeting invariant tolerance {tolerance:g}; first failure near t = {first_bad:g}",
-        time=float(first_bad),
+    times, lams = protocol.times, protocol.values
+    slopes = np.zeros(times.size)
+    if protocol.interpolation == "linear":
+        slopes[:-1] = np.diff(lams) / np.diff(times)
+    phis = np.empty((times.size, 2, 2))
+    phis[0] = np.eye(2)
+    steps = _propagator(lams[:-1], slopes[:-1], np.diff(times)).T.reshape(-1, 2, 2)
+    for k, step in enumerate(steps):
+        phis[k + 1] = step @ phis[k]
+    drift = np.abs(phis[:, 0, 0] * phis[:, 1, 1] - phis[:, 0, 1] * phis[:, 1, 0] - 1.0)
+    failing = ~(drift <= tolerance)
+    if failing.any():
+        k = int(np.argmax(failing))
+        raise IntegrationError(
+            f"Wronskian drifted by {drift[k]:.3e}, beyond tolerance {tolerance:g}, "
+            f"at t = {times[k]:g}",
+            time=float(times[k]),
+        )
+    return ModeSolution(
+        lam_initial=protocol.lam_initial, starts=times, lams=lams, slopes=slopes, phis=phis
     )
-
-
-def _rk4_run(protocol: QuenchProtocol, bounds: np.ndarray, h_target: float):
-    """Fixed-step RK4 over all protocol segments.
-
-    Integrates (b, b') together with the linear companion (u, u') used by
-    the invariant check; returns the node arrays (t, b, b', u, u').
-    """
-    lam0 = protocol.lam_initial
-    steps = [int(np.ceil((b1 - b0) / h_target)) for b0, b1 in zip(bounds[:-1], bounds[1:])]
-    total = 1 + sum(steps)
-    t_nodes = np.empty(total)
-    b_nodes = np.empty(total)
-    d_nodes = np.empty(total)
-    u_nodes = np.empty(total)
-    v_nodes = np.empty(total)
-    t_nodes[0], b_nodes[0], d_nodes[0] = 0.0, 1.0, 0.0
-    u_nodes[0], v_nodes[0] = 0.0, 1.0
-
-    pos = 0
-    b, d, u, v = 1.0, 0.0, 0.0, 1.0
-    for (seg_start, seg_end), nsteps in zip(zip(bounds[:-1], bounds[1:]), steps):
-        h = (seg_end - seg_start) / nsteps
-        if protocol.interpolation == "previous":
-            lam_half = [float(protocol.value_at(seg_start))] * (2 * nsteps + 1)
-        else:
-            # Eigenvalue samples on the half-step lattice, both ends included.
-            lam_half = protocol.value_at(seg_start + 0.5 * h * np.arange(2 * nsteps + 1)).tolist()
-        hh = 0.5 * h
-        h6 = h / 6.0
-        for i in range(nsteps):
-            la, lm, lb = lam_half[2 * i], lam_half[2 * i + 1], lam_half[2 * i + 2]
-            dd1 = lam0 / (b * b * b) - la * b
-            dv1 = -la * u
-
-            b2 = b + hh * d
-            d2 = d + hh * dd1
-            u2 = u + hh * v
-            v2 = v + hh * dv1
-            dd2 = lam0 / (b2 * b2 * b2) - lm * b2
-            dv2 = -lm * u2
-
-            b3 = b + hh * d2
-            d3 = d + hh * dd2
-            u3 = u + hh * v2
-            v3 = v + hh * dv2
-            dd3 = lam0 / (b3 * b3 * b3) - lm * b3
-            dv3 = -lm * u3
-
-            b4 = b + h * d3
-            d4 = d + h * dd3
-            u4 = u + h * v3
-            v4 = v + h * dv3
-            dd4 = lam0 / (b4 * b4 * b4) - lb * b4
-            dv4 = -lb * u4
-
-            b, d = b + h6 * (d + 2 * (d2 + d3) + d4), d + h6 * (dd1 + 2 * (dd2 + dd3) + dd4)
-            u, v = u + h6 * (v + 2 * (v2 + v3) + v4), v + h6 * (dv1 + 2 * (dv2 + dv3) + dv4)
-            pos += 1
-            t_nodes[pos] = seg_start + (i + 1) * h
-            b_nodes[pos] = b
-            d_nodes[pos] = d
-            u_nodes[pos] = u
-            v_nodes[pos] = v
-        t_nodes[pos] = seg_end  # exact edge, avoids accumulated roundoff
-    return t_nodes, b_nodes, d_nodes, u_nodes, v_nodes
-
-
-def compute_tau(solution: ModeSolution, t: float) -> float:
-    """Phase integral tau(t) = integral_0^t ds / b(s)**2 (quadrature,
-    absolute tolerance ~1e-12)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return 0.0
-    value, _ = quad(
-        lambda s: 1.0 / solution.evaluate(s)[0] ** 2,
-        0.0,
-        t,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=1000,
-    )
-    return value

@@ -20,7 +20,9 @@ class NumericsError(EntchainError):
 
 
 class IntegrationError(NumericsError):
-    """Step refinement hit its limit before the invariant check passed."""
+    """An integration self-check failed: a scale factor's Wronskian
+    drifted past its tolerance, or the covariance oracle's step refinement
+    hit its limit.  ``time`` is where the failure showed."""
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import NormalModes, QuenchModes
-from .ermakov import ModeSolution, compute_tau
+from .ermakov import ModeSolution
 from .errors import NumericsError
 
 
@@ -42,15 +42,13 @@ class GaussianState:
 
     ``omega`` is the real width matrix W, ``btilde`` the phase-curvature
     matrix B.  ``energies`` holds the per-mode ground-state energies
-    E_j = sqrt(lam_j(0)) / 2 and ``taus`` the accumulated phase integrals
-    (None unless requested); neither affects any observable computed here.
+    E_j = sqrt(lam_j(0)) / 2, which affect no observable computed here.
     """
 
     omega: np.ndarray
     btilde: np.ndarray
     energies: np.ndarray
     time: float
-    taus: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -70,7 +68,6 @@ def assemble_state(
     modes: NormalModes | QuenchModes,
     solutions: list[ModeSolution],
     t: float,
-    with_phases: bool = False,
 ) -> GaussianState:
     """Build the state at time t from pre-quench modes and their scale factors."""
     if isinstance(modes, QuenchModes):
@@ -83,15 +80,11 @@ def assemble_state(
     b = np.array([p[0] for p in pairs])
     bdot = np.array([p[1] for p in pairs])
     omega, btilde = mode_matrices(modes.matrix, modes.lam, b, bdot)
-    taus = None
-    if with_phases:
-        taus = np.array([compute_tau(sol, t) for sol in solutions])
     return GaussianState(
         omega=omega,
         btilde=btilde,
         energies=0.5 * np.sqrt(modes.lam),
         time=float(t),
-        taus=taus,
     )
 
 

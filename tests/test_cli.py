@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from entchain import (
     make_figure,
     run,
     run_sweep,
+    verify_report,
     write_csv,
 )
 from entchain.cli import main
@@ -201,6 +203,40 @@ class TestFigures:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "fig1.png").stat().st_size > 0
 
+    def test_fig1_plot_script_against_stub_matplotlib(self, tmp_path):
+        """The emitted script, run against a stand-in ``matplotlib.pyplot``
+        that records its calls, reads every CSV and saves the figure."""
+        stub = tmp_path / "stub" / "matplotlib"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("")
+        (stub / "pyplot.py").write_text(
+            "import json\n"
+            "plots = []\n"
+            "def plot(x, y, label=None):\n"
+            "    plots.append([label, len(x), float(x[-1]), float(y[0])])\n"
+            "def savefig(name, **kwargs):\n"
+            "    with open('calls.json', 'w') as handle:\n"
+            "        json.dump({'plots': plots, 'savefig': name}, handle)\n"
+            "def __getattr__(name):\n"
+            "    return lambda *args, **kwargs: None\n"
+        )
+        out = tmp_path / "out"
+        make_figure("fig1", str(out))
+        env = dict(os.environ, PYTHONPATH=str(stub.parent))
+        proc = subprocess.run(
+            [sys.executable, "fig1_plot.py"], cwd=str(out), env=env,
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        calls = json.loads((out / "calls.json").read_text())
+        assert calls["savefig"] == "fig1.png"
+        want = []
+        for label, _ in figure_documents("fig1"):
+            rows = (out / f"fig1_{label}.csv").read_text().splitlines()[2:]
+            first, last = rows[0].split(","), rows[-1].split(",")
+            want.append([label, len(rows), float(last[0]), float(first[-1])])
+        assert calls["plots"] == want
+
 
 class TestMain:
     def test_simulate_writes_file(self, tmp_path, capsys):
@@ -300,6 +336,16 @@ class TestMain:
         assert main(["figure", "fig2", "--outdir", "somewhere"]) == 0
         assert calls["args"] == ("fig2", "somewhere", 1)
         assert "wrote" in capsys.readouterr().out
+
+    def test_verify_report_shows_each_gate(self):
+        text, ok = verify_report()
+        lines = text.splitlines()
+        assert ok and lines[-1] == "all checks passed"
+        checks = lines[:-1]
+        assert len(checks) == 11 + 5
+        for line in checks:
+            value, gate = re.fullmatch(r"\[ok\] .* = (\S+) \(gate (\S+)\)", line).groups()
+            assert float(value) < float(gate)
 
     def test_verify_exit_codes_follow_report(self, capsys, monkeypatch):
         import entchain.cli as cli_module

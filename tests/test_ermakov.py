@@ -1,9 +1,11 @@
-"""Scale-factor equation: closed forms, numeric integration, invariants.
+"""Scale-factor equation: Pinney's superposition over exact segment
+propagators.
 
-The closed-form branch is checked against frozen coefficient values, ODE
-residuals, conservation laws, and periodicity.  The numeric branch is
-checked against the closed form, against an analytically chained
-two-segment solution, and for its refinement-failure error path.
+Sudden quenches are checked against frozen b**2 values, ODE residuals,
+conservation laws, and periodicity.  General protocols are checked
+against the sudden closed form, against an analytically chained
+two-segment solution, and for their Wronskian error path; the Airy
+propagator of linear segments is checked against an Airy-free reference.
 """
 
 import numpy as np
@@ -13,12 +15,12 @@ from entchain import (
     IntegrationError,
     QuenchProtocol,
     QuenchSchedule,
-    compute_tau,
     integrate_general,
     ode_residual,
     solve_sudden,
     sudden_invariant,
 )
+from entchain.ermakov import _propagator
 
 FIG1_MODE_PAIRS = [
     # (lam_initial, lam_final) of the two-site quench targets
@@ -47,13 +49,14 @@ def test_no_quench_is_constant():
 def test_sudden_coefficients_frozen():
     # lam 1 -> 0.0225 is the slow mode of the two-site quench to 2.15
     sol = solve_sudden(1.0, 0.0225)
-    assert sol.amp == pytest.approx((0.0225 - 1.0) / 0.045, rel=1e-14)
-    assert sol.amp == pytest.approx(-21.722222222222, rel=1e-12)
-    assert sol.offset == pytest.approx(1.0225 / 0.045, rel=1e-14)
-    assert sol.offset == pytest.approx(22.722222222222, rel=1e-12)
-    # b^2 oscillates with period pi / sqrt(lam_final)
+    # b^2 oscillates with period pi / sqrt(lam_final) between 1 and
+    # lam_i / lam_f, through the mean (lam_f + lam_i) / (2 lam_f)
     period = np.pi / 0.15
     assert period == pytest.approx(20.94395102, rel=1e-9)
+    assert sol.evaluate(period / 4)[0] ** 2 == pytest.approx(1.0225 / 0.045, rel=1e-14)
+    assert sol.evaluate(period / 4)[0] ** 2 == pytest.approx(22.722222222222, rel=1e-12)
+    assert sol.evaluate(period / 2)[0] ** 2 == pytest.approx(1.0 / 0.0225, rel=1e-14)
+    assert sol.evaluate(period / 2)[0] ** 2 == pytest.approx(44.444444444444, rel=1e-12)
     t = np.linspace(0.0, 3 * period, 500)
     b, _ = sol.evaluate(t)
     b_shift, _ = sol.evaluate(t + period)
@@ -84,7 +87,10 @@ def test_positivity_guard():
         b, _ = sol.evaluate(t)
         assert b.min() > 0.0
         floor = min(lam_i, lam_f) / lam_f
-        assert sol.offset - abs(sol.amp) == pytest.approx(floor, rel=1e-12)
+        half_period = np.pi / (2.0 * np.sqrt(lam_f))
+        extremes = [sol.evaluate(0.0)[0] ** 2, sol.evaluate(half_period)[0] ** 2]
+        assert min(extremes) == pytest.approx(floor, rel=1e-12)
+        assert b.min() ** 2 >= floor * (1.0 - 1e-12)
 
 
 def test_solve_sudden_validation():
@@ -103,6 +109,8 @@ def test_protocol_validation():
         QuenchProtocol.general(1.0, [0.0, 0.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="interpolation"):
         QuenchProtocol.general(1.0, [0.0], [1.0], interpolation="cubic")
+    with pytest.raises(ValueError, match="non-negative"):
+        QuenchProtocol.general(1.0, [0.0, 1.0], [1.0, -0.5])
 
 
 def test_protocol_interpolation_rules():
@@ -130,7 +138,7 @@ def test_schedule_mode_protocol():
 
 def test_integrate_constant_protocol():
     proto = QuenchProtocol.general(2.0, [0.0], [2.0], interpolation="previous")
-    sol = integrate_general(proto, t_max=20.0, tolerance=1e-12)
+    sol = integrate_general(proto, tolerance=1e-12)
     t = np.linspace(0.0, 20.0, 400)
     b, db = sol.evaluate(t)
     assert np.abs(b - 1.0).max() < 1e-9
@@ -138,18 +146,20 @@ def test_integrate_constant_protocol():
 
 
 def test_integrate_matches_closed_form():
-    """Piecewise-constant numeric run against the sudden closed form."""
+    """A constant protocol cut into segments, against the sudden closed form."""
     t = np.linspace(0.0, 100.0, 1000)
+    cuts = [0.0, 13.0, 40.0, 71.5]
     for lam_i, lam_f in ((1.0, 0.0225), (25.0, 17.2225)):
         closed = solve_sudden(lam_i, lam_f)
-        proto = QuenchProtocol.general(
-            lam_i, [0.0], [lam_f], interpolation="previous"
-        )
-        numeric = integrate_general(proto, t_max=100.0, tolerance=1e-10)
-        b_ref, db_ref = closed.evaluate(t)
-        b_num, db_num = numeric.evaluate(t)
-        assert np.abs(b_num - b_ref).max() < 1e-8
-        assert np.abs(db_num - db_ref).max() < 1e-7
+        for interpolation in ("previous", "linear"):
+            proto = QuenchProtocol.general(
+                lam_i, cuts, [lam_f] * len(cuts), interpolation=interpolation
+            )
+            numeric = integrate_general(proto, tolerance=1e-10)
+            b_ref, db_ref = closed.evaluate(t)
+            b_num, db_num = numeric.evaluate(t)
+            assert np.abs(b_num - b_ref).max() < 1e-8
+            assert np.abs(db_num - db_ref).max() < 1e-7
 
 
 def _chain_segment(lam0, lam, t_rel, u0, du0):
@@ -177,7 +187,7 @@ def test_two_step_protocol_against_chained_closed_form():
     proto = QuenchProtocol.general(
         1.0, [0.0, 1.0], [4.0, 1.0], interpolation="previous"
     )
-    numeric = integrate_general(proto, t_max=3.0, tolerance=1e-12)
+    numeric = integrate_general(proto, tolerance=1e-12)
 
     def reference(t):
         u0, du0 = 1.0, 0.0
@@ -196,48 +206,91 @@ def test_two_step_protocol_against_chained_closed_form():
 
 
 def test_integrate_refinement_exhaustion():
-    proto = QuenchProtocol.sudden(1.0, 25.0)
-    with pytest.raises(IntegrationError) as err:
-        integrate_general(proto, t_max=5.0, tolerance=1e-15, max_refinements=1)
-    assert err.value.time is not None
-    assert err.value.time >= 0.0
+    """The Wronskian check raises at the first boundary where it fails.
+    lam alternates between 1 and 25, held for 1.3 and 0.23: the
+    fundamental solutions grow geometrically, and the rounding in their
+    Wronskian grows with them."""
+    lengths = [0.23 if k % 2 else 1.3 for k in range(11)]
+    values = [25.0 if k % 2 else 1.0 for k in range(12)]
+    proto = QuenchProtocol.general(1.0, np.cumsum([0.0] + lengths), values, "previous")
+    with pytest.raises(IntegrationError, match="Wronskian") as err:
+        integrate_general(proto, tolerance=1e-15)
+    sol = integrate_general(proto, tolerance=1e-6)
+    phis = sol.phis
+    drift = np.abs(phis[:, 0, 0] * phis[:, 1, 1] - phis[:, 0, 1] * phis[:, 1, 0] - 1.0)
+    assert 1e-15 < drift.max() < 1e-6
+    assert err.value.time == proto.times[np.argmax(drift > 1e-15)]
+    assert err.value.time > 0.0
 
 
 def test_integrate_validation():
     proto = QuenchProtocol.sudden(1.0, 2.0)
-    with pytest.raises(ValueError, match="t_max"):
-        integrate_general(proto, t_max=0.0)
     with pytest.raises(ValueError, match="tolerance"):
-        integrate_general(proto, t_max=1.0, tolerance=0.0)
+        integrate_general(proto, tolerance=0.0)
 
 
 def test_second_derivative_closed_only():
-    closed = solve_sudden(1.0, 4.0)
+    """b'' from the fundamental solutions satisfies the ODE for sudden and
+    general solutions alike, across constant and linear segments."""
     t = np.linspace(0.0, 5.0, 50)
-    b, _ = closed.evaluate(t)
-    ddb = closed.second_derivative(t)
-    assert np.abs(ddb + 4.0 * b - 1.0 / b**3).max() < 1e-10
-    numeric = integrate_general(
-        QuenchProtocol.sudden(1.0, 4.0), t_max=5.0, tolerance=1e-10
-    )
-    with pytest.raises(ValueError, match="closed-form"):
-        numeric.second_derivative(t)
-
-
-def test_tau_trivial_and_free_expansion():
-    flat = solve_sudden(3.0, 3.0)
-    for t in (0.0, 0.7, 12.0):
-        assert compute_tau(flat, t) == pytest.approx(t, abs=1e-10)
-    free = solve_sudden(1.0, 0.0)
-    assert compute_tau(free, 1.0) == pytest.approx(np.pi / 4.0, abs=1e-10)
-
-
-def test_tau_derivative_matches_inverse_square():
-    sol = solve_sudden(1.0, 0.0225)
-    eps = 1e-5
-    for t in (0.5, 3.0, 11.0):
-        grad = (compute_tau(sol, t + eps) - compute_tau(sol, t - eps)) / (2 * eps)
+    table = ([0.0, 2.0, 3.5], [4.0, 0.5, 9.0])
+    cases = [
+        (solve_sudden(1.0, 4.0), np.full(t.shape, 4.0)),
+        (integrate_general(QuenchProtocol.sudden(1.0, 4.0)), np.full(t.shape, 4.0)),
+        (integrate_general(QuenchProtocol.general(1.0, *table)), np.interp(t, *table)),
+        (
+            integrate_general(QuenchProtocol.general(1.0, *table, "previous")),
+            QuenchProtocol.general(1.0, *table, "previous").value_at(t),
+        ),
+    ]
+    for sol, lam in cases:
         b, _ = sol.evaluate(t)
-        assert grad == pytest.approx(1.0 / b**2, rel=1e-7)
-    with pytest.raises(ValueError, match="non-negative"):
-        compute_tau(sol, -1.0)
+        assert np.abs(sol.second_derivative(t) + lam * b - 1.0 / b**3).max() < 1e-10
+
+
+def _midpoint_product(lam, slope, tau, steps):
+    """Product of exact constant-lam propagators at the midpoints of
+    ``steps`` equal sub-steps, for arrays of segments at once."""
+    h = tau / steps
+    prop = np.broadcast_to(np.eye(2), lam.shape + (2, 2)).copy()
+    for i in range(steps):
+        mid = lam + slope * (i + 0.5) * h
+        root = np.sqrt(mid.astype(complex))  # hyperbolic where lam < 0
+        cos = np.cos(root * h).real
+        sinw = (np.sin(root * h) / np.where(root == 0, 1.0, root)).real
+        sinw = np.where(root == 0, h, sinw)
+        step = np.stack([np.stack([cos, sinw], -1), np.stack([-mid * sinw, cos], -1)], -2)
+        prop = step @ prop
+    return prop
+
+
+def test_airy_propagator_against_midpoint_reference():
+    """Linear segments, tiny slopes included, against an Airy-free
+    reference: Richardson-extrapolated midpoint products.  The last three
+    segments are short in Airy units, where direct Airy values cancel."""
+    cases = [
+        (lam, slope, 10.0)
+        for lam in (0.0, 0.09, 9.0, 100.0)
+        for slope in (1.0, -1.0, 1e-2, -1e-2, 1e-4, -1e-4, 1e-6, 1e-8)
+    ] + [(0.0, 1e-30, 1.0), (0.0, 1e-15, 1.0), (0.01, 1e-6, 1e-3)]
+    lam, slope, tau = np.array(cases).T
+    reference = (4.0 * _midpoint_product(lam, slope, tau, 8000)
+                 - _midpoint_product(lam, slope, tau, 4000)) / 3.0
+    prop = _propagator(lam, slope, tau).T.reshape(-1, 2, 2)
+    assert np.all(np.isfinite(prop))
+    scale = np.abs(reference).max(axis=(1, 2))
+    rel = np.abs(prop - reference).max(axis=(1, 2)) / scale
+    assert rel.max() <= 1e-11, cases[int(np.argmax(rel))]
+
+
+def test_general_solution_has_no_time_limit():
+    """Past the last sample the final value is held: b**2 is then periodic
+    with period pi / sqrt(lam_final), as far out as asked."""
+    proto = QuenchProtocol.general(9.0, [0.0, 10.0, 30.0], [9.0, 4.0, 0.09])
+    sol = integrate_general(proto)
+    period = np.pi / 0.3
+    t = np.array([31.0, 1e3, 1e4])
+    b, _ = sol.evaluate(t)
+    b_next, _ = sol.evaluate(t + period)
+    assert np.abs(b_next - b).max() < 1e-9
+    assert np.abs(ode_residual(sol, t)).max() < 1e-9

@@ -1,8 +1,7 @@
 """Gaussian-state assembly and covariance conversion.
 
 Frozen two-site width matrices, the explicit two-site phase-curvature
-parameters over random draws, determinant and purity identities, and the
-irrelevance of the bookkeeping phases.
+parameters over random draws, and determinant and purity identities.
 """
 
 import numpy as np
@@ -12,25 +11,22 @@ from entchain import (
     ChainSpec,
     GaussianState,
     NumericsError,
-    Partition,
     assemble_state,
     mode_matrices,
-    partial_trace,
     quench_modes,
     solve_sudden,
     symplectic_eigenvalues,
     symplectic_form,
     to_covariance,
-    xi_spectrum,
 )
 
 SQRT5 = np.sqrt(5.0)
 
 
-def _static_state(spec: ChainSpec, t: float = 0.0, with_phases: bool = False):
+def _static_state(spec: ChainSpec, t: float = 0.0):
     qm = quench_modes(spec)
     sols = [solve_sudden(li, lf) for li, lf in zip(qm.lam_pre, qm.lam_post)]
-    return assemble_state(qm, sols, t, with_phases=with_phases)
+    return assemble_state(qm, sols, t)
 
 
 def test_initial_state_matrices():
@@ -122,18 +118,6 @@ def test_purity_at_all_times():
         sigma = to_covariance(assemble_state(qm, sols, t))
         nu = symplectic_eigenvalues(sigma)
         assert np.abs(nu - 0.5).max() < 1e-9
-
-
-def test_phases_do_not_change_entanglement():
-    spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
-    part = Partition.second_half(4)
-    bare = _static_state(spec, 2.6, with_phases=False)
-    phased = _static_state(spec, 2.6, with_phases=True)
-    assert bare.taus is None
-    assert phased.taus is not None and phased.taus.shape == (4,)
-    xi_bare = xi_spectrum(partial_trace(bare, part)).xi
-    xi_phased = xi_spectrum(partial_trace(phased, part)).xi
-    assert np.array_equal(xi_bare, xi_phased)
 
 
 def test_symplectic_form_and_eigenvalues():

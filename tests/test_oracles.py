@@ -22,6 +22,7 @@ from entchain import (
     entropy_series,
     ground_state_covariance,
     integrate_covariance_general,
+    integrate_general,
     kernel_spectrum,
     quench_modes,
     reduce_covariance,
@@ -116,6 +117,29 @@ def test_general_schedule_cross_validates_primary_path():
     primary = entropy_series(spec, part, times, schedule=schedule)
     oracle = covariance_series(spec, part, times, schedule=schedule)
     assert np.abs(primary.s1 - oracle.s1).max() < 1e-8
+
+
+@pytest.mark.parametrize("interpolation, t_max", [("linear", 100.0), ("previous", 40.0)])
+def test_ramp_table_cross_validates_primary_path(interpolation, t_max):
+    """The eight-site ramp table, with Airy (linear) or cos/sin (previous)
+    segment propagators, against the tightly integrated covariance flow.
+    The previous-hold window stops 10 past the last breakpoint: over
+    t <= 100 the flow takes about 20 s there."""
+    table = [[0.0, 3.0, 2.0], [10.0, 2.0, 2.2], [20.0, 1.0, 2.4], [30.0, 0.3, 2.5]]
+    spec = ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+    schedule = QuenchSchedule(*np.transpose(table), interpolation=interpolation)
+    times = np.linspace(0.0, t_max, 51)
+    part = Partition.second_half(8)
+    primary = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
+    oracle = covariance_series(
+        spec, part, times, alphas=(1, 2), schedule=schedule, tolerance=1e-12
+    )
+    for a in (1, 2):
+        assert np.abs(primary.entropies[a] - oracle.entropies[a]).max() < 1e-8
+    modes = quench_modes(spec)
+    for mu, lam0 in zip(modes.mu, modes.lam_pre):
+        phis = integrate_general(schedule.mode_protocol(mu, lam0)).phis
+        assert np.abs(np.linalg.det(phis) - 1.0).max() <= 1e-12
 
 
 def test_integrate_covariance_validation():
