@@ -70,7 +70,7 @@ def _apply_time_overrides(raw: dict, args) -> dict:
 def _cmd_simulate(args) -> int:
     raw = _apply_time_overrides(_load_document(args.config), args)
     config = from_dict(raw)
-    table = run(config, threads=args.threads)
+    table = run(config)
     target = args.output or config.output_path
     if target:
         write_csv(table, target)
@@ -95,13 +95,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    for path in make_figure(args.name, args.outdir, threads=args.threads):
+    for path in make_figure(args.name, args.outdir):
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    report, ok = verify_report(threads=args.threads)
+    report, ok = verify_report()
     sys.stdout.write(report)
     return 0 if ok else 2
 
@@ -114,34 +114,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_config=True):
-        if with_config:
-            p.add_argument("--config", required=True, help="path to a JSON config file")
-            p.add_argument("--dt", type=float, default=None, help="override time.dt")
-            p.add_argument("--t-max", type=float, default=None, help="override time.t_max")
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="worker threads (0 = one per CPU, default 1)",
-        )
+    def add_config(p):
+        p.add_argument("--config", required=True, help="path to a JSON config file")
+        p.add_argument("--dt", type=float, default=None, help="override time.dt")
+        p.add_argument("--t-max", type=float, default=None, help="override time.t_max")
 
     p = sub.add_parser("simulate", help="run one config and emit a CSV")
-    add_common(p)
+    add_config(p)
     p.add_argument("--output", default=None, help="CSV path (default: output.path or stdout)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="cartesian sweep over list-valued model parameters")
-    add_common(p)
+    add_config(p)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads (0 = one per CPU, default 1)",
+    )
     p.add_argument("--output", default=None, help="output directory for the sweep CSVs")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="emit the CSVs and plot script for a canned figure")
     p.add_argument("name", choices=FIGURE_NAMES)
     p.add_argument("--outdir", default="figures", help="output directory (default: figures)")
-    add_common(p, with_config=False)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("verify", help="run the oracle-equivalence and invariant checks")
-    add_common(p, with_config=False)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -37,8 +37,6 @@ Renyi and von Neumann entropies follow from xi in closed form.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,6 +55,10 @@ _NU_SLACK = 1e-8
 # the pure-state floor even for exact product states; values this close
 # to 1/2 are treated as exactly pure so those states report zero entropy.
 _NU_PURE_BAND = 1e-11
+
+# Matrix elements per stacked array when a time grid is taken in blocks
+# (see _block_rows).
+_BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,8 @@ def reduced_covariance(reduced: ReducedState) -> np.ndarray:
     return sigma
 
 
-def _xi_from_cov(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _xi_from_cov(sigma: np.ndarray) -> np.ndarray:
+    """xi, shape (..., m), of a kept-block covariance (2m, 2m) or a stack."""
     nu = symplectic_eigenvalues(sigma)
     if nu.min() < 0.5 - _NU_SLACK:
         raise NumericsError(
@@ -222,9 +225,7 @@ def _xi_from_cov(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "below the physical floor 1/2"
         )
     nu = np.where(nu < 0.5 + _NU_PURE_BAND, 0.5, nu)
-    xi = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
-    couplings = 2.0 * xi / (1.0 + xi**2)
-    return xi, couplings
+    return (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
 
 
 def xi_spectrum(reduced: ReducedState) -> XiSpectrum:
@@ -234,8 +235,8 @@ def xi_spectrum(reduced: ReducedState) -> XiSpectrum:
         raise NumericsError(
             f"reduced width matrix must be positive-definite, got eigenvalue {w.min():.3e}"
         )
-    xi, couplings = _xi_from_cov(reduced_covariance(reduced))
-    return XiSpectrum(xi=xi, couplings=couplings)
+    xi = _xi_from_cov(reduced_covariance(reduced))
+    return XiSpectrum(xi=xi, couplings=2.0 * xi / (1.0 + xi**2))
 
 
 def _validate_xi(xi) -> np.ndarray:
@@ -247,8 +248,18 @@ def _validate_xi(xi) -> np.ndarray:
     return np.clip(xi, 0.0, None)
 
 
-def renyi_entropy(xi, alpha: int) -> float:
-    """Renyi entropy of integer order alpha >= 2, in nats, summed over modes."""
+def _mode_sum(terms: np.ndarray) -> float | np.ndarray:
+    """Sum over the last (mode) axis: a float for one spectrum, one value
+    per row for a (rows, m) stack."""
+    total = terms.sum(axis=-1)
+    return float(total) if terms.ndim == 1 else total
+
+
+def renyi_entropy(xi, alpha: int) -> float | np.ndarray:
+    """Renyi entropy of integer order alpha >= 2, in nats, summed over modes.
+
+    ``xi`` is one spectrum (m,), giving a float, or a stack (rows, m),
+    giving one entropy per row."""
     if not isinstance(alpha, (int, np.integer)) or isinstance(alpha, bool):
         raise ValueError(f"alpha must be an integer, got {alpha!r}")
     if alpha < 2:
@@ -256,21 +267,20 @@ def renyi_entropy(xi, alpha: int) -> float:
     if isinstance(xi, XiSpectrum):
         xi = xi.xi
     xi = _validate_xi(xi)
-    terms = (alpha * np.log1p(-xi) - np.log1p(-(xi**alpha))) / (1.0 - alpha)
-    return float(terms.sum())
+    return _mode_sum((alpha * np.log1p(-xi) - np.log1p(-(xi**alpha))) / (1.0 - alpha))
 
 
-def von_neumann_entropy(xi) -> float:
-    """Von Neumann entropy in nats, summed over modes; xi -> 0 gives 0."""
+def von_neumann_entropy(xi) -> float | np.ndarray:
+    """Von Neumann entropy in nats, summed over modes; xi -> 0 gives 0.
+
+    ``xi`` is one spectrum (m,), giving a float, or a stack (rows, m),
+    giving one entropy per row."""
     if isinstance(xi, XiSpectrum):
         xi = xi.xi
     xi = _validate_xi(xi)
     positive = xi > 0
     safe = np.where(positive, xi, 0.5)
-    terms = -np.log1p(-xi) - np.where(
-        positive, xi / (1.0 - xi) * np.log(safe), 0.0
-    )
-    return float(terms.sum())
+    return _mode_sum(-np.log1p(-xi) - np.where(positive, xi / (1.0 - xi) * np.log(safe), 0.0))
 
 
 def reduced_spectrum(xi, n_max: int) -> TruncatedSpectrum:
@@ -322,14 +332,6 @@ def two_site_reduced(
     return gamma, beta, z
 
 
-def _resolve_workers(threads: int) -> int:
-    if threads < 0:
-        raise ValueError("threads must be >= 0")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
-
-
 def _validate_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -358,6 +360,13 @@ def _validate_alphas(alphas) -> list[int]:
     return sorted(set(cleaned))
 
 
+def _block_rows(dim: int) -> int:
+    """Time points per block when each point carries a (dim, dim) matrix:
+    about 8192 matrix elements per stacked array, which keeps a block's
+    temporaries in cache and off the peak memory."""
+    return max(1, _BLOCK_ELEMENTS // dim**2)
+
+
 def entropy_series(
     spec: ChainSpec,
     partition: Partition,
@@ -365,16 +374,17 @@ def entropy_series(
     alphas=(1,),
     schedule: QuenchSchedule | None = None,
     tolerance: float = 1e-10,
-    threads: int = 1,
 ) -> EntropySeries:
     """Entanglement entropies of the kept block over a uniform time grid.
 
     With ``schedule=None`` the quench is sudden (spec's pre -> post
     parameters); otherwise each mode follows the schedule, with the
     Wronskian of its scale factor checked against ``tolerance``.  Time
-    points are independent and are evaluated in parallel when ``threads``
-    is not 1 (0 = one worker per CPU); results are merged by time index,
-    so the output does not depend on scheduling.
+    points are taken in blocks of ``max(1, 8192 // (2m)**2)`` for m kept
+    sites: each block stacks its kept-block covariances, takes their
+    symplectic spectra in one call and its entropies as sums over the
+    mode axis.  Every row is computed the same way whatever block it
+    falls in, so a grid gives bit for bit the values of its slices.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)
@@ -388,52 +398,38 @@ def entropy_series(
             integrate_general(schedule.mode_protocol(mu, li), tolerance=tolerance)
             for mu, li in zip(modes.mu, modes.lam_pre)
         ]
-    b_all = np.empty((modes.n, times.size))
-    bdot_all = np.empty((modes.n, times.size))
+    b_all = np.empty((times.size, modes.n))
+    bdot_all = np.empty((times.size, modes.n))
     for j, sol in enumerate(sols):
-        b_all[j], bdot_all[j] = sol.evaluate(times)
+        b_all[:, j], bdot_all[:, j] = sol.evaluate(times)
 
     kp = [s - 1 for s in partition.kept]
     u_kp = modes.u[:, kp]
     sqrt_lam0 = np.sqrt(modes.lam_pre)
 
-    n_kept = len(kp)
-    xi_out = np.empty((times.size, n_kept))
+    m = len(kp)
+    xi_out = np.empty((times.size, m))
     ent_out = {a: np.empty(times.size) for a in alphas}
-
-    def fill(row: int, sigma: np.ndarray) -> None:
+    rows = _block_rows(2 * m)
+    for start in range(0, times.size, rows):
+        block = slice(start, start + rows)
         # Kept-block covariance straight from the per-mode phase-space
         # data: each normal mode is pure and squeezed, with
         #   <xx> = b^2 / (2 sqrt(lam0)),  sym<xp> = b b' / (2 sqrt(lam0)),
         #   <pp> = (sqrt(lam0) / b^2 + b'^2 / sqrt(lam0)) / 2.
-        b = b_all[:, row]
-        bdot = bdot_all[:, row]
+        b = b_all[block]
+        bdot = bdot_all[block]
         dxx = b**2 / (2.0 * sqrt_lam0)
         dxp = b * bdot / (2.0 * sqrt_lam0)
         dpp = 0.5 * (sqrt_lam0 / b**2 + bdot**2 / sqrt_lam0)
-        sigma[:n_kept, :n_kept] = u_kp.T @ (dxx[:, None] * u_kp)
-        sigma[:n_kept, n_kept:] = u_kp.T @ (dxp[:, None] * u_kp)
-        sigma[n_kept:, :n_kept] = sigma[:n_kept, n_kept:].T
-        sigma[n_kept:, n_kept:] = u_kp.T @ (dpp[:, None] * u_kp)
-        xi, _ = _xi_from_cov(sigma)
-        xi_out[row] = xi
+        sigma = np.empty((b.shape[0], 2 * m, 2 * m))
+        sigma[:, :m, :m] = u_kp.T @ (dxx[:, :, None] * u_kp)
+        sigma[:, :m, m:] = u_kp.T @ (dxp[:, :, None] * u_kp)
+        sigma[:, m:, :m] = sigma[:, :m, m:].swapaxes(1, 2)
+        sigma[:, m:, m:] = u_kp.T @ (dpp[:, :, None] * u_kp)
+        xi = _xi_from_cov(sigma)
+        xi_out[block] = xi
         for a in alphas:
-            ent_out[a][row] = von_neumann_entropy(xi) if a == 1 else renyi_entropy(xi, a)
-
-    workers = _resolve_workers(threads)
-    if workers == 1 or times.size < 4:
-        scratch = np.empty((2 * n_kept, 2 * n_kept))
-        for row in range(times.size):
-            fill(row, scratch)
-    else:
-        def fill_range(bounds):
-            scratch = np.empty((2 * n_kept, 2 * n_kept))
-            for row in range(*bounds):
-                fill(row, scratch)
-
-        chunk = max(1, times.size // (4 * workers))
-        ranges = [(s, min(s + chunk, times.size)) for s in range(0, times.size, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_range, ranges))
+            ent_out[a][block] = von_neumann_entropy(xi) if a == 1 else renyi_entropy(xi, a)
 
     return EntropySeries(times=times, xi=xi_out, entropies=ent_out)

@@ -276,7 +276,12 @@ def _airy_direct(lam, slope, tau):
     # u = Ai(z), Bi(z) with z = -lam(t) / |slope|**(2/3); dz/dt = dz.
     scale = np.abs(slope) ** (1.0 / 3.0)
     dz = -np.sign(slope) * scale
-    ai0, aip0, bi0, bip0 = airy(-lam / scale**2)
+    # The points of a segment arrive as one run and share its start value,
+    # so the start is evaluated once per run.
+    z0 = -lam / scale**2
+    first = np.flatnonzero(np.r_[True, z0[1:] != z0[:-1]])
+    counts = np.diff(first, append=z0.size)
+    ai0, aip0, bi0, bip0 = (np.repeat(v, counts) for v in airy(z0[first]))
     ai1, aip1, bi1, bip1 = airy(-(lam + slope * tau) / scale**2)
     return np.pi * np.array([
         ai1 * bip0 - bi1 * aip0,

@@ -122,17 +122,22 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     Computed as the positive spectrum of the Hermitian matrix
     i sigma^(1/2) J sigma^(1/2), which is similar to i J sigma but keeps
     the eigenproblem symmetric.  A pure state gives all values 1/2.
+
+    ``sigma`` may be one (2m, 2m) matrix or a stack (..., 2m, 2m); the
+    result has shape (..., m), and each matrix of a stack gets the same
+    values as a call on that matrix alone.  One matrix that is not
+    positive-definite fails the whole call.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
+    if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2] or sigma.shape[-1] % 2:
         raise ValueError("covariance matrix must be square with even dimension")
-    n = sigma.shape[0] // 2
-    w, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    if w.min() <= 0:
+    n = sigma.shape[-1] // 2
+    w, vecs = np.linalg.eigh(0.5 * (sigma + sigma.swapaxes(-1, -2)))
+    if w.size and w.min() <= 0:
         raise NumericsError(
             f"covariance matrix must be positive-definite, got eigenvalue {w.min():.3e}"
         )
-    root = vecs @ (np.sqrt(w)[:, None] * vecs.T)
+    root = vecs @ (np.sqrt(w)[..., :, None] * vecs.swapaxes(-1, -2))
     herm = 1j * (root @ symplectic_form(n) @ root)
-    vals = np.linalg.eigvalsh(0.5 * (herm + herm.conj().T))
-    return vals[n:]
+    vals = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(-1, -2)))
+    return vals[..., n:]

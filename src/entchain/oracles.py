@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, bond_laplacian, build_coupling_matrix
-from .entanglement import EntropySeries, Partition, _validate_alphas, _validate_times
+from .entanglement import (
+    EntropySeries,
+    Partition,
+    _block_rows,
+    _mode_sum,
+    _validate_alphas,
+    _validate_times,
+)
 from .ermakov import QuenchSchedule
 from .errors import GridError, IntegrationError, NumericsError
 from .gaussian import symplectic_eigenvalues
@@ -85,14 +92,16 @@ class SymplecticPropagator:
             )
         return cls(vecs=vecs, lam=lam)
 
-    def matrix(self, t: float) -> np.ndarray:
+    def matrix(self, t) -> np.ndarray:
+        """Flow to time t: (2n, 2n) for scalar t, (T, 2n, 2n) for T times."""
+        t = np.asarray(t, dtype=float)[..., None]
         root = np.sqrt(self.lam)
-        cos_d = np.cos(root * t)
+        cos_d = np.cos(root * t)[..., None, :]
         sin_over = t * np.sinc(root * t / np.pi)
         vecs = self.vecs
         cos_block = (vecs * cos_d) @ vecs.T
-        sin_block = (vecs * sin_over) @ vecs.T
-        neg_block = (vecs * (-self.lam * sin_over)) @ vecs.T
+        sin_block = (vecs * sin_over[..., None, :]) @ vecs.T
+        neg_block = (vecs * (-self.lam * sin_over)[..., None, :]) @ vecs.T
         return np.block([[cos_block, sin_block], [neg_block, cos_block]])
 
 
@@ -150,6 +159,7 @@ def integrate_covariance_general(
     bounds = np.union1d(np.union1d([0.0, t_max], interior), times)
     want = np.searchsorted(bounds, times)
 
+    rows = _block_rows(2 * n)
     lam_scale = max(float((schedule.omegas**2 + 4.0 * schedule.ks).max()), 1e-12)
     h_target = min(0.02, 0.2 / np.sqrt(lam_scale))
 
@@ -182,9 +192,9 @@ def integrate_covariance_general(
             snapshots[seg + 1] = sigma
 
         drift = 0.0
-        for idx in want:
+        for start in range(0, want.size, rows):
             try:
-                nu = symplectic_eigenvalues(snapshots[idx])
+                nu = symplectic_eigenvalues(snapshots[want[start:start + rows]])
             except NumericsError:
                 drift = np.inf
                 break
@@ -198,14 +208,20 @@ def integrate_covariance_general(
     )
 
 
+def _kept_coordinates(partition: Partition) -> list[int]:
+    """Phase-space indices (positions, then momenta) of the kept sites."""
+    kp = [s - 1 for s in partition.kept]
+    return kp + [s + partition.n for s in kp]
+
+
 def reduce_covariance(sigma: np.ndarray, partition: Partition) -> np.ndarray:
-    """Kept-block covariance (positions then momenta of the kept sites)."""
-    n = sigma.shape[0] // 2
+    """Kept-block covariance (positions then momenta of the kept sites) of
+    one covariance matrix or of a stack (..., 2n, 2n)."""
+    n = sigma.shape[-1] // 2
     if partition.n != n:
         raise ValueError(f"partition covers {partition.n} sites but sigma has {n}")
-    kp = [s - 1 for s in partition.kept]
-    sel = kp + [s + n for s in kp]
-    return sigma[np.ix_(sel, sel)]
+    sel = _kept_coordinates(partition)
+    return sigma[..., sel, :][..., sel]
 
 
 def _clamped_nu(sigma_reduced: np.ndarray) -> np.ndarray:
@@ -217,8 +233,11 @@ def _clamped_nu(sigma_reduced: np.ndarray) -> np.ndarray:
     return np.where(nu < 0.5 + _NU_PURE_BAND, 0.5, nu)
 
 
-def covariance_entropy(nu, alphas=(1,)) -> dict[int, float]:
-    """Entropies of a Gaussian state from its symplectic eigenvalues."""
+def covariance_entropy(nu, alphas=(1,)) -> dict[int, float | np.ndarray]:
+    """Entropies of a Gaussian state from its symplectic eigenvalues.
+
+    ``nu`` is one spectrum (m,), giving a float per order, or a stack
+    (rows, m), giving an array of one entropy per row for each order."""
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     if nu.size and nu.min() < 0.5 - _NU_SLACK:
         raise NumericsError(
@@ -228,17 +247,16 @@ def covariance_entropy(nu, alphas=(1,)) -> dict[int, float]:
     alphas = _validate_alphas(alphas)
     plus = nu + 0.5
     minus = nu - 0.5
-    out: dict[int, float] = {}
+    out = {}
     for alpha in alphas:
         if alpha == 1:
             mixed = minus > 0
             safe = np.where(mixed, minus, 1.0)
             terms = plus * np.log(plus) - np.where(mixed, safe * np.log(safe), 0.0)
-            out[1] = float(terms.sum())
         else:
             xi = minus / plus
             terms = (alpha * np.log1p(-xi) - np.log1p(-(xi**alpha))) / (1.0 - alpha)
-            out[alpha] = float(terms.sum())
+        out[alpha] = _mode_sum(terms)
     return out
 
 
@@ -254,7 +272,10 @@ def covariance_series(
 
     Same call shape and output type as the scale-factor pipeline, but the
     dynamics is the symplectic flow of the coupling matrix, so the two
-    results are independent up to shared linear-algebra primitives.
+    results are independent up to shared linear-algebra primitives.  Time
+    points are taken in blocks of ``max(1, 8192 // (2n)**2)``, one stacked
+    spectrum call each.  For a sudden quench the kept rows F_k of a
+    block's flows give its kept-block covariances F_k sigma0 F_k.T.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)
@@ -264,22 +285,25 @@ def covariance_series(
     if schedule is None:
         sigma0 = ground_state_covariance(build_coupling_matrix(spec, "pre"))
         propagator = SymplecticPropagator.from_coupling(build_coupling_matrix(spec, "post"))
-        sigmas = np.empty((times.size, 2 * spec.n, 2 * spec.n))
-        for row, t in enumerate(times):
-            flow = propagator.matrix(float(t))
-            sigmas[row] = flow @ sigma0 @ flow.T
+        sel = _kept_coordinates(partition)
     else:
         sigmas = integrate_covariance_general(spec, schedule, times, tolerance=tolerance)
 
-    n_kept = len(partition.kept)
-    xi_out = np.empty((times.size, n_kept))
+    xi_out = np.empty((times.size, len(partition.kept)))
     ent_out = {a: np.empty(times.size) for a in alphas}
-    for row in range(times.size):
-        nu = _clamped_nu(reduce_covariance(sigmas[row], partition))
-        xi_out[row] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
+    rows = _block_rows(2 * spec.n)
+    for start in range(0, times.size, rows):
+        block = slice(start, start + rows)
+        if schedule is None:
+            flow = propagator.matrix(times[block])[:, sel]
+            kept = flow @ sigma0 @ flow.swapaxes(1, 2)
+        else:
+            kept = reduce_covariance(sigmas[block], partition)
+        nu = _clamped_nu(kept)
+        xi_out[block] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
         ents = covariance_entropy(nu, alphas)
         for a in alphas:
-            ent_out[a][row] = ents[a]
+            ent_out[a][block] = ents[a]
     return EntropySeries(times=times, xi=xi_out, entropies=ent_out)
 
 

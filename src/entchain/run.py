@@ -49,7 +49,7 @@ class ResultTable:
             raise NumericsError("result table contains non-finite values")
 
 
-def run(config: RunConfig, threads: int = 1) -> ResultTable:
+def run(config: RunConfig) -> ResultTable:
     """Execute one configured run."""
     series = entropy_series(
         config.chain,
@@ -58,7 +58,6 @@ def run(config: RunConfig, threads: int = 1) -> ResultTable:
         alphas=config.alphas,
         schedule=config.schedule,
         tolerance=config.tolerance,
-        threads=threads,
     )
     return ResultTable(
         times=series.times,
@@ -109,7 +108,7 @@ def run_sweep(raw_doc: dict, out_dir: str, threads: int = 1) -> list[str]:
 
     def execute(item):
         label, config = item
-        return label, run(config, threads=1)
+        return label, run(config)
 
     if threads == 1 or len(configs) == 1:
         results = [execute(item) for item in configs]
@@ -211,7 +210,7 @@ plt.savefig({json.dumps(name + ".png")}, dpi=200)
 '''
 
 
-def make_figure(name: str, out_dir: str, threads: int = 1) -> list[str]:
+def make_figure(name: str, out_dir: str) -> list[str]:
     """Write one CSV per curve and a standalone plot script."""
     combos = figure_documents(name)
     os.makedirs(out_dir, exist_ok=True)
@@ -220,7 +219,7 @@ def make_figure(name: str, out_dir: str, threads: int = 1) -> list[str]:
     files = []
     for label, doc in combos:
         config = from_dict(doc)
-        table = run(config, threads=threads)
+        table = run(config)
         fname = f"{name}_{label}.csv"
         path = os.path.join(out_dir, fname)
         write_csv(table, path)
@@ -243,7 +242,7 @@ def verify_parameter_sets() -> list[tuple[str, RunConfig]]:
     return sets
 
 
-def verify_report(threads: int = 1) -> tuple[str, bool]:
+def verify_report() -> tuple[str, bool]:
     """Cross-validate the scale-factor pipeline against the covariance
     oracle on every figure configuration, check the static entropy anchor,
     and check full-state purity.  Each line shows the measured value next
@@ -260,9 +259,7 @@ def verify_report(threads: int = 1) -> tuple[str, bool]:
     times = np.linspace(0.0, 100.0, 1000)
     anchor_values = []
     for label, config in verify_parameter_sets():
-        series = entropy_series(
-            config.chain, config.partition, times, alphas=(1, 2), threads=threads
-        )
+        series = entropy_series(config.chain, config.partition, times, alphas=(1, 2))
         oracle = covariance_series(config.chain, config.partition, times, alphas=(1, 2))
         deviation = max(
             float(np.abs(series.entropies[a] - oracle.entropies[a]).max()) for a in (1, 2)

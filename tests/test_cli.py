@@ -308,6 +308,19 @@ class TestMain:
         assert main(["simulate", "--nope"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_threads_flag_is_sweep_only(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, QUENCH_DOC)
+        for argv in (
+            ["simulate", "--config", config_path, "--threads", "2"],
+            ["figure", "fig2", "--outdir", str(tmp_path / "fig"), "--threads", "2"],
+            ["verify", "--threads", "2"],
+        ):
+            assert main(argv) == 1
+            assert "--threads" in capsys.readouterr().err
+        out_dir = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", config_path, "--output", out_dir, "--threads", "2"]) == 0
+        capsys.readouterr()
+
     def test_bad_figure_name(self, capsys):
         assert main(["figure", "fig9"]) == 1
         capsys.readouterr()
@@ -315,7 +328,7 @@ class TestMain:
     def test_numerics_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         import entchain.cli as cli_module
 
-        def boom(config, threads=1):
+        def boom(config):
             raise NumericsError("synthetic failure")
 
         monkeypatch.setattr(cli_module, "run", boom)
@@ -328,13 +341,13 @@ class TestMain:
 
         calls = {}
 
-        def fake_make_figure(name, outdir, threads=1):
-            calls["args"] = (name, outdir, threads)
+        def fake_make_figure(name, outdir):
+            calls["args"] = (name, outdir)
             return [os.path.join(outdir, "fake.csv")]
 
         monkeypatch.setattr(cli_module, "make_figure", fake_make_figure)
         assert main(["figure", "fig2", "--outdir", "somewhere"]) == 0
-        assert calls["args"] == ("fig2", "somewhere", 1)
+        assert calls["args"] == ("fig2", "somewhere")
         assert "wrote" in capsys.readouterr().out
 
     def test_verify_report_shows_each_gate(self):
@@ -351,13 +364,13 @@ class TestMain:
         import entchain.cli as cli_module
 
         monkeypatch.setattr(
-            cli_module, "verify_report", lambda threads=1: ("all checks passed\n", True)
+            cli_module, "verify_report", lambda: ("all checks passed\n", True)
         )
         assert main(["verify"]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
         monkeypatch.setattr(
-            cli_module, "verify_report", lambda threads=1: ("verification FAILED\n", False)
+            cli_module, "verify_report", lambda: ("verification FAILED\n", False)
         )
         assert main(["verify"]) == 2
         capsys.readouterr()

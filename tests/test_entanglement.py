@@ -135,6 +135,17 @@ class TestEntropyFormulas:
         # tiny negative values from roundoff are clamped, not fatal
         assert von_neumann_entropy([-1e-12]) == 0.0
 
+    def test_stacked_rows_match_single_spectra(self):
+        xi = np.array([[0.0, 0.1, 0.5], [1e-9, 0.2, 0.3], [0.0, 0.0, 0.0]])
+        s1 = von_neumann_entropy(xi)
+        s3 = renyi_entropy(xi, 3)
+        assert s1.shape == s3.shape == (3,)
+        for row, x in enumerate(xi):
+            assert s1[row] == von_neumann_entropy(x)
+            assert s3[row] == renyi_entropy(x, 3)
+        assert isinstance(von_neumann_entropy(xi[0]), float)
+        assert isinstance(renyi_entropy(xi[0], 2), float)
+
     def test_renyi_accepts_spectrum_object(self):
         spectrum = xi_spectrum(static_two_site())
         direct = renyi_entropy(spectrum.xi, 2)
@@ -333,15 +344,57 @@ class TestEntropySeries:
         assert series.xi.shape == (30, 3)
         assert np.all(np.diff(series.xi, axis=1) >= -1e-15)
 
-    def test_thread_pool_matches_sequential(self):
-        spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.1, k_f=2.5)
-        times = 0.1 * np.arange(120)
-        part = Partition.second_half(4)
-        seq = entropy_series(spec, part, times, alphas=(1, 2))
-        par = entropy_series(spec, part, times, alphas=(1, 2), threads=3)
-        assert np.array_equal(seq.s1, par.s1)
-        assert np.array_equal(seq.entropies[2], par.entropies[2])
-        assert np.array_equal(seq.xi, par.xi)
+    def test_block_boundaries_match_slices_and_points(self):
+        # n = 20 keeps 10 sites: 8192 // 20**2 = 20 rows per block, so 70
+        # points span four blocks; slices and single points start blocks
+        # at other rows.
+        spec = ChainSpec(n=20, omega_i=3.0, k_i=2.0, omega_f=0.01, k_f=2.5)
+        times = 0.7 * np.arange(70)
+        part = Partition.second_half(20)
+        whole = entropy_series(spec, part, times, alphas=(1, 2))
+        pieces = [
+            entropy_series(spec, part, times[a:b], alphas=(1, 2))
+            for a, b in ((0, 7), (7, 33), (33, 34), (34, 70))
+        ]
+        assert np.array_equal(whole.xi, np.concatenate([p.xi for p in pieces]))
+        for a in (1, 2):
+            joined = np.concatenate([p.entropies[a] for p in pieces])
+            assert np.array_equal(whole.entropies[a], joined)
+        for i in (0, 19, 20, 69):
+            point = entropy_series(spec, part, times[i:i + 1], alphas=(1, 2))
+            assert np.array_equal(whole.xi[i:i + 1], point.xi)
+            assert whole.s1[i] == point.s1[0]
+            assert whole.entropies[2][i] == point.entropies[2][0]
+
+    @pytest.mark.parametrize(
+        "spec, traced, times, xi_window",
+        [
+            # not reflection-symmetric: the kernel picks up a skew block
+            (ChainSpec(n=7, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5), (1, 2, 5),
+             0.37 * np.arange(300), (0.0, 1.0)),
+            # gapless zero mode: its <x x> grows like t**2, and the batched,
+            # kernel and oracle routes drift apart alike (about 1e-12 in xi
+            # by t = 110), so the window stops at t = 20
+            (ChainSpec(n=6, omega_i=1.0, k_i=1.0, omega_f=0.0, k_f=1.5, boundary="periodic"),
+             (4, 5, 6), 0.1 * np.arange(201), (0.0, 1.0)),
+            # near-pure: every xi in (6e-10, 6e-9)
+            (ChainSpec(n=4, omega_i=1.0, k_i=1e-4, omega_f=1.0, k_f=2e-4), (3, 4),
+             0.5 * np.arange(201), (1e-10, 1e-8)),
+        ],
+        ids=["skewed-partition", "zero-mode", "near-pure"],
+    )
+    def test_batched_path_matches_per_point_kernel_route(self, spec, traced, times, xi_window):
+        part = Partition.from_traced(traced, spec.n)
+        series = entropy_series(spec, part, times, alphas=(1, 2))
+        kernel_xi = np.array([
+            xi_spectrum(partial_trace(_state(spec, t), part)).xi for t in times
+        ])
+        assert np.abs(series.xi - kernel_xi).max() <= 1e-12
+        s1 = [von_neumann_entropy(xi) for xi in kernel_xi]
+        s2 = [renyi_entropy(xi, 2) for xi in kernel_xi]
+        assert np.abs(series.s1 - s1).max() <= 1e-12
+        assert np.abs(series.entropies[2] - s2).max() <= 1e-12
+        assert xi_window[0] <= series.xi.min() and series.xi.max() < xi_window[1]
 
     def test_input_validation(self):
         spec = ChainSpec(n=4, omega_i=1.0, k_i=1.0, omega_f=1.0, k_f=1.0)
@@ -358,5 +411,3 @@ class TestEntropySeries:
             entropy_series(spec, part, [0.0, 0.1], alphas=(1.5,))
         with pytest.raises(ValueError, match="covers"):
             entropy_series(spec, Partition.second_half(6), [0.0, 0.1])
-        with pytest.raises(ValueError, match="threads"):
-            entropy_series(spec, part, [0.0, 0.1], threads=-1)

@@ -294,3 +294,18 @@ def test_general_solution_has_no_time_limit():
     b_next, _ = sol.evaluate(t + period)
     assert np.abs(b_next - b).max() < 1e-9
     assert np.abs(ode_residual(sol, t)).max() < 1e-9
+
+
+def test_grid_evaluation_matches_pointwise():
+    """Points of one linear segment share its Airy start value; a grid, the
+    same grid shuffled, and single points must give the same bits."""
+    proto = QuenchProtocol.general(9.0, [0.0, 10.0, 20.0, 30.0], [9.0, 4.4, 1.96, 0.39])
+    sol = integrate_general(proto)
+    t = np.linspace(0.0, 40.0, 401)
+    b, bdot = sol.evaluate(t)
+    order = np.random.default_rng(7).permutation(t.size)
+    b_shuffled, bdot_shuffled = sol.evaluate(t[order])
+    assert np.array_equal(b_shuffled, b[order])
+    assert np.array_equal(bdot_shuffled, bdot[order])
+    for i in (0, 1, 99, 100, 101, 250, 400):
+        assert sol.evaluate(t[i]) == (b[i], bdot[i])

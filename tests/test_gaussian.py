@@ -134,6 +134,27 @@ def test_symplectic_form_and_eigenvalues():
         symplectic_eigenvalues(np.diag([1.0, -1.0, 1.0, 1.0]))
 
 
+def test_stacked_symplectic_eigenvalues_match_single_calls():
+    spec = ChainSpec(n=6, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+    qm = quench_modes(spec)
+    sols = [solve_sudden(li, lf) for li, lf in zip(qm.lam_pre, qm.lam_post)]
+    kept = [0, 1, 3, 6, 7, 9]  # sites 1, 2, 4: positions then momenta
+    stack = np.array([
+        to_covariance(assemble_state(qm, sols, t))[np.ix_(kept, kept)]
+        for t in (0.0, 0.3, 1.7, 4.1, 9.9)
+    ])
+    nu = symplectic_eigenvalues(stack)
+    assert nu.shape == (5, 3)
+    for row, sigma in enumerate(stack):
+        assert np.array_equal(nu[row], symplectic_eigenvalues(sigma))
+    nested = symplectic_eigenvalues(np.stack([stack[:2], stack[2:4]]))
+    assert np.array_equal(nested, nu[:4].reshape(2, 2, 3))
+    bad = stack.copy()
+    bad[3] = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(NumericsError, match="positive-definite"):
+        symplectic_eigenvalues(bad)
+
+
 def test_assemble_state_validation():
     spec = ChainSpec(n=3, omega_i=1.0, k_i=1.0, omega_f=1.0, k_f=1.0)
     qm = quench_modes(spec)

@@ -67,6 +67,16 @@ def test_propagator_is_symplectic():
             assert np.abs(s @ j4 @ s.T - j4).max() < 1e-10
 
 
+def test_propagator_stack_matches_scalar_calls():
+    spec = ChainSpec(n=5, omega_i=3.0, k_i=2.0, omega_f=0.0, k_f=2.5)
+    prop = SymplecticPropagator.from_coupling(build_coupling_matrix(spec, "post"))
+    times = np.array([0.0, 0.4, 3.9, 77.0])
+    stack = prop.matrix(times)
+    assert stack.shape == (4, 10, 10)
+    for t, flow in zip(times, stack):
+        assert np.array_equal(flow, prop.matrix(float(t)))
+
+
 def test_series_agree_at_time_zero_and_no_quench():
     spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=3.0, k_f=2.0)
     times = 0.5 * np.arange(30)
@@ -161,6 +171,15 @@ def test_covariance_entropy_values():
     assert out[2] == pytest.approx(np.log(3.0), abs=1e-12)
     with pytest.raises(NumericsError):
         covariance_entropy([0.4])
+    stack = np.array([[0.5, 1.5], [0.5 + 1e-12, 0.7], [2.0, 3.0]])
+    rows = covariance_entropy(stack, alphas=(1, 2, 3))
+    for a in (1, 2, 3):
+        assert rows[a].shape == (3,)
+        for row, nu in enumerate(stack):
+            assert rows[a][row] == covariance_entropy(nu, alphas=(a,))[a]
+    assert isinstance(covariance_entropy(stack[0])[1], float)
+    with pytest.raises(NumericsError):
+        covariance_entropy([[0.5, 0.6], [0.4, 0.7]])
 
 
 def test_reduce_covariance_block_selection():
