@@ -1,6 +1,7 @@
 """Exact entanglement entropy dynamics for quenched harmonic-oscillator
-chains: per-mode scale-factor evolution, Gaussian-state partial traces,
-closed-form entropy spectra, and independent covariance/kernel oracles."""
+chains: per-mode scale-factor evolution, kept-block covariances and their
+symplectic spectra, closed-form entropies, and independent references in
+``entchain.oracles``."""
 
 __version__ = "0.1.0"
 
@@ -26,16 +27,9 @@ from .config import RunConfig, from_dict, parse_config, time_grid
 from .entanglement import (
     EntropySeries,
     Partition,
-    ReducedState,
-    XiSpectrum,
     entropy_series,
-    partial_trace,
-    reduced_covariance,
-    reduced_spectrum,
     renyi_entropy,
-    two_site_reduced,
     von_neumann_entropy,
-    xi_spectrum,
 )
 from .ermakov import (
     ModeSolution,
@@ -53,24 +47,8 @@ from .errors import (
     IntegrationError,
     NumericsError,
 )
-from .gaussian import (
-    GaussianState,
-    assemble_state,
-    mode_matrices,
-    symplectic_eigenvalues,
-    symplectic_form,
-    to_covariance,
-)
-from .oracles import (
-    KernelGrid,
-    SymplecticPropagator,
-    covariance_entropy,
-    covariance_series,
-    ground_state_covariance,
-    integrate_covariance_general,
-    kernel_spectrum,
-    reduce_covariance,
-)
+from .gaussian import symplectic_eigenvalues
+from .oracles import covariance_series, kernel_spectrum
 from .run import ResultTable, format_csv, make_figure, run, run_sweep, verify_report, write_csv
 
 __all__ = [
@@ -80,10 +58,8 @@ __all__ = [
     "ConfigError",
     "EntchainError",
     "EntropySeries",
-    "GaussianState",
     "GridError",
     "IntegrationError",
-    "KernelGrid",
     "ModeSolution",
     "NormalModes",
     "NumericsError",
@@ -92,16 +68,11 @@ __all__ = [
     "QuenchModes",
     "QuenchProtocol",
     "QuenchSchedule",
-    "ReducedState",
     "ResultTable",
     "RunConfig",
     "ScalingFit",
-    "SymplecticPropagator",
-    "XiSpectrum",
-    "assemble_state",
     "bond_laplacian",
     "build_coupling_matrix",
-    "covariance_entropy",
     "covariance_series",
     "eigendecompose",
     "entropy_series",
@@ -110,21 +81,14 @@ __all__ = [
     "format_csv",
     "from_dict",
     "from_oscillator",
-    "ground_state_covariance",
-    "integrate_covariance_general",
     "integrate_general",
     "kernel_spectrum",
     "make_figure",
     "mode_frequencies",
-    "mode_matrices",
     "ode_residual",
     "parse_config",
-    "partial_trace",
     "periodic_eigenvalues",
     "quench_modes",
-    "reduce_covariance",
-    "reduced_covariance",
-    "reduced_spectrum",
     "renyi_entropy",
     "revival_period",
     "run",
@@ -132,13 +96,9 @@ __all__ = [
     "solve_sudden",
     "sudden_invariant",
     "symplectic_eigenvalues",
-    "symplectic_form",
     "time_grid",
-    "to_covariance",
     "to_oscillator",
-    "two_site_reduced",
     "verify_report",
     "von_neumann_entropy",
     "write_csv",
-    "xi_spectrum",
 ]

@@ -70,13 +70,10 @@ class NormalModes:
 
     ``matrix`` holds the mode vectors as rows, so that
     ``matrix @ K @ matrix.T`` is diagonal with entries ``lam`` (ascending).
-    ``perm`` records how the solver's output order was rearranged into
-    ascending order, for reproducible mode indexing under degeneracy.
     """
 
     matrix: np.ndarray
     lam: np.ndarray
-    perm: np.ndarray
 
     @property
     def n(self) -> int:
@@ -100,9 +97,6 @@ class QuenchModes:
     @property
     def n(self) -> int:
         return self.mu.shape[0]
-
-    def pre(self) -> NormalModes:
-        return NormalModes(self.u, self.lam_pre, np.arange(self.n))
 
 
 def bond_laplacian(n: int, boundary: Boundary) -> np.ndarray:
@@ -146,8 +140,9 @@ def eigendecompose(coupling: np.ndarray) -> NormalModes:
         lam, vecs = np.linalg.eigh(coupling)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed: {exc}") from exc
-    perm = np.argsort(lam, kind="stable")
-    return NormalModes(matrix=vecs[:, perm].T, lam=lam[perm], perm=perm)
+    # eigh returns ascending eigenvalues; rows of ``matrix`` are its
+    # columns, stored row-major.
+    return NormalModes(matrix=np.ascontiguousarray(vecs.T), lam=lam)
 
 
 def periodic_eigenvalues(spec: ChainSpec, phase: Phase) -> np.ndarray:

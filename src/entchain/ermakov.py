@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import airy
 
 from .errors import IntegrationError
 
@@ -144,6 +143,10 @@ class QuenchSchedule:
             raise ValueError("schedule omega and k values must be non-negative")
         if self.interpolation not in ("linear", "previous"):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
+        if self.interpolation == "linear":
+            # Load the Airy functions that linear segments need while the
+            # schedule is read, not during the first time-grid evaluation.
+            import scipy.special  # noqa: F401
 
     @property
     def final_params(self) -> tuple[float, float]:
@@ -273,6 +276,10 @@ def _midpoint_propagator(lam, slope, tau):
 
 
 def _airy_direct(lam, slope, tau):
+    # Imported here, not at module load: only linear segments need it, and
+    # scipy.special would be about half of the package's import time.
+    from scipy.special import airy
+
     # u = Ai(z), Bi(z) with z = -lam(t) / |slope|**(2/3); dz/dt = dz.
     scale = np.abs(slope) ** (1.0 / 3.0)
     dz = -np.sign(slope) * scale

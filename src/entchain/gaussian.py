@@ -1,111 +1,57 @@
-"""Time-dependent Gaussian state of the chain and its covariance matrix.
+"""Covariance matrices of the quenched chain and their symplectic spectrum.
 
-After the quench the exact N-body wavefunction stays Gaussian:
+After the quench every normal mode j stays in a pure squeezed Gaussian
+state fixed by its scale factor (b_j, b_j') and its pre-quench eigenvalue
+lam_j(0):
 
-    psi(x, t) ~ exp(i x.T B x) * exp(-x.T W x / 2),
+    <x x>     = b**2 / (2 sqrt(lam0))
+    sym <x p> = b b' / (2 sqrt(lam0))
+    <p p>     = (sqrt(lam0) / b**2 + b'**2 / sqrt(lam0)) / 2.
 
-with real symmetric matrices built in the shared mode basis U (rows are
-mode vectors):
-
-    W = U.T diag(sqrt(lam_j(0)) / b_j(t)**2) U      ("omega" below)
-    B = U.T diag(b_j'(t) / (2 b_j(t))) U            ("btilde" below)
-
-Mode phases exp(-i E_j tau_j) with tau_j = integral dt / b_j**2 are pure
-bookkeeping: they multiply the state by unimodular factors and never
-enter any reduced density matrix or entropy.
-
-The same state in covariance language, ordering (x_1..x_N, p_1..p_N):
-
-    <x x.T>               = W^-1 / 2
-    sym <x p.T>           = W^-1 B
-    <p p.T>               = (W + 4 B W^-1 B) / 2
-
-which at t = 0 reduces to diag(W^-1, W)/2.  The cross-block sign follows
-the positive-exponent phase convention above and is pinned against the
-independently propagated covariance oracle in the test suite.
+Rotating these diagonal blocks back to sites with the columns of the
+mode basis that belong to a set of sites gives that set's covariance
+matrix, ordered (x_1..x_m, p_1..p_m).  Its symplectic eigenvalues
+nu_j >= 1/2 each carry one geometric ladder of the reduced density
+matrix, xi_j = (2 nu_j - 1) / (2 nu_j + 1); all sites together give a
+pure state, every nu_j = 1/2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chain import NormalModes, QuenchModes
-from .ermakov import ModeSolution
 from .errors import NumericsError
 
+# A symplectic eigenvalue below 1/2 by more than this slack is a real
+# violation instead of roundoff; smaller dips are clamped to 1/2.
+_NU_SLACK = 1e-8
 
-@dataclass(frozen=True)
-class GaussianState:
-    """Pure Gaussian state: quadratic-form matrices plus phase bookkeeping.
+# Eigensolver noise leaves nu a few ulp of the covariance norm away from
+# the pure-state floor even for exact product states; values this close
+# to 1/2 are treated as exactly pure so those states report zero entropy.
+_NU_PURE_BAND = 1e-11
 
-    ``omega`` is the real width matrix W, ``btilde`` the phase-curvature
-    matrix B.  ``energies`` holds the per-mode ground-state energies
-    E_j = sqrt(lam_j(0)) / 2, which affect no observable computed here.
+
+def mode_covariance(
+    u_cols: np.ndarray, lam0: np.ndarray, b: np.ndarray, bdot: np.ndarray
+) -> np.ndarray:
+    """Covariance stack (rows, 2m, 2m) of m sites from per-mode data.
+
+    ``u_cols`` holds the mode basis columns of those sites (modes x m),
+    ``lam0`` the pre-quench eigenvalues (modes), and ``b``, ``bdot`` the
+    scale factors and their derivatives (rows x modes).
     """
-
-    omega: np.ndarray
-    btilde: np.ndarray
-    energies: np.ndarray
-    time: float
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[0]
-
-
-def mode_matrices(u: np.ndarray, lam0: np.ndarray, b: np.ndarray, bdot: np.ndarray):
-    """(W, B) from mode data: U.T diag(...) U with the rows-as-modes U."""
-    w_diag = np.sqrt(lam0) / b**2
-    c_diag = bdot / (2.0 * b)
-    omega = u.T @ (w_diag[:, None] * u)
-    btilde = u.T @ (c_diag[:, None] * u)
-    return 0.5 * (omega + omega.T), 0.5 * (btilde + btilde.T)
-
-
-def assemble_state(
-    modes: NormalModes | QuenchModes,
-    solutions: list[ModeSolution],
-    t: float,
-) -> GaussianState:
-    """Build the state at time t from pre-quench modes and their scale factors."""
-    if isinstance(modes, QuenchModes):
-        modes = modes.pre()
-    if len(solutions) != modes.n:
-        raise ValueError(f"need {modes.n} mode solutions, got {len(solutions)}")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    pairs = [sol.evaluate(t) for sol in solutions]
-    b = np.array([p[0] for p in pairs])
-    bdot = np.array([p[1] for p in pairs])
-    omega, btilde = mode_matrices(modes.matrix, modes.lam, b, bdot)
-    return GaussianState(
-        omega=omega,
-        btilde=btilde,
-        energies=0.5 * np.sqrt(modes.lam),
-        time=float(t),
-    )
-
-
-def to_covariance(state: GaussianState) -> np.ndarray:
-    """Symmetrized covariance matrix of the state, (x..., p...) ordering."""
-    w, vecs = np.linalg.eigh(state.omega)
-    if w.min() <= 0:
-        raise NumericsError(
-            f"width matrix must be positive-definite, got eigenvalue {w.min():.3e}"
-        )
-    inv = vecs @ ((1.0 / w)[:, None] * vecs.T)
-    xx = 0.5 * inv
-    xp = inv @ state.btilde
-    pp = 0.5 * (state.omega + 4.0 * state.btilde @ inv @ state.btilde)
-    n = state.n
-    sigma = np.empty((2 * n, 2 * n))
-    sigma[:n, :n] = xx
-    sigma[:n, n:] = xp
-    sigma[n:, :n] = xp.T
-    sigma[n:, n:] = pp
-    return 0.5 * (sigma + sigma.T)
+    sqrt_lam0 = np.sqrt(lam0)
+    dxx = b**2 / (2.0 * sqrt_lam0)
+    dxp = b * bdot / (2.0 * sqrt_lam0)
+    dpp = 0.5 * (sqrt_lam0 / b**2 + bdot**2 / sqrt_lam0)
+    m = u_cols.shape[1]
+    sigma = np.empty((b.shape[0], 2 * m, 2 * m))
+    sigma[:, :m, :m] = u_cols.T @ (dxx[:, :, None] * u_cols)
+    sigma[:, :m, m:] = u_cols.T @ (dxp[:, :, None] * u_cols)
+    sigma[:, m:, :m] = sigma[:, :m, m:].swapaxes(1, 2)
+    sigma[:, m:, m:] = u_cols.T @ (dpp[:, :, None] * u_cols)
+    return sigma
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -141,3 +87,17 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     herm = 1j * (root @ symplectic_form(n) @ root)
     vals = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(-1, -2)))
     return vals[..., n:]
+
+
+def physical_nu(nu) -> np.ndarray:
+    """Symplectic eigenvalues held to the physical floor 1/2.
+
+    Raises ``NumericsError`` for a value more than ``_NU_SLACK`` below 1/2
+    and snaps values within ``_NU_PURE_BAND`` of 1/2 to exactly 1/2.
+    """
+    nu = np.asarray(nu, dtype=float)
+    if nu.size and nu.min() < 0.5 - _NU_SLACK:
+        raise NumericsError(
+            f"symplectic eigenvalue {nu.min():.10f} is below the physical floor 1/2"
+        )
+    return np.where(nu < 0.5 + _NU_PURE_BAND, 0.5, nu)

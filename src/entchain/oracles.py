@@ -1,14 +1,16 @@
-"""Independent cross-checks for the scale-factor entropy pipeline.
+"""Independent references for the scale-factor entropy pipeline.
 
-Two oracles, neither of which evaluates a scale factor:
+No product run (``simulate``, ``sweep``, ``figure``) calls this module;
+``verify`` and the test suite compare the product path against it.
 
 * Covariance dynamics.  The ground state of the pre-quench coupling
   matrix K_i has covariance sigma(0) = diag(K_i^{-1/2}, K_i^{1/2}) / 2.
   A sudden quench evolves it with the exact symplectic propagator of
   K_f; a general protocol integrates d sigma/dt = A sigma + sigma A^T,
   A = [[0, I], [-K(t), 0]], with fixed-step RK4 and purity-based step
-  halving.  Entropies come from the symplectic eigenvalues nu_j of the
-  kept block:
+  halving.  Neither evaluates a scale factor.  Entropies come from the
+  symplectic eigenvalues nu_j of the kept block, through a formula of
+  their own:
 
       S_1 = sum_j (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2),
 
@@ -18,15 +20,61 @@ Two oracles, neither of which evaluates a scale factor:
   kernel rho(x, x') is an explicit function of (gamma, beta, z); sampling
   it on a uniform grid and diagonalizing the resulting matrix recovers
   the occupation ladder directly, with no Gaussian-state algebra at all.
+
+* Gaussian-state algebra (the kernel route).  After the quench the exact
+  N-body wavefunction stays Gaussian,
+
+      psi(x, t) ~ exp(i x.T B x) * exp(-x.T W x / 2),
+
+  with real symmetric matrices built in the shared mode basis U (rows
+  are mode vectors):
+
+      W = U.T diag(sqrt(lam_j(0)) / b_j(t)**2) U      ("omega" below)
+      B = U.T diag(b_j'(t) / (2 b_j(t))) U            ("btilde" below)
+
+  Mode phases never enter a reduced density matrix.  In covariance
+  language, ordering (x_1..x_N, p_1..p_N),
+
+      <x x.T> = W^-1 / 2,   sym <x p.T> = W^-1 B,   <p p.T> = (W + 4 B W^-1 B) / 2.
+
+  Tracing out a site block A leaves a reduced density matrix over the
+  kept block with kernel
+
+      rho(x, x') ~ exp[i (x.T Z x - x'.T Z x')]
+                   * exp[-(x.T G x + x'.T G x')/2 + x.T (Bt + i A) x'],
+
+  where, with W and B split into traced (A) and kept (B) blocks and
+  P = W_AB.T W_AA^-1 B_AB,
+
+      G  = W_BB - W_AB.T W_AA^-1 W_AB / 2 + 2 B_AB.T W_AA^-1 B_AB
+      Bt = W_AB.T W_AA^-1 W_AB / 2 + 2 B_AB.T W_AA^-1 B_AB
+      A  = P - P.T
+      Z  = B_BB - (P + P.T) / 2.
+
+  The cross coupling Bt + i A is Hermitian; its antisymmetric imaginary
+  part A vanishes for a single kept site and for reflection-symmetric
+  partitions, but not in general.  The local phase Z drops out of every
+  entropy.  The kernel blocks fix the kept block's covariance matrix
+  (S = G - Bt):
+
+      <x x.T>     = S^-1 / 2
+      sym <x p.T> = S^-1 (Z - A/2)
+      <p p.T>     = (G + Bt) / 2 + 2 (Z + A/2) S^-1 (Z - A/2).
+
+  When A = 0 this reproduces the textbook shortcut of diagonalizing G,
+  rescaling Bt by its eigenvalues, and mapping each eigenvalue beta_j of
+  the rescaled cross matrix through xi_j = beta_j / (1 + sqrt(1 -
+  beta_j**2)); the covariance route stays exact when A does not vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, bond_laplacian, build_coupling_matrix
+from .chain import ChainSpec, QuenchModes, bond_laplacian, build_coupling_matrix
 from .entanglement import (
     EntropySeries,
     Partition,
@@ -34,18 +82,12 @@ from .entanglement import (
     _mode_sum,
     _validate_alphas,
     _validate_times,
+    _validate_xi,
+    _xi_from_cov,
 )
-from .ermakov import QuenchSchedule
+from .ermakov import ModeSolution, QuenchSchedule
 from .errors import GridError, IntegrationError, NumericsError
-from .gaussian import symplectic_eigenvalues
-
-# Symplectic eigenvalues may dip below the pure-state floor of 1/2 by
-# roundoff; anything lower than this slack is a real violation.
-_NU_SLACK = 1e-8
-
-# Matching dead band to the xi pipeline: nu this close to 1/2 is
-# eigensolver noise on a pure mode and counts as exactly 1/2.
-_NU_PURE_BAND = 1e-11
+from .gaussian import physical_nu, symplectic_eigenvalues
 
 
 def ground_state_covariance(coupling: np.ndarray) -> np.ndarray:
@@ -224,26 +266,12 @@ def reduce_covariance(sigma: np.ndarray, partition: Partition) -> np.ndarray:
     return sigma[..., sel, :][..., sel]
 
 
-def _clamped_nu(sigma_reduced: np.ndarray) -> np.ndarray:
-    nu = symplectic_eigenvalues(sigma_reduced)
-    if nu.min() < 0.5 - _NU_SLACK:
-        raise NumericsError(
-            f"symplectic eigenvalue {nu.min():.10f} below the physical floor 1/2"
-        )
-    return np.where(nu < 0.5 + _NU_PURE_BAND, 0.5, nu)
-
-
 def covariance_entropy(nu, alphas=(1,)) -> dict[int, float | np.ndarray]:
     """Entropies of a Gaussian state from its symplectic eigenvalues.
 
     ``nu`` is one spectrum (m,), giving a float per order, or a stack
     (rows, m), giving an array of one entropy per row for each order."""
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if nu.size and nu.min() < 0.5 - _NU_SLACK:
-        raise NumericsError(
-            f"symplectic eigenvalue {nu.min():.10f} below the physical floor 1/2"
-        )
-    nu = np.where(nu < 0.5 + _NU_PURE_BAND, 0.5, nu)
+    nu = physical_nu(np.atleast_1d(nu))
     alphas = _validate_alphas(alphas)
     plus = nu + 0.5
     minus = nu - 0.5
@@ -299,7 +327,7 @@ def covariance_series(
             kept = flow @ sigma0 @ flow.swapaxes(1, 2)
         else:
             kept = reduce_covariance(sigmas[block], partition)
-        nu = _clamped_nu(kept)
+        nu = physical_nu(symplectic_eigenvalues(kept))
         xi_out[block] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
         ents = covariance_entropy(nu, alphas)
         for a in alphas:
@@ -369,3 +397,207 @@ def kernel_spectrum(
         )
     eigs = np.linalg.eigvalsh(weighted)
     return eigs[::-1][:count].astype(float)
+
+
+# Gaussian-state algebra: the kernel route, kept as a reference for the
+# per-mode covariance builder of the product path.
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """Pure Gaussian state: the real width matrix W (``omega``) and the
+    phase-curvature matrix B (``btilde``)."""
+
+    omega: np.ndarray
+    btilde: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.omega.shape[0]
+
+
+def mode_matrices(u: np.ndarray, lam0: np.ndarray, b: np.ndarray, bdot: np.ndarray):
+    """(W, B) from mode data: U.T diag(...) U with the rows-as-modes U."""
+    w_diag = np.sqrt(lam0) / b**2
+    c_diag = bdot / (2.0 * b)
+    omega = u.T @ (w_diag[:, None] * u)
+    btilde = u.T @ (c_diag[:, None] * u)
+    return 0.5 * (omega + omega.T), 0.5 * (btilde + btilde.T)
+
+
+def assemble_state(modes: QuenchModes, solutions: list[ModeSolution], t: float) -> GaussianState:
+    """Build the state at time t from the quench modes and their scale factors."""
+    if len(solutions) != modes.n:
+        raise ValueError(f"need {modes.n} mode solutions, got {len(solutions)}")
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    pairs = [sol.evaluate(t) for sol in solutions]
+    b = np.array([p[0] for p in pairs])
+    bdot = np.array([p[1] for p in pairs])
+    omega, btilde = mode_matrices(modes.u, modes.lam_pre, b, bdot)
+    return GaussianState(omega=omega, btilde=btilde)
+
+
+def to_covariance(state: GaussianState) -> np.ndarray:
+    """Symmetrized covariance matrix of the state, (x..., p...) ordering."""
+    w, vecs = np.linalg.eigh(state.omega)
+    if w.min() <= 0:
+        raise NumericsError(
+            f"width matrix must be positive-definite, got eigenvalue {w.min():.3e}"
+        )
+    inv = vecs @ ((1.0 / w)[:, None] * vecs.T)
+    xx = 0.5 * inv
+    xp = inv @ state.btilde
+    pp = 0.5 * (state.omega + 4.0 * state.btilde @ inv @ state.btilde)
+    n = state.n
+    sigma = np.empty((2 * n, 2 * n))
+    sigma[:n, :n] = xx
+    sigma[:n, n:] = xp
+    sigma[n:, :n] = xp.T
+    sigma[n:, n:] = pp
+    return 0.5 * (sigma + sigma.T)
+
+
+@dataclass(frozen=True)
+class ReducedState:
+    """Gaussian kernel of the reduced density matrix on the kept block.
+
+    ``gamma`` (width) and ``beta`` (cross coupling) are real symmetric;
+    ``skew`` is the antisymmetric imaginary part of the cross coupling,
+    zero for one kept site and for reflection-symmetric partitions; ``z``
+    is the symmetric local phase block, which never affects the spectrum.
+    """
+
+    gamma: np.ndarray
+    beta: np.ndarray
+    skew: np.ndarray
+    z: np.ndarray
+
+    @property
+    def n_kept(self) -> int:
+        return self.gamma.shape[0]
+
+
+def _reduce_blocks(w_aa, w_ab, w_bb, b_ab, b_bb):
+    try:
+        x = np.linalg.solve(w_aa, w_ab)
+        y = np.linalg.solve(w_aa, b_ab)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"traced block of the width matrix is singular: {exc}") from exc
+    q = w_ab.T @ x
+    r = b_ab.T @ y
+    p = w_ab.T @ y
+    gamma = w_bb - 0.5 * q + 2.0 * r
+    beta = 0.5 * q + 2.0 * r
+    skew = p - p.T
+    z = b_bb - 0.5 * (p + p.T)
+    return 0.5 * (gamma + gamma.T), 0.5 * (beta + beta.T), skew, 0.5 * (z + z.T)
+
+
+def partial_trace(state: GaussianState, partition: Partition) -> ReducedState:
+    """Trace the partition's traced block out of a pure Gaussian state."""
+    if partition.n != state.n:
+        raise ValueError(
+            f"partition covers {partition.n} sites but the state has {state.n}"
+        )
+    tr = [s - 1 for s in partition.traced]
+    kp = [s - 1 for s in partition.kept]
+    w, b = state.omega, state.btilde
+    gamma, beta, skew, z = _reduce_blocks(
+        w[np.ix_(tr, tr)], w[np.ix_(tr, kp)], w[np.ix_(kp, kp)],
+        b[np.ix_(tr, kp)], b[np.ix_(kp, kp)],
+    )
+    return ReducedState(gamma=gamma, beta=beta, skew=skew, z=z)
+
+
+def reduced_covariance(reduced: ReducedState) -> np.ndarray:
+    """Covariance matrix of the kept block, built from its kernel blocks.
+
+    Ordered as (x_1..x_m, p_1..p_m); the reduced state is Gaussian, so this
+    matrix determines its entire spectrum.
+    """
+    s = reduced.gamma - reduced.beta
+    try:
+        s_inv = np.linalg.inv(s)
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(
+            "reduced kernel is not normalizable: the width minus cross "
+            "block must be positive-definite"
+        ) from exc
+    # Z - A/2 and Z + A/2 are transposes of each other.
+    cross = reduced.z - 0.5 * reduced.skew
+    s_inv_cross = s_inv @ cross
+    xx = 0.5 * s_inv
+    pp = 0.5 * (reduced.gamma + reduced.beta) + 2.0 * cross.T @ s_inv_cross
+    m = reduced.n_kept
+    sigma = np.empty((2 * m, 2 * m))
+    sigma[:m, :m] = 0.5 * (xx + xx.T)
+    sigma[:m, m:] = s_inv_cross
+    sigma[m:, :m] = s_inv_cross.T
+    sigma[m:, m:] = 0.5 * (pp + pp.T)
+    return sigma
+
+
+def xi_spectrum(reduced: ReducedState) -> np.ndarray:
+    """Geometric-ladder parameters xi_j of a reduced Gaussian state, ascending."""
+    w = np.linalg.eigvalsh(reduced.gamma)
+    if w.min() <= 0:
+        raise NumericsError(
+            f"reduced width matrix must be positive-definite, got eigenvalue {w.min():.3e}"
+        )
+    return _xi_from_cov(reduced_covariance(reduced))
+
+
+class TruncatedSpectrum(NamedTuple):
+    levels: np.ndarray
+    total: float
+
+
+def reduced_spectrum(xi, n_max: int) -> TruncatedSpectrum:
+    """Leading eigenvalues of the reduced density matrix.
+
+    One mode gives the geometric ladder (1 - xi) xi**n for n = 0..n_max in
+    that natural order; several modes give the tensor-product levels,
+    sorted descending.  ``total`` is the partial sum, which approaches 1
+    as n_max grows.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    xi = _validate_xi(xi)
+    ladders = [(1.0 - x) * x ** np.arange(n_max + 1) for x in xi]
+    levels = ladders[0]
+    for ladder in ladders[1:]:
+        levels = np.multiply.outer(levels, ladder).ravel()
+    if len(ladders) > 1:
+        levels = np.sort(levels)[::-1]
+    return TruncatedSpectrum(levels=levels, total=float(levels.sum()))
+
+
+def two_site_reduced(
+    omega_plus: float,
+    omega_minus: float,
+    b1: float,
+    db1: float,
+    b2: float,
+    db2: float,
+) -> tuple[float, float, float]:
+    """Closed-form reduced kernel (gamma, beta, z) for a two-site chain.
+
+    ``omega_plus``/``omega_minus`` are the pre-quench mode frequencies
+    (square roots of the coupling-matrix eigenvalues); (b1, db1) belong to
+    the center-of-mass mode and (b2, db2) to the relative mode.  Tracing
+    out either site gives the same kernel by symmetry, and a one-site
+    kernel has no skew block.
+    """
+    w1 = omega_plus / b1**2
+    w2 = omega_minus / b2**2
+    diff = w1 - w2
+    total = w1 + w2
+    rate = db1 / b1 - db2 / b2
+    gamma = 0.5 * total - (diff**2 - rate**2) / (4.0 * total)
+    beta = (diff**2 + rate**2) / (4.0 * total)
+    z = (db1 / (4 * b1) + db2 / (4 * b2)) - (diff / total) * (
+        db1 / (4 * b1) - db2 / (4 * b2)
+    )
+    return gamma, beta, z

@@ -26,7 +26,7 @@ from .config import RunConfig, canonical_echo, expand_sweep, from_dict
 from .entanglement import EntropySeries, entropy_series
 from .ermakov import ode_residual, solve_sudden, sudden_invariant
 from .errors import NumericsError
-from .gaussian import assemble_state, symplectic_eigenvalues, to_covariance
+from .gaussian import mode_covariance, symplectic_eigenvalues
 from .oracles import covariance_series
 
 
@@ -78,12 +78,11 @@ def format_csv(table: ResultTable) -> str:
         + [f"S_{a}" for a in table.alphas]
     )
     lines = [f"# config: {table.echo_line}", header]
-    fmt = f"{{:.{table.precision}g}}".format
     columns = [table.times] + [table.xi[:, j] for j in range(m)] + [
         table.entropies[a] for a in table.alphas
     ]
-    for row in zip(*columns):
-        lines.append(",".join(fmt(v) for v in row))
+    row = ",".join([f"%.{table.precision}g"] * len(columns))
+    lines.extend(row % r for r in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -279,10 +278,11 @@ def verify_report() -> tuple[str, bool]:
         config = from_dict(doc)
         modes = quench_modes(config.chain)
         sols = [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
-        for t in (0.0, 37.7, 83.1):
-            state = assemble_state(modes, sols, t)
-            nu = symplectic_eigenvalues(to_covariance(state))
-            purity_dev = max(purity_dev, float(np.abs(nu - 0.5).max()))
+        pairs = [sol.evaluate(np.array([0.0, 37.7, 83.1])) for sol in sols]
+        b, bdot = (np.column_stack(col) for col in zip(*pairs))
+        sigma = mode_covariance(modes.u, modes.lam_pre, b, bdot)
+        nu = symplectic_eigenvalues(sigma)
+        purity_dev = max(purity_dev, float(np.abs(nu - 0.5).max()))
     record(purity_dev, 1e-9, "full-state purity: max |nu - 1/2|")
 
     residual_dev = 0.0

@@ -13,7 +13,6 @@ from entchain import (
     ChainSpec,
     Partition,
     QuenchProtocol,
-    assemble_state,
     entropy_series,
     extract_periods,
     fit_scaling,
@@ -26,11 +25,9 @@ from entchain import (
     solve_sudden,
     sudden_invariant,
     symplectic_eigenvalues,
-    to_covariance,
-    two_site_reduced,
 )
 from entchain.analysis import _spectrum_peaks
-from entchain.oracles import covariance_series
+from entchain.oracles import assemble_state, covariance_series, to_covariance, two_site_reduced
 
 FIG1_TARGETS = (2.15, 2.06, 2.01)
 FIG2_OMEGAS = (0.3, 0.1, 0.01)

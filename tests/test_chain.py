@@ -13,18 +13,15 @@ from entchain import (
     ChainSpec,
     Partition,
     QuenchModes,
-    assemble_state,
     bond_laplacian,
     build_coupling_matrix,
-    covariance_entropy,
     eigendecompose,
     periodic_eigenvalues,
     quench_modes,
-    reduce_covariance,
     solve_sudden,
-    to_covariance,
 )
 from entchain.gaussian import symplectic_eigenvalues
+from entchain.oracles import assemble_state, covariance_entropy, reduce_covariance, to_covariance
 
 
 def test_spec_validation():

@@ -111,6 +111,24 @@ class TestFormatCsv:
         ]
         assert row == expected
 
+    @pytest.mark.parametrize("precision", [1, 12, 17])
+    def test_cells_match_per_value_format(self, precision):
+        values = np.array([0.0, -0.0, 5e-324, 1e16, 0.48653, -1.25e-7, 123456.789, np.pi])
+        xi = np.column_stack([values[::-1], np.sqrt(np.abs(values))])
+        table = ResultTable(
+            times=values,
+            xi=xi,
+            entropies={1: 3.0 * values, 3: values**2},
+            alphas=(1, 3),
+            echo_line="{}",
+            precision=precision,
+        )
+        columns = [values, xi[:, 0], xi[:, 1], 3.0 * values, values**2]
+        want = [
+            ",".join("{:.{p}g}".format(v, p=precision) for v in row) for row in zip(*columns)
+        ]
+        assert format_csv(table).split("\n")[2:-1] == want
+
     def test_echo_in_header_reparses_to_same_run(self):
         config = from_dict(STATIC_DOC)
         header = format_csv(run(config)).split("\n")[0]
@@ -374,6 +392,16 @@ class TestMain:
         )
         assert main(["verify"]) == 2
         capsys.readouterr()
+
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        code = "import sys, entchain.cli; print('scipy.special' in sys.modules)"
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_version_flag(self, capsys):
         import entchain

@@ -1,4 +1,5 @@
-"""Gaussian-state assembly and covariance conversion.
+"""Per-mode covariance builder, symplectic spectrum, and the reference
+Gaussian-state assembly and covariance conversion.
 
 Frozen two-site width matrices, the explicit two-site phase-curvature
 parameters over random draws, and determinant and purity identities.
@@ -9,16 +10,13 @@ import pytest
 
 from entchain import (
     ChainSpec,
-    GaussianState,
     NumericsError,
-    assemble_state,
-    mode_matrices,
     quench_modes,
     solve_sudden,
     symplectic_eigenvalues,
-    symplectic_form,
-    to_covariance,
 )
+from entchain.gaussian import mode_covariance, physical_nu, symplectic_form
+from entchain.oracles import GaussianState, assemble_state, mode_matrices, to_covariance
 
 SQRT5 = np.sqrt(5.0)
 
@@ -77,12 +75,7 @@ def test_two_site_parameters_random_draws():
 
 def test_single_mode_ground_state_covariance():
     omega = 2.0
-    state = GaussianState(
-        omega=np.array([[omega]]),
-        btilde=np.zeros((1, 1)),
-        energies=np.array([omega / 2.0]),
-        time=0.0,
-    )
+    state = GaussianState(omega=np.array([[omega]]), btilde=np.zeros((1, 1)))
     sigma = to_covariance(state)
     assert np.allclose(sigma, np.diag([1.0 / (2 * omega), omega / 2.0]), atol=1e-15)
 
@@ -166,11 +159,41 @@ def test_assemble_state_validation():
 
 
 def test_to_covariance_rejects_indefinite_width():
-    state = GaussianState(
-        omega=np.array([[1.0, 2.0], [2.0, 1.0]]),
-        btilde=np.zeros((2, 2)),
-        energies=np.ones(2),
-        time=0.0,
-    )
+    state = GaussianState(omega=np.array([[1.0, 2.0], [2.0, 1.0]]), btilde=np.zeros((2, 2)))
     with pytest.raises(NumericsError, match="positive-definite"):
         to_covariance(state)
+
+
+def test_physical_nu_raises_snaps_and_passes_through():
+    with pytest.raises(NumericsError, match="physical floor"):
+        physical_nu([0.7, 0.5 - 2e-8])
+    snapped = physical_nu(np.array([[0.5 - 5e-9, 0.5 + 5e-12], [0.5, 0.5 + 2e-11]]))
+    assert np.array_equal(snapped, [[0.5, 0.5], [0.5, 0.5 + 2e-11]])
+    values = np.array([0.75, 1.5, 40.0])
+    assert np.array_equal(physical_nu(values), values)
+    assert physical_nu(np.empty((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec(n=5, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary="open"),
+        ChainSpec(n=6, omega_i=1.0, k_i=1.0, omega_f=0.0, k_f=1.5, boundary="periodic"),
+    ],
+    ids=["open", "periodic-gapless"],
+)
+def test_mode_covariance_matches_reference_state(spec):
+    qm = quench_modes(spec)
+    sols = [solve_sudden(li, lf) for li, lf in zip(qm.lam_pre, qm.lam_post)]
+    times = np.array([0.0, 3.7, 41.7])
+    pairs = [sol.evaluate(times) for sol in sols]
+    b, bdot = (np.column_stack(col) for col in zip(*pairs))
+    sigma = mode_covariance(qm.u, qm.lam_pre, b, bdot)
+    assert sigma.shape == (3, 2 * spec.n, 2 * spec.n)
+    for row, t in enumerate(times):
+        want = to_covariance(assemble_state(qm, sols, t))
+        assert np.abs(sigma[row] - want).max() <= 1e-12 * np.abs(want).max()
+    kept = [1, 2, 4]
+    sub = mode_covariance(qm.u[:, kept], qm.lam_pre, b, bdot)
+    coords = kept + [s + spec.n for s in kept]
+    assert np.abs(sub - sigma[:, coords][:, :, coords]).max() <= 1e-14 * np.abs(sigma).max()

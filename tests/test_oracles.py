@@ -7,28 +7,32 @@ agreement between the two pipelines is evidence against shared bugs.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entchain import (
     ChainSpec,
     GridError,
-    KernelGrid,
     NumericsError,
     Partition,
     QuenchSchedule,
-    SymplecticPropagator,
     build_coupling_matrix,
-    covariance_entropy,
     covariance_series,
     entropy_series,
-    ground_state_covariance,
-    integrate_covariance_general,
     integrate_general,
     kernel_spectrum,
     quench_modes,
-    reduce_covariance,
     solve_sudden,
     symplectic_eigenvalues,
-    symplectic_form,
+)
+from entchain.gaussian import mode_covariance, symplectic_form
+from entchain.oracles import (
+    KernelGrid,
+    SymplecticPropagator,
+    covariance_entropy,
+    ground_state_covariance,
+    integrate_covariance_general,
+    reduce_covariance,
     two_site_reduced,
 )
 
@@ -96,6 +100,35 @@ def test_oracle_matches_primary_path():
     assert np.abs(primary.s1 - oracle.s1).max() < 1e-9
     assert np.abs(primary.entropies[2] - oracle.entropies[2]).max() < 1e-9
     assert np.abs(primary.xi - oracle.xi).max() < 1e-9
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_random_chains_agree_across_paths(data):
+    """Random small chains, partitions (mostly not reflection-symmetric),
+    quench targets (including the gapless omega_f = 0) and times: the
+    primary path matches the oracle, complementary blocks carry equal
+    entropies, xi stays in [0, 1), and the full state stays pure."""
+    n = data.draw(st.integers(2, 7), label="n")
+    boundary = data.draw(st.sampled_from(["open", "periodic"]), label="boundary")
+    traced = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1), label="traced")
+    omega_f = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), label="omega_f")
+    t = data.draw(st.floats(0.0, 50.0), label="t")
+    spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=omega_f, k_f=2.5, boundary=boundary)
+    part = Partition.from_traced(traced, n)
+    times = np.array([t])
+    primary = entropy_series(spec, part, times, alphas=(1, 2))
+    oracle = covariance_series(spec, part, times, alphas=(1, 2))
+    other = entropy_series(spec, part.complement(), times, alphas=(1, 2))
+    for a in (1, 2):
+        assert abs(primary.entropies[a][0] - oracle.entropies[a][0]) < 1e-8
+        assert abs(primary.entropies[a][0] - other.entropies[a][0]) < 1e-9
+    assert 0.0 <= primary.xi.min() and primary.xi.max() < 1.0
+    modes = quench_modes(spec)
+    pairs = [solve_sudden(li, lf).evaluate(times) for li, lf in zip(modes.lam_pre, modes.lam_post)]
+    b, bdot = (np.column_stack(col) for col in zip(*pairs))
+    nu = symplectic_eigenvalues(mode_covariance(modes.u, modes.lam_pre, b, bdot))
+    assert np.abs(nu - 0.5).max() < 1e-9
 
 
 def test_general_integrator_reproduces_sudden():
@@ -171,6 +204,8 @@ def test_covariance_entropy_values():
     assert out[2] == pytest.approx(np.log(3.0), abs=1e-12)
     with pytest.raises(NumericsError):
         covariance_entropy([0.4])
+    with pytest.raises(NumericsError, match="physical floor"):
+        covariance_entropy([0.49])
     stack = np.array([[0.5, 1.5], [0.5 + 1e-12, 0.7], [2.0, 3.0]])
     rows = covariance_entropy(stack, alphas=(1, 2, 3))
     for a in (1, 2, 3):
