@@ -14,6 +14,14 @@ matrix, ordered (x_1..x_m, p_1..p_m).  Its symplectic eigenvalues
 nu_j >= 1/2 each carry one geometric ladder of the reduced density
 matrix, xi_j = (2 nu_j - 1) / (2 nu_j + 1); all sites together give a
 pure state, every nu_j = 1/2.
+
+The spectrum comes from a Cholesky factor sigma = L L^T: the real
+antisymmetric matrix L^T J L is similar to J sigma, so the nu_j are the
+positive eigenvalues of the Hermitian matrix i L^T J L (Williamson,
+Am. J. Math. 58, 141 (1936)).  That is one Cholesky factorization and one
+Hermitian eigensolve per matrix, with no matrix square root and no
+squared spectrum.  ``entchain.oracles`` keeps its own eigh-root route as
+the reference.
 """
 
 from __future__ import annotations
@@ -54,39 +62,35 @@ def mode_covariance(
     return sigma
 
 
-def symplectic_form(n: int) -> np.ndarray:
-    """Block form J = [[0, I], [-I, 0]] matching the (x..., p...) ordering."""
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    return j
-
-
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, ascending.
 
-    Computed as the positive spectrum of the Hermitian matrix
-    i sigma^(1/2) J sigma^(1/2), which is similar to i J sigma but keeps
-    the eigenproblem symmetric.  A pure state gives all values 1/2.
+    Factors sigma = L L^T (Cholesky) and takes the positive spectrum of
+    the Hermitian matrix i L^T J L, which is similar to i J sigma.  A pure
+    state gives all values 1/2.
 
     ``sigma`` may be one (2m, 2m) matrix or a stack (..., 2m, 2m); the
     result has shape (..., m), and each matrix of a stack gets the same
-    values as a call on that matrix alone.  One matrix that is not
-    positive-definite fails the whole call.
+    values as a call on that matrix alone.  One matrix that is not finite
+    or not positive-definite fails the whole call.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2] or sigma.shape[-1] % 2:
         raise ValueError("covariance matrix must be square with even dimension")
-    n = sigma.shape[-1] // 2
-    w, vecs = np.linalg.eigh(0.5 * (sigma + sigma.swapaxes(-1, -2)))
-    if w.size and w.min() <= 0:
+    if not np.isfinite(sigma).all():
+        raise NumericsError("covariance matrix has non-finite entries")
+    m = sigma.shape[-1] // 2
+    try:
+        factor = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(sigma)
         raise NumericsError(
             f"covariance matrix must be positive-definite, got eigenvalue {w.min():.3e}"
-        )
-    root = vecs @ (np.sqrt(w)[..., :, None] * vecs.swapaxes(-1, -2))
-    herm = 1j * (root @ symplectic_form(n) @ root)
-    vals = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(-1, -2)))
-    return vals[..., n:]
+        ) from None
+    # L^T J L = Lx^T Lp - Lp^T Lx for the position rows Lx and momentum
+    # rows Lp of L; real antisymmetric, so i times it is Hermitian.
+    g = factor[..., :m, :].swapaxes(-1, -2) @ factor[..., m:, :]
+    return np.linalg.eigvalsh(1j * (g - g.swapaxes(-1, -2)))[..., m:]
 
 
 def physical_nu(nu) -> np.ndarray:

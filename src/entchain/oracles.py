@@ -9,7 +9,10 @@ No product run (``simulate``, ``sweep``, ``figure``) calls this module;
   K_f; a general protocol integrates d sigma/dt = A sigma + sigma A^T,
   A = [[0, I], [-K(t), 0]], with fixed-step RK4 and purity-based step
   halving.  Neither evaluates a scale factor.  Entropies come from the
-  symplectic eigenvalues nu_j of the kept block, through a formula of
+  symplectic eigenvalues nu_j of the kept block, taken by this module's
+  own ``symplectic_eigenvalues`` (the positive spectrum of
+  i sigma^(1/2) J sigma^(1/2), with the square root from ``eigh``; the
+  product path uses a Cholesky factor instead), through a formula of
   their own:
 
       S_1 = sum_j (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2),
@@ -83,11 +86,47 @@ from .entanglement import (
     _validate_alphas,
     _validate_times,
     _validate_xi,
-    _xi_from_cov,
 )
 from .ermakov import ModeSolution, QuenchSchedule
 from .errors import GridError, IntegrationError, NumericsError
-from .gaussian import physical_nu, symplectic_eigenvalues
+from .gaussian import physical_nu
+
+
+def symplectic_form(n: int) -> np.ndarray:
+    """Block form J = [[0, I], [-I, 0]] matching the (x..., p...) ordering."""
+    j = np.zeros((2 * n, 2 * n))
+    j[:n, n:] = np.eye(n)
+    j[n:, :n] = -np.eye(n)
+    return j
+
+
+def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a covariance matrix, ascending (reference).
+
+    Computed as the positive spectrum of the Hermitian matrix
+    i sigma^(1/2) J sigma^(1/2), which is similar to i J sigma but keeps
+    the eigenproblem symmetric.  A pure state gives all values 1/2.
+
+    ``sigma`` may be one (2m, 2m) matrix or a stack (..., 2m, 2m); the
+    result has shape (..., m), and each matrix of a stack gets the same
+    values as a call on that matrix alone.  One matrix that is not finite
+    or not positive-definite fails the whole call.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2] or sigma.shape[-1] % 2:
+        raise ValueError("covariance matrix must be square with even dimension")
+    if not np.isfinite(sigma).all():
+        raise NumericsError("covariance matrix has non-finite entries")
+    n = sigma.shape[-1] // 2
+    w, vecs = np.linalg.eigh(0.5 * (sigma + sigma.swapaxes(-1, -2)))
+    if w.size and w.min() <= 0:
+        raise NumericsError(
+            f"covariance matrix must be positive-definite, got eigenvalue {w.min():.3e}"
+        )
+    root = vecs @ (np.sqrt(w)[..., :, None] * vecs.swapaxes(-1, -2))
+    herm = 1j * (root @ symplectic_form(n) @ root)
+    vals = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(-1, -2)))
+    return vals[..., n:]
 
 
 def ground_state_covariance(coupling: np.ndarray) -> np.ndarray:
@@ -546,7 +585,8 @@ def xi_spectrum(reduced: ReducedState) -> np.ndarray:
         raise NumericsError(
             f"reduced width matrix must be positive-definite, got eigenvalue {w.min():.3e}"
         )
-    return _xi_from_cov(reduced_covariance(reduced))
+    nu = physical_nu(symplectic_eigenvalues(reduced_covariance(reduced)))
+    return (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
 
 
 class TruncatedSpectrum(NamedTuple):

@@ -25,9 +25,9 @@ from .chain import quench_modes
 from .config import RunConfig, canonical_echo, expand_sweep, from_dict
 from .entanglement import EntropySeries, entropy_series
 from .ermakov import ode_residual, solve_sudden, sudden_invariant
-from .errors import NumericsError
-from .gaussian import mode_covariance, symplectic_eigenvalues
-from .oracles import covariance_series
+from .errors import ConfigError, NumericsError
+from .gaussian import mode_covariance
+from .oracles import covariance_series, symplectic_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,10 @@ def run_sweep(raw_doc: dict, out_dir: str, threads: int = 1) -> list[str]:
 
     One CSV per combination, named by the swept values; combinations run
     in a worker pool but files are written in sorted-label order, so the
-    output set is deterministic.
+    output set is deterministic.  ``threads=0`` means one worker per CPU.
     """
+    if threads < 0:
+        raise ConfigError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
     combos = expand_sweep(raw_doc)
     combos.sort(key=lambda pair: pair[0])
     configs = [(label, from_dict(doc)) for label, doc in combos]
@@ -244,8 +246,9 @@ def verify_parameter_sets() -> list[tuple[str, RunConfig]]:
 def verify_report() -> tuple[str, bool]:
     """Cross-validate the scale-factor pipeline against the covariance
     oracle on every figure configuration, check the static entropy anchor,
-    and check full-state purity.  Each line shows the measured value next
-    to its gate.  Returns (report text, all passed)."""
+    and check the full-state purity of the product's mode covariances with
+    the oracle's reference spectrum.  Each line shows the measured value
+    next to its gate.  Returns (report text, all passed)."""
     lines = []
     ok = True
 

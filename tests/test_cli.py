@@ -339,6 +339,14 @@ class TestMain:
         assert main(["sweep", "--config", config_path, "--output", out_dir, "--threads", "2"]) == 0
         capsys.readouterr()
 
+    def test_negative_threads_rejected(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, QUENCH_DOC)
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--config", config_path, "--output", str(out_dir), "--threads", "-1"]
+        assert main(argv) == 1
+        assert "threads" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_bad_figure_name(self, capsys):
         assert main(["figure", "fig9"]) == 1
         capsys.readouterr()
@@ -353,6 +361,25 @@ class TestMain:
         config_path = write_config(tmp_path, STATIC_DOC)
         assert main(["simulate", "--config", config_path]) == 2
         assert "synthetic failure" in capsys.readouterr().err
+
+    def test_non_finite_covariance_exits_2(self, tmp_path):
+        # b(t)**2 overflows at t ~ 1e200, so the kept covariance is not finite
+        doc = {
+            "model": {"n": 4, "omega_i": 3, "k_i": 2, "omega_f": 0, "k_f": 2.5},
+            "time": {"t_max": 1e200, "dt": 1e199},
+        }
+        config_path = write_config(tmp_path, doc)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-m", "entchain.cli", "simulate",
+             "--config", config_path],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     def test_figure_command_dispatch(self, capsys, monkeypatch):
         import entchain.cli as cli_module

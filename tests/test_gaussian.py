@@ -15,8 +15,14 @@ from entchain import (
     solve_sudden,
     symplectic_eigenvalues,
 )
-from entchain.gaussian import mode_covariance, physical_nu, symplectic_form
-from entchain.oracles import GaussianState, assemble_state, mode_matrices, to_covariance
+from entchain.gaussian import mode_covariance, physical_nu
+from entchain.oracles import (
+    GaussianState,
+    assemble_state,
+    mode_matrices,
+    symplectic_form,
+    to_covariance,
+)
 
 SQRT5 = np.sqrt(5.0)
 

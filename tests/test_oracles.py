@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entchain.entanglement
+import entchain.oracles
 from entchain import (
     ChainSpec,
     GridError,
@@ -25,7 +27,7 @@ from entchain import (
     solve_sudden,
     symplectic_eigenvalues,
 )
-from entchain.gaussian import mode_covariance, symplectic_form
+from entchain.gaussian import mode_covariance
 from entchain.oracles import (
     KernelGrid,
     SymplecticPropagator,
@@ -33,6 +35,7 @@ from entchain.oracles import (
     ground_state_covariance,
     integrate_covariance_general,
     reduce_covariance,
+    symplectic_form,
     two_site_reduced,
 )
 
@@ -129,6 +132,53 @@ def test_random_chains_agree_across_paths(data):
     b, bdot = (np.column_stack(col) for col in zip(*pairs))
     nu = symplectic_eigenvalues(mode_covariance(modes.u, modes.lam_pre, b, bdot))
     assert np.abs(nu - 0.5).max() < 1e-9
+
+
+def test_spectrum_routes_are_separate_code():
+    """The primary path and the oracle each run their own spectrum code."""
+    assert entchain.entanglement.symplectic_eigenvalues is not entchain.oracles.symplectic_eigenvalues
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cholesky_route_matches_reference_spectrum(data):
+    """The Cholesky-factor spectrum of the primary path against the
+    oracle's eigh-root reference on kept-block covariance stacks of random
+    chains, partitions, quench targets and times."""
+    n = data.draw(st.integers(2, 11), label="n")
+    boundary = data.draw(st.sampled_from(["open", "periodic"]), label="boundary")
+    traced = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1), label="traced")
+    omega_f = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), label="omega_f")
+    times = np.array(
+        data.draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8), label="times")
+    )
+    spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=omega_f, k_f=2.5, boundary=boundary)
+    kept = Partition.from_traced(traced, n).kept
+    modes = quench_modes(spec)
+    pairs = [solve_sudden(li, lf).evaluate(times) for li, lf in zip(modes.lam_pre, modes.lam_post)]
+    b, bdot = (np.column_stack(col) for col in zip(*pairs))
+    sigma = mode_covariance(modes.u[:, [s - 1 for s in kept]], modes.lam_pre, b, bdot)
+    reference = entchain.oracles.symplectic_eigenvalues(sigma)
+    nu = symplectic_eigenvalues(sigma)
+    assert nu.shape == reference.shape == (times.size, len(kept))
+    assert np.all(np.abs(nu - reference) <= 1e-11 * np.maximum(1.0, reference))
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [entchain.entanglement.symplectic_eigenvalues, entchain.oracles.symplectic_eigenvalues],
+    ids=["primary", "reference"],
+)
+def test_spectrum_routes_reject_bad_covariances(spectrum):
+    with pytest.raises(ValueError, match="even"):
+        spectrum(np.eye(3))
+    with pytest.raises(NumericsError, match="positive-definite"):
+        spectrum(np.diag([1.0, -1.0, 1.0, 1.0]))
+    for bad in (np.inf, np.nan):
+        stack = np.stack([np.eye(4), np.eye(4)])
+        stack[1, 0, 0] = bad
+        with pytest.raises(NumericsError, match="non-finite"):
+            spectrum(stack)
 
 
 def test_general_integrator_reproduces_sudden():
