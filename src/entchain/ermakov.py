@@ -18,8 +18,10 @@ The nonlinear equation reduces to a linear one (E. Pinney, Proc. AMS 1,
 with (u1, u1') = (1, 0) and (u2, u2') = (0, 1) at t = 0.  Every protocol
 here makes lam(t) piecewise constant or piecewise linear, so the
 fundamental matrix Phi = [[u1, u2], [u1', u2']] crosses each segment
-through an exact 2x2 propagator: cos/sin for constant lam, Airy functions
-for linear lam.  A sudden jump lam_i -> lam_f is the one-segment case,
+through an exact 2x2 propagator: cos/sin for constant lam and, for linear
+lam, the Taylor series of the entire solution, summed over pieces short
+enough that it is exact to roundoff.  A sudden jump lam_i -> lam_f is the
+one-segment case,
 
     lam_f > 0:   b(t)**2 = 1 - (1 - lam_i / lam_f) * sin(sqrt(lam_f) t)**2
     lam_f == 0:  b(t)**2 = 1 + lam_i * t**2,
@@ -38,7 +40,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, NumericsError
 
 Interpolation = Literal["linear", "previous"]
 
@@ -143,10 +145,6 @@ class QuenchSchedule:
             raise ValueError("schedule omega and k values must be non-negative")
         if self.interpolation not in ("linear", "previous"):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
-        if self.interpolation == "linear":
-            # Load the Airy functions that linear segments need while the
-            # schedule is read, not during the first time-grid evaluation.
-            import scipy.special  # noqa: F401
 
     @property
     def final_params(self) -> tuple[float, float]:
@@ -157,17 +155,14 @@ class QuenchSchedule:
         return QuenchProtocol.general(lam_initial, self.times, values, self.interpolation)
 
 
-# Linear segments are evaluated through the modulus and phase of the Airy
-# functions (DLMF 9.8) once x = lam / |slope|**(2/3) exceeds this at both
-# ends.  Direct Airy values lose about 1e-16 * x**1.5 of relative
-# accuracy, the one-correction asymptotic forms below about 0.1 * x**-4.5;
-# either stays within 2e-12 of the exact propagator at this crossover.
-_PHASE_FORM_X = 350.0
-
-# On shorter segments, in Airy units |slope|**(1/3) * tau, the direct
-# Airy propagator cancels to about 3e-16 / length, while the constant-lam
-# propagator at the segment midpoint is exact to length**3 / 12.
-_MIDPOINT_LENGTH = 2.5e-4
+# Linear segments are cut into equal pieces no longer than
+# _PIECE_PHASE / rate, rate = sqrt(max lam) + |slope|**(1/3) over the
+# segment.  On a piece, u is the Taylor series of the entire solution in
+# x = rate * tau <= _PIECE_PHASE; _TAYLOR_TERMS terms leave a remainder
+# below roundoff (4**40 / 40! is 1.5e-24), and the largest term,
+# 4**4 / 4!, bounds the cancellation to about 1e-15.
+_PIECE_PHASE = 4.0
+_TAYLOR_TERMS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +194,9 @@ class ModeSolution:
         bdd = self._derivatives(t)[2]
         return float(bdd[0]) if np.ndim(t) == 0 else bdd
 
+    # Past about t = 1e154 (gapless modes) b**2 overflows; the inf and nan
+    # that follow are reported once, at the end, with the first such time.
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def _derivatives(self, t):
         """b, b', b'' and lam(t), as 1-d arrays."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -233,7 +231,11 @@ class ModeSolution:
         lam = lam + slope * tau
         b = np.sqrt(bsq)
         bdot = bbdot / b
-        return b, bdot, (dsq - lam * bsq - bdot**2) / b, lam
+        bdd = (dsq - lam * bsq - bdot**2) / b
+        bad = ~(np.isfinite(b) & np.isfinite(bdot))
+        if bad.any():
+            raise NumericsError(f"scale factor b(t) is not finite at t = {t[bad].min():g}")
+        return b, bdot, bdd, lam
 
 
 def _form(g, p0, p1, q0, q1):
@@ -251,74 +253,39 @@ def _harmonic(lam, tau):
 
 
 def _propagator(lam, slope, tau):
-    """Entries (P00, P01, P10, P11) of the exact propagator of
-    u'' + (lam + slope t) u = 0 from t = 0 to t = tau (arrays broadcast)."""
+    """Entries (P00, P01, P10, P11) of the propagator of
+    u'' + (lam + slope t) u = 0 from t = 0 to t = tau (arrays broadcast):
+    cos/sin where slope = 0, else the Taylor series in x = rate * tau, for
+    rate * tau up to _PIECE_PHASE."""
     lam, slope, tau = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lam, slope, tau)))
-    scale = np.abs(slope) ** (1.0 / 3.0)
-    short = scale * tau < _MIDPOINT_LENGTH  # every constant segment
-    far = ~short & (np.minimum(lam, lam + slope * tau) >= _PHASE_FORM_X * scale**2)
     out = np.empty((4,) + lam.shape)
-    for branch, mask in (
-        (_midpoint_propagator, short),
-        (_airy_phase_form, far),
-        (_airy_direct, ~short & ~far),
-    ):
-        if mask.any():
-            out[:, mask] = branch(lam[mask], slope[mask], tau[mask])
+    flat = slope == 0.0
+    if flat.any():
+        cos, sinw = _harmonic(lam[flat], tau[flat])
+        out[:, flat] = cos, sinw, -lam[flat] * sinw, cos
+    if not flat.all():
+        out[:, ~flat] = _taylor_propagator(lam[~flat], slope[~flat], tau[~flat])
     return out
 
 
-def _midpoint_propagator(lam, slope, tau):
-    """Constant lam at the segment midpoint: exact when slope = 0."""
-    mid = lam + 0.5 * slope * tau
-    cos, sinw = _harmonic(mid, tau)
-    return np.array([cos, sinw, -mid * sinw, cos])
-
-
-def _airy_direct(lam, slope, tau):
-    # Imported here, not at module load: only linear segments need it, and
-    # scipy.special would be about half of the package's import time.
-    from scipy.special import airy
-
-    # u = Ai(z), Bi(z) with z = -lam(t) / |slope|**(2/3); dz/dt = dz.
-    scale = np.abs(slope) ** (1.0 / 3.0)
-    dz = -np.sign(slope) * scale
-    # The points of a segment arrive as one run and share its start value,
-    # so the start is evaluated once per run.
-    z0 = -lam / scale**2
-    first = np.flatnonzero(np.r_[True, z0[1:] != z0[:-1]])
-    counts = np.diff(first, append=z0.size)
-    ai0, aip0, bi0, bip0 = (np.repeat(v, counts) for v in airy(z0[first]))
-    ai1, aip1, bi1, bip1 = airy(-(lam + slope * tau) / scale**2)
-    return np.pi * np.array([
-        ai1 * bip0 - bi1 * aip0,
-        (bi1 * ai0 - ai1 * bi0) / dz,
-        dz * (aip1 * bip0 - bip1 * aip0),
-        bip1 * ai0 - aip1 * bi0,
-    ])
-
-
-def _airy_phase_form(lam, slope, tau):
-    # Ai(-x) = M cos(theta), Bi(-x) = M sin(theta), Ai'(-x) = N cos(phi),
-    # Bi'(-x) = N sin(phi), with zeta = (2/3) x**1.5 and, to first order,
-    #   theta = pi/4 - zeta + (5/32) zeta / x**3,  pi sqrt(x) M**2 = 1 - (5/32) / x**3,
-    #   phi = 3pi/4 - zeta - (7/32) zeta / x**3,   pi N**2 / sqrt(x) = 1 + (7/32) / x**3.
-    # Only phase differences enter; zeta1 - zeta0 is written without
-    # cancellation, and r = x**-1.5 = |slope| / lam**1.5.
-    lam1 = lam + slope * tau
-    sign = np.sign(slope)
-    dzeta = sign * (2.0 / 3.0) * tau * (lam**2 + lam * lam1 + lam1**2) / (lam**1.5 + lam1**1.5)
-    r0, r1 = np.abs(slope) / lam**1.5, np.abs(slope) / lam1**1.5
-    m0, m1 = 1.0 - (5.0 / 32.0) * r0**2, 1.0 - (5.0 / 32.0) * r1**2
-    n0, n1 = 1.0 + (7.0 / 32.0) * r0**2, 1.0 + (7.0 / 32.0) * r1**2
-    ratio = (lam1 / lam) ** 0.25
-    geo = (lam * lam1) ** 0.25
-    return np.array([
-        np.sqrt(m1 * n0) / ratio * np.cos(dzeta - (7.0 / 48.0) * r0 - (5.0 / 48.0) * r1),
-        sign * np.sqrt(m0 * m1) / geo * np.sin(dzeta - (5.0 / 48.0) * (r1 - r0)),
-        -sign * np.sqrt(n0 * n1) * geo * np.sin(dzeta + (7.0 / 48.0) * (r1 - r0)),
-        np.sqrt(n1 * m0) * ratio * np.cos(dzeta + (7.0 / 48.0) * r1 + (5.0 / 48.0) * r0),
-    ])
+def _taylor_propagator(lam, slope, tau):
+    # In x = rate * tau, u'' = -(a + b x) u with |a|, |b| <= 1, and the
+    # coefficients c_k of x**k obey c_(k+2) = -(a c_k + b c_(k-1)) / ((k+1)(k+2)).
+    # Both columns at once: c_0 = (1, 0), c_1 = (0, 1), so the second
+    # column is rate * u2.
+    rate = np.sqrt(np.abs(lam)) + np.abs(slope) ** (1.0 / 3.0)
+    a, b = lam / rate**2, slope / rate**3
+    x = rate * tau
+    c = np.zeros((_TAYLOR_TERMS, 2) + lam.shape)
+    c[0, 0] = c[1, 1] = 1.0
+    for k in range(_TAYLOR_TERMS - 2):  # at k = 0, c[k - 1] = c[-1] is still zero
+        c[k + 2] = (a * c[k] + b * c[k - 1]) * (-1.0 / ((k + 1) * (k + 2)))
+    # Horner's rule for the sum and its x-derivative.
+    u, du = c[-1], np.zeros_like(c[-1])
+    for ck in c[-2::-1]:
+        du = du * x + u
+        u = u * x + ck
+    return np.array([u[0], u[1] / rate, du[0] * rate, du[1]])
 
 
 def solve_sudden(lam_initial: float, lam_final: float) -> ModeSolution:
@@ -359,9 +326,11 @@ def integrate_general(protocol: QuenchProtocol, tolerance: float = 1e-10) -> Mod
     """Scale factor for an arbitrary protocol, valid for all t >= 0.
 
     The fundamental matrix is carried across each protocol segment by the
-    segment's exact propagator.  If its determinant, the Wronskian, drifts
-    from 1 by more than ``tolerance`` at a segment boundary,
-    :class:`IntegrationError` is raised carrying the first failing time.
+    segment's exact propagator; linear segments are first cut into equal
+    Taylor pieces, which become breakpoints of the solution.  If its
+    determinant, the Wronskian, drifts from 1 by more than ``tolerance`` at
+    a breakpoint, :class:`IntegrationError` is raised carrying the first
+    failing time, which can be a piece boundary inside a table segment.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -376,11 +345,31 @@ def integrate_general(protocol: QuenchProtocol, tolerance: float = 1e-10) -> Mod
     slopes = np.zeros(times.size)
     if protocol.interpolation == "linear":
         slopes[:-1] = np.diff(lams) / np.diff(times)
-    phis = np.empty((times.size, 2, 2))
-    phis[0] = np.eye(2)
-    steps = _propagator(lams[:-1], slopes[:-1], np.diff(times)).T.reshape(-1, 2, 2)
-    for k, step in enumerate(steps):
-        phis[k + 1] = step @ phis[k]
+    # Cut each linear segment into equal pieces of rate * length at most
+    # _PIECE_PHASE; the pieces are ordinary breakpoints from here on.
+    lengths = np.append(np.diff(times), 0.0)
+    rises = np.append(np.diff(lams), 0.0)
+    rate = np.sqrt(np.maximum(lams, lams + rises)) + np.abs(slopes) ** (1.0 / 3.0)
+    counts = np.where(slopes != 0.0, np.ceil(rate * lengths / _PIECE_PHASE), 1.0).astype(int)
+    segment = np.repeat(np.arange(times.size), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    frac = (np.arange(segment.size) - first) / counts[segment]
+    times = times[segment] + frac * lengths[segment]
+    lams = lams[segment] + frac * rises[segment]
+    slopes = slopes[segment]
+    # phis[k] = steps[k - 1] @ ... @ steps[0], by log-depth doubling on the
+    # entries (P00, P01, P10, P11): after the pass with shift d, column k
+    # holds the product of up to 2d steps.
+    steps = _propagator(lams[:-1], slopes[:-1], np.diff(times))
+    entries = np.concatenate([[[1.0], [0.0], [0.0], [1.0]], steps], axis=1)
+    shift = 1
+    while shift < times.size:
+        (a1, b1, c1, d1), (a0, b0, c0, d0) = entries[:, shift:], entries[:, :-shift]
+        entries[:, shift:] = (
+            a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0
+        )
+        shift *= 2
+    phis = entries.T.reshape(-1, 2, 2)
     drift = np.abs(phis[:, 0, 0] * phis[:, 1, 1] - phis[:, 0, 1] * phis[:, 1, 0] - 1.0)
     failing = ~(drift <= tolerance)
     if failing.any():

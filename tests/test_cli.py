@@ -363,7 +363,7 @@ class TestMain:
         assert "synthetic failure" in capsys.readouterr().err
 
     def test_non_finite_covariance_exits_2(self, tmp_path):
-        # b(t)**2 overflows at t ~ 1e200, so the kept covariance is not finite
+        # b(t)**2 overflows at t ~ 1e200; the error names the first such time
         doc = {
             "model": {"n": 4, "omega_i": 3, "k_i": 2, "omega_f": 0, "k_f": 2.5},
             "time": {"t_max": 1e200, "dt": 1e199},
@@ -373,13 +373,15 @@ class TestMain:
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-W", "ignore", "-m", "entchain.cli", "simulate",
-             "--config", config_path],
+            [sys.executable, "-m", "entchain.cli", "simulate", "--config", config_path],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        # the gapless mode's b**2 = 1 + 9 t**2 first overflows at t = 1e199
+        assert "t = 1e+199" in proc.stderr
 
     def test_figure_command_dispatch(self, capsys, monkeypatch):
         import entchain.cli as cli_module
@@ -420,15 +422,29 @@ class TestMain:
         assert main(["verify"]) == 2
         capsys.readouterr()
 
-    def test_cli_import_leaves_scipy_special_unloaded(self):
-        code = "import sys, entchain.cli; print('scipy.special' in sys.modules)"
+    def test_cli_import_leaves_scipy_special_unloaded(self, tmp_path):
+        """A linear-ramp simulate, the one path that once needed Airy
+        functions, runs without loading any part of scipy."""
+        doc = {
+            "model": {"n": 4, "omega_i": 3.0, "k_i": 2.0},
+            "time": {"t_max": 5.0, "dt": 0.5},
+            "quench": {"kind": "general", "table": [[0, 3, 2], [2, 1, 2.5]]},
+        }
+        config_path = write_config(tmp_path, doc)
+        code = (
+            "import sys, entchain.cli\n"
+            f"entchain.cli.main(['simulate', '--config', {config_path!r},"
+            f" '--output', {str(tmp_path / 'out.csv')!r}])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert (tmp_path / "out.csv").read_text().count("\n") == 2 + 11
 
     def test_version_flag(self, capsys):
         import entchain

@@ -4,8 +4,9 @@ propagators.
 Sudden quenches are checked against frozen b**2 values, ODE residuals,
 conservation laws, and periodicity.  General protocols are checked
 against the sudden closed form, against an analytically chained
-two-segment solution, and for their Wronskian error path; the Airy
-propagator of linear segments is checked against an Airy-free reference.
+two-segment solution, and for their Wronskian error path; the Taylor
+pieces of linear segments are checked against midpoint products here and
+against a 40-digit Airy reference in test_ermakov_reference.py.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from entchain import (
     solve_sudden,
     sudden_invariant,
 )
-from entchain.ermakov import _propagator
+from entchain.ermakov import _PIECE_PHASE, _propagator
 
 FIG1_MODE_PAIRS = [
     # (lam_initial, lam_final) of the two-site quench targets
@@ -264,10 +265,25 @@ def _midpoint_product(lam, slope, tau, steps):
     return prop
 
 
-def test_airy_propagator_against_midpoint_reference():
-    """Linear segments, tiny slopes included, against an Airy-free
-    reference: Richardson-extrapolated midpoint products.  The last three
-    segments are short in Airy units, where direct Airy values cancel."""
+def _piecewise_propagator(lam, slope, tau):
+    """``_propagator`` over whole segments, chained over equal pieces by
+    the piece rule of ``integrate_general``, with |lam| for the rate."""
+    props = []
+    for lam0, s, length in zip(lam, slope, tau):
+        rate = np.sqrt(max(abs(lam0), abs(lam0 + s * length))) + abs(s) ** (1.0 / 3.0)
+        count = int(np.ceil(rate * length / _PIECE_PHASE))
+        h = length / count
+        prop = np.eye(2)
+        for j in range(count):
+            prop = _propagator(lam0 + s * j * h, s, h).reshape(2, 2) @ prop
+        props.append(prop)
+    return np.array(props)
+
+
+def test_taylor_propagator_against_midpoint_reference():
+    """Linear segments, tiny slopes and hyperbolic stretches (lam < 0)
+    included, against an independent reference: Richardson-extrapolated
+    midpoint products.  The last three segments are short in Airy units."""
     cases = [
         (lam, slope, 10.0)
         for lam in (0.0, 0.09, 9.0, 100.0)
@@ -276,7 +292,7 @@ def test_airy_propagator_against_midpoint_reference():
     lam, slope, tau = np.array(cases).T
     reference = (4.0 * _midpoint_product(lam, slope, tau, 8000)
                  - _midpoint_product(lam, slope, tau, 4000)) / 3.0
-    prop = _propagator(lam, slope, tau).T.reshape(-1, 2, 2)
+    prop = _piecewise_propagator(lam, slope, tau)
     assert np.all(np.isfinite(prop))
     scale = np.abs(reference).max(axis=(1, 2))
     rel = np.abs(prop - reference).max(axis=(1, 2)) / scale
@@ -297,8 +313,8 @@ def test_general_solution_has_no_time_limit():
 
 
 def test_grid_evaluation_matches_pointwise():
-    """Points of one linear segment share its Airy start value; a grid, the
-    same grid shuffled, and single points must give the same bits."""
+    """Each point is computed on its own from its piece's start value; a
+    grid, the same grid shuffled, and single points must give the same bits."""
     proto = QuenchProtocol.general(9.0, [0.0, 10.0, 20.0, 30.0], [9.0, 4.4, 1.96, 0.39])
     sol = integrate_general(proto)
     t = np.linspace(0.0, 40.0, 401)

@@ -214,9 +214,9 @@ def test_general_schedule_cross_validates_primary_path():
 
 @pytest.mark.parametrize("interpolation, t_max", [("linear", 100.0), ("previous", 40.0)])
 def test_ramp_table_cross_validates_primary_path(interpolation, t_max):
-    """The eight-site ramp table, with Airy (linear) or cos/sin (previous)
-    segment propagators, against the tightly integrated covariance flow.
-    The previous-hold window stops 10 past the last breakpoint: over
+    """The eight-site ramp table, with Taylor-piece (linear) or cos/sin
+    (previous) segment propagators, against the tightly integrated
+    covariance flow.  The previous-hold window stops 10 past the last breakpoint: over
     t <= 100 the flow takes about 20 s there."""
     table = [[0.0, 3.0, 2.0], [10.0, 2.0, 2.2], [20.0, 1.0, 2.4], [30.0, 0.3, 2.5]]
     spec = ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
