@@ -159,10 +159,12 @@ class QuenchSchedule:
 # _PIECE_PHASE / rate, rate = sqrt(max lam) + |slope|**(1/3) over the
 # segment.  On a piece, u is the Taylor series of the entire solution in
 # x = rate * tau <= _PIECE_PHASE; _TAYLOR_TERMS terms leave a remainder
-# below roundoff (4**40 / 40! is 1.5e-24), and the largest term,
-# 4**4 / 4!, bounds the cancellation to about 1e-15.
-_PIECE_PHASE = 4.0
-_TAYLOR_TERMS = 40
+# below roundoff (2**28 / 28! is 8.8e-22), and the largest terms,
+# 2**1 / 1! = 2**2 / 2! = 2, bound the cancellation to a few units of
+# roundoff.  A phase of 4 would halve the pieces, but its largest term,
+# 4**4 / 4! ~ 11, about doubles the error in b and triples it in b'.
+_PIECE_PHASE = 2.0
+_TAYLOR_TERMS = 28
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,16 +312,21 @@ def ode_residual(solution: ModeSolution, times) -> np.ndarray:
     by Lagrange's identity the residual is lam(0) |W**2 - 1| / b**3 for
     the computed Wronskian W.
     """
-    b, _, bdd, lam = solution._derivatives(times)
-    return np.abs(bdd + lam * b - solution.lam_initial / b**3)
+    return mode_checks(solution, times)[0]
 
 
 def sudden_invariant(solution: ModeSolution, times) -> np.ndarray:
     """b'**2 + lam_f b**2 + lam_i / b**2, conserved (= lam_i + lam_f) for
     sudden quenches."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    b, bdot = solution.evaluate(times)
-    return bdot**2 + solution.lams[-1] * b**2 + solution.lam_initial / b**2
+    return mode_checks(solution, times)[1]
+
+
+def mode_checks(solution: ModeSolution, times) -> tuple[np.ndarray, np.ndarray]:
+    """``ode_residual`` and ``sudden_invariant`` on a grid, from one
+    evaluation of the mode."""
+    b, bdot, bdd, lam = solution._derivatives(times)
+    w = solution.lam_initial
+    return np.abs(bdd + lam * b - w / b**3), bdot**2 + solution.lams[-1] * b**2 + w / b**2
 
 
 def integrate_general(protocol: QuenchProtocol, tolerance: float = 1e-10) -> ModeSolution:

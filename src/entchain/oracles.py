@@ -173,17 +173,27 @@ class SymplecticPropagator:
             )
         return cls(vecs=vecs, lam=lam)
 
-    def matrix(self, t) -> np.ndarray:
-        """Flow to time t: (2n, 2n) for scalar t, (T, 2n, 2n) for T times."""
+    def matrix(self, t, sites=None) -> np.ndarray:
+        """Flow to time t: (2n, 2n) for scalar t, (T, 2n, 2n) for T times.
+
+        ``sites`` (0-based site indices, any order) keeps only the
+        position rows and then the momentum rows of those k sites, giving
+        (2k, 2n) or (T, 2k, 2n); each row equals that row of the full
+        flow.
+        """
         t = np.asarray(t, dtype=float)[..., None]
         root = np.sqrt(self.lam)
-        cos_d = np.cos(root * t)[..., None, :]
         sin_over = t * np.sinc(root * t / np.pi)
         vecs = self.vecs
-        cos_block = (vecs * cos_d) @ vecs.T
-        sin_block = (vecs * sin_over[..., None, :]) @ vecs.T
-        neg_block = (vecs * (-self.lam * sin_over)[..., None, :]) @ vecs.T
-        return np.block([[cos_block, sin_block], [neg_block, cos_block]])
+        rows = vecs if sites is None else vecs[np.asarray(sites, dtype=int)]
+        k, n = rows.shape
+        flow = np.empty(t.shape[:-1] + (2 * k, 2 * n))
+        cos_block = flow[..., :k, :n]
+        np.matmul(rows * np.cos(root * t)[..., None, :], vecs.T, out=cos_block)
+        np.matmul(rows * sin_over[..., None, :], vecs.T, out=flow[..., :k, n:])
+        np.matmul(rows * (-self.lam * sin_over)[..., None, :], vecs.T, out=flow[..., k:, :n])
+        flow[..., k:, n:] = cos_block
+        return flow
 
 
 def _coupling_of_time(spec: ChainSpec, schedule: QuenchSchedule):
@@ -340,9 +350,11 @@ def covariance_series(
     Same call shape and output type as the scale-factor pipeline, but the
     dynamics is the symplectic flow of the coupling matrix, so the two
     results are independent up to shared linear-algebra primitives.  Time
-    points are taken in blocks of ``max(1, 8192 // (2n)**2)``, one stacked
-    spectrum call each.  For a sudden quench the kept rows F_k of a
-    block's flows give its kept-block covariances F_k sigma0 F_k.T.
+    points are taken in blocks of ``max(1, 8192 // (2m)**2)`` for m kept
+    sites, the rule of ``entropy_series``, one stacked spectrum call each.
+    For a sudden quench the propagator builds only the 2m kept rows F_k of
+    each flow (``matrix(t, sites)``), and F_k sigma0 F_k.T is the
+    kept-block covariance.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)
@@ -352,17 +364,17 @@ def covariance_series(
     if schedule is None:
         sigma0 = ground_state_covariance(build_coupling_matrix(spec, "pre"))
         propagator = SymplecticPropagator.from_coupling(build_coupling_matrix(spec, "post"))
-        sel = _kept_coordinates(partition)
+        sites = [s - 1 for s in partition.kept]
     else:
         sigmas = integrate_covariance_general(spec, schedule, times, tolerance=tolerance)
 
     xi_out = np.empty((times.size, len(partition.kept)))
     ent_out = {a: np.empty(times.size) for a in alphas}
-    rows = _block_rows(2 * spec.n)
+    rows = _block_rows(2 * len(partition.kept))
     for start in range(0, times.size, rows):
         block = slice(start, start + rows)
         if schedule is None:
-            flow = propagator.matrix(times[block])[:, sel]
+            flow = propagator.matrix(times[block], sites)
             kept = flow @ sigma0 @ flow.swapaxes(1, 2)
         else:
             kept = reduce_covariance(sigmas[block], partition)

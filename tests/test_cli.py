@@ -446,6 +446,21 @@ class TestMain:
         assert proc.stdout.strip().splitlines()[-1] == "[]"
         assert (tmp_path / "out.csv").read_text().count("\n") == 2 + 11
 
+    def test_cli_import_leaves_thread_pool_unloaded(self):
+        """``concurrent.futures`` (about 10 ms with the ``logging`` it
+        pulls in) loads only when a sweep runs on several threads."""
+        code = (
+            "import sys, entchain.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
     def test_version_flag(self, capsys):
         import entchain
 

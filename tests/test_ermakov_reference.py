@@ -62,7 +62,8 @@ def _reference(protocol: QuenchProtocol, times):
 
 def test_ramp_modes_against_airy_reference():
     """All eight modes of the ramp, about 100 points over t <= 100: b to
-    1e-13 relative and b' to 1e-12 absolute (b stays within [1, 4])."""
+    1e-14 relative and b' to 3e-14 absolute (b stays within [1, 4]).
+    Measured: 4.0e-15 and 1.2e-14."""
     table = np.array(RAMP_TABLE)
     spec = ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
     schedule = QuenchSchedule(*table.T, interpolation="linear")
@@ -75,12 +76,12 @@ def test_ramp_modes_against_airy_reference():
         b_ref, bdot_ref = _reference(protocol, times)
         worst_b = max(worst_b, float(np.abs(b / b_ref - 1.0).max()))
         worst_bdot = max(worst_bdot, float(np.abs(bdot - bdot_ref).max()))
-    assert worst_b <= 1e-13
-    assert worst_bdot <= 1e-12
+    assert worst_b <= 1e-14
+    assert worst_bdot <= 3e-14
 
 
 def test_long_high_frequency_ramp_keeps_its_wronskian():
-    """omega 30 -> 1 over t in [0, 1000]: about 7,700 Taylor pieces, and
+    """omega 30 -> 1 over t in [0, 1000]: about 15,500 Taylor pieces, and
     the chained fundamental matrix keeps its determinant within 1e-11."""
     protocol = QuenchProtocol.general(900.0, [0.0, 1000.0], [900.0, 1.0])
     phis = integrate_general(protocol, tolerance=1e-11).phis

@@ -84,6 +84,44 @@ def test_propagator_stack_matches_scalar_calls():
         assert np.array_equal(flow, prop.matrix(float(t)))
 
 
+@pytest.mark.parametrize("sites", [[2], [6, 0, 3], [1, 4, 5]], ids=str)
+def test_propagator_rows_match_full_flow(sites):
+    """``matrix(t, sites)`` is the position rows, then the momentum rows,
+    of those sites in the full flow, for one time and for a stack."""
+    spec = ChainSpec(n=7, omega_i=3.0, k_i=2.0, omega_f=0.0, k_f=2.5)
+    prop = SymplecticPropagator.from_coupling(build_coupling_matrix(spec, "post"))
+    rows = sites + [7 + s for s in sites]
+    for t in (3.9, np.array([0.0, 0.4, 3.9, 77.0])):
+        part = prop.matrix(t, sites)
+        full = prop.matrix(t)
+        assert part.shape == full.shape[:-2] + (2 * len(sites), 14)
+        assert np.abs(part - full[..., rows, :]).max() < 1e-13
+
+
+def test_covariance_series_on_asymmetric_partition():
+    """Open n = 7 keeping sites {1, 4, 6}, a partition with no reflection
+    symmetry: the kept-row flow matches the full flow reduced afterwards,
+    and the primary path."""
+    spec = ChainSpec(n=7, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary="open")
+    part = Partition.from_traced([2, 3, 5, 7], 7)
+    assert part.kept == (1, 4, 6)
+    times = np.linspace(0.0, 60.0, 301)
+    oracle = covariance_series(spec, part, times, alphas=(1, 2))
+
+    sigma0 = ground_state_covariance(build_coupling_matrix(spec, "pre"))
+    flow = SymplecticPropagator.from_coupling(build_coupling_matrix(spec, "post")).matrix(times)
+    kept = reduce_covariance(flow @ sigma0 @ flow.swapaxes(1, 2), part)
+    nu = entchain.oracles.symplectic_eigenvalues(kept)
+    full = covariance_entropy(nu, (1, 2))
+    xi = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
+    assert np.abs(oracle.xi - xi).max() < 1e-12
+    primary = entropy_series(spec, part, times, alphas=(1, 2))
+    assert np.abs(oracle.xi - primary.xi).max() < 1e-10
+    for a in (1, 2):
+        assert np.abs(oracle.entropies[a] - full[a]).max() < 1e-12
+        assert np.abs(oracle.entropies[a] - primary.entropies[a]).max() < 1e-10
+
+
 def test_series_agree_at_time_zero_and_no_quench():
     spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=3.0, k_f=2.0)
     times = 0.5 * np.arange(30)
