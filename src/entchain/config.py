@@ -170,7 +170,10 @@ def _parse_model(raw: dict):
             if (not isinstance(row, list) or len(row) != 3
                     or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)):
                 raise _fail(f"quench.table[{i}]", "expected a [t, omega, k] number triple")
-            rows.append([float(v) for v in row])
+            values = [float(v) for v in row]
+            if not np.all(np.isfinite(values)):
+                raise _fail(f"quench.table[{i}]", f"values must be finite, got {row}")
+            rows.append(values)
         interpolation = _choice(
             quench, "interpolation", "quench", {"linear", "previous"}, default="linear"
         )

@@ -135,6 +135,8 @@ class QuenchSchedule:
         object.__setattr__(self, "ks", np.asarray(self.ks, dtype=float))
         if self.times.ndim != 1 or self.times.size == 0:
             raise ValueError("schedule needs at least one sample time")
+        if not all(np.isfinite(v).all() for v in (self.times, self.omegas, self.ks)):
+            raise ValueError("schedule samples must be finite")
         if self.times[0] != 0.0:
             raise ValueError("schedule must start at t = 0")
         if self.times.size > 1 and not np.all(np.diff(self.times) > 0):

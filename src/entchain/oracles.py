@@ -5,15 +5,15 @@ No product run (``simulate``, ``sweep``, ``figure``) calls this module;
 
 * Covariance dynamics.  The ground state of the pre-quench coupling
   matrix K_i has covariance sigma(0) = diag(K_i^{-1/2}, K_i^{1/2}) / 2.
-  A sudden quench evolves it with the exact symplectic propagator of
-  K_f; a general protocol integrates d sigma/dt = A sigma + sigma A^T,
-  A = [[0, I], [-K(t), 0]], with fixed-step RK4 and purity-based step
-  halving.  Neither evaluates a scale factor.  Entropies come from the
-  symplectic eigenvalues nu_j of the kept block, taken by this module's
-  own ``symplectic_eigenvalues`` (the positive spectrum of
-  i sigma^(1/2) J sigma^(1/2), with the square root from ``eigh``; the
-  product path uses a Cholesky factor instead), through a formula of
-  their own:
+  Every protocol carries it through pieces of constant K, each with its
+  exact symplectic propagator: a sudden quench is one piece, a
+  ``previous`` schedule one per row, and a ``linear`` schedule is cut
+  into fourth-order commutator-free Magnus pieces.  No scale factor is
+  evaluated.  Entropies come from the symplectic eigenvalues nu_j of
+  the kept block, taken by this module's own ``symplectic_eigenvalues``
+  (the positive spectrum of i sigma^(1/2) J sigma^(1/2), with the square
+  root from ``eigh``; the product path uses a Cholesky factor instead),
+  through a formula of their own:
 
       S_1 = sum_j (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2),
 
@@ -151,7 +151,7 @@ def ground_state_covariance(coupling: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymplecticPropagator:
-    """Exact phase-space flow of a fixed coupling matrix.
+    """Exact phase-space flow of a fixed coupling matrix, or of a stack.
 
     ``matrix(t)`` maps (x, p) at time 0 to time t; zero eigenvalues (free
     modes) are handled through the t * sinc form of sin(w t) / w.
@@ -163,8 +163,8 @@ class SymplecticPropagator:
     @classmethod
     def from_coupling(cls, coupling: np.ndarray) -> "SymplecticPropagator":
         coupling = np.asarray(coupling, dtype=float)
-        lam, vecs = np.linalg.eigh(0.5 * (coupling + coupling.T))
-        scale = max(abs(lam.max()), abs(lam.min()), 1.0)
+        lam, vecs = np.linalg.eigh(0.5 * (coupling + coupling.swapaxes(-1, -2)))
+        scale = np.maximum(np.abs(lam).max(axis=-1, keepdims=True), 1.0)
         lam = np.where(np.abs(lam) < 1e-12 * scale, 0.0, lam)
         if lam.min() < 0:
             raise NumericsError(
@@ -174,135 +174,134 @@ class SymplecticPropagator:
         return cls(vecs=vecs, lam=lam)
 
     def matrix(self, t, sites=None) -> np.ndarray:
-        """Flow to time t: (2n, 2n) for scalar t, (T, 2n, 2n) for T times.
+        """Flow to time t: (2n, 2n) for scalar t, (T, 2n, 2n) for T times,
+        one time each for a stack of couplings.  ``sites`` (0-based, any
+        order) keeps only the position rows, then the momentum rows, of
+        those k sites: (2k, 2n) or (T, 2k, 2n), each row equal to that row
+        of the full flow."""
+        return self._flow(t, sites, np.cos)
 
-        ``sites`` (0-based site indices, any order) keeps only the
-        position rows and then the momentum rows of those k sites, giving
-        (2k, 2n) or (T, 2k, 2n); each row equals that row of the full
-        flow.
-        """
+    def increment(self, t) -> np.ndarray:
+        """``matrix(t)`` minus the identity, cos - 1 taken as -2 sin(w t / 2)**2:
+        nothing is rounded against I, so long products of short flows stay accurate."""
+        return self._flow(t, None, lambda x: -2.0 * np.sin(0.5 * x) ** 2)
+
+    def _flow(self, t, sites, cosine) -> np.ndarray:
         t = np.asarray(t, dtype=float)[..., None]
         root = np.sqrt(self.lam)
         sin_over = t * np.sinc(root * t / np.pi)
         vecs = self.vecs
-        rows = vecs if sites is None else vecs[np.asarray(sites, dtype=int)]
-        k, n = rows.shape
-        flow = np.empty(t.shape[:-1] + (2 * k, 2 * n))
+        cols = vecs.swapaxes(-1, -2)
+        rows = vecs if sites is None else vecs[..., np.asarray(sites, dtype=int), :]
+        k, n = rows.shape[-2:]
+        flow = np.empty(np.broadcast_shapes(t.shape[:-1], vecs.shape[:-2]) + (2 * k, 2 * n))
         cos_block = flow[..., :k, :n]
-        np.matmul(rows * np.cos(root * t)[..., None, :], vecs.T, out=cos_block)
-        np.matmul(rows * sin_over[..., None, :], vecs.T, out=flow[..., :k, n:])
-        np.matmul(rows * (-self.lam * sin_over)[..., None, :], vecs.T, out=flow[..., k:, :n])
+        np.matmul(rows * cosine(root * t)[..., None, :], cols, out=cos_block)
+        np.matmul(rows * sin_over[..., None, :], cols, out=flow[..., :k, n:])
+        np.matmul(rows * (-self.lam * sin_over)[..., None, :], cols, out=flow[..., k:, :n])
         flow[..., k:, n:] = cos_block
         return flow
 
 
-def _coupling_of_time(spec: ChainSpec, schedule: QuenchSchedule):
-    """K(t) for a schedule, interpolating omega**2 and k so that every
-    coupling eigenvalue follows the same profile the per-mode integrator
-    sees."""
-    lap = bond_laplacian(spec.n, spec.boundary)
-    eye = np.eye(spec.n)
-    omega_sq = schedule.omegas**2
-    ks = schedule.ks
+def _linear_pieces(schedule: QuenchSchedule, times: np.ndarray, length: float):
+    """(starts, frozen) of a linear schedule's pieces: each stretch between
+    breakpoints and output times, up to the last breakpoint, is cut into
+    equal pieces of at most ``length``; a piece [t0, t0 + h] becomes two
+    halves frozen at K(t0 + h/6) and K(t0 + 5h/6), both inside it.  For
+    affine K(t) that is the fourth-order commutator-free Magnus rule
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  A last
+    piece holds K from there on."""
     st = schedule.times
-
-    if schedule.interpolation == "previous":
-        def at(t: float) -> np.ndarray:
-            idx = int(np.clip(np.searchsorted(st, t, side="right") - 1, 0, st.size - 1))
-            return omega_sq[idx] * eye + ks[idx] * lap
-    else:
-        def at(t: float) -> np.ndarray:
-            return float(np.interp(t, st, omega_sq)) * eye + float(np.interp(t, st, ks)) * lap
-
-    return at
-
-
-def _flow_derivative(sigma: np.ndarray, coupling: np.ndarray, n: int) -> np.ndarray:
-    half = np.vstack((sigma[n:], -coupling @ sigma[:n]))
-    return half + half.T
+    end = min(st[-1], times[-1])
+    bounds = np.union1d(st[st < end], times[times < end])
+    starts, frozen = [], []
+    for a, b in zip(bounds, np.append(bounds[1:], end)):
+        count = 2 * int(np.ceil((b - a) / length))
+        half = (b - a) / count
+        starts.append(a + half * np.arange(count))
+        frozen.append(starts[-1] + half * np.tile([1 / 3, 2 / 3], count // 2))
+    return np.concatenate(starts + [[end]]), np.concatenate(frozen + [[end]])
 
 
-def integrate_covariance_general(
-    spec: ChainSpec,
-    schedule: QuenchSchedule,
-    times,
-    tolerance: float = 1e-10,
-    max_refinements: int = 12,
-) -> np.ndarray:
-    """Covariance matrices at the requested times for a general protocol.
+def _product(steps: np.ndarray) -> np.ndarray:
+    """D with I + D = (I + steps[-1]) ... (I + steps[0]), taken pairwise."""
+    while len(steps) > 1:
+        even = len(steps) - len(steps) % 2
+        late, early = steps[1:even:2], steps[0:even:2]
+        steps = np.concatenate((late + early + late @ early, steps[even:]))
+    return steps[0]
 
-    Fixed-step RK4 on the full 2N x 2N covariance; steps never straddle a
-    schedule breakpoint.  The step is halved until every snapshot's
-    symplectic spectrum stays within ``tolerance`` of the pure-state value
-    1/2 (the flow is symplectic, so any drift is integrator error).
+
+# Pieces flowed at once.  Flow stacks stay small because perfbench runs this
+# oracle in the process it launches timed runs from, whose pages they count.
+_CHUNK = 64
+
+
+def _kept_blocks(spec: ChainSpec, schedule, pieces, times: np.ndarray, sites, rows: int):
+    """Yield (block, kept-block covariances) for blocks of ``rows`` times.
+
+    Piece j of ``pieces`` = (starts, frozen) holds K(frozen[j]), the
+    schedule's linear interpolation, from starts[j] on.  The covariance is
+    carried exactly from t = 0 to each piece start, and a time t in piece j
+    gives F_k sigma F_k.T, F_k the kept rows of its flow over t - starts[j].
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 0 or np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-negative and sorted")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    n = spec.n
-    sigma0 = ground_state_covariance(build_coupling_matrix(spec, "pre"))
-    coupling_at = _coupling_of_time(spec, schedule)
+    starts, frozen = pieces
+    lap = bond_laplacian(spec.n, spec.boundary)
 
-    t_max = times[-1]
-    interior = schedule.times[(schedule.times > 0.0) & (schedule.times < t_max)]
-    bounds = np.union1d(np.union1d([0.0, t_max], interior), times)
-    want = np.searchsorted(bounds, times)
+    def propagator(j) -> SymplecticPropagator:
+        omega_sq = np.interp(frozen[j], schedule.times, schedule.omegas**2)
+        ks = np.interp(frozen[j], schedule.times, schedule.ks)
+        coupling = np.multiply.outer(omega_sq, np.eye(spec.n)) + np.multiply.outer(ks, lap)
+        return SymplecticPropagator.from_coupling(coupling)
 
-    rows = _block_rows(2 * n)
+    sigma = ground_state_covariance(build_coupling_matrix(spec, "pre"))
+    owner = np.searchsorted(starts, times, side="right") - 1
+    current, flow_of = 0, propagator(0)
+    for first in range(0, times.size, rows):
+        block = slice(first, first + rows)
+        kept = np.empty((owner[block].size, 2 * len(sites), 2 * len(sites)))
+        cuts = [0, *np.flatnonzero(np.diff(owner[block])) + 1, kept.shape[0]]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            j = owner[first + a]
+            if j != current:
+                for chunk in range(current, j, _CHUNK):
+                    span = slice(chunk, min(chunk + _CHUNK, j))
+                    step = propagator(span).increment(np.diff(starts[chunk:span.stop + 1]))
+                    flow = np.eye(2 * spec.n) + _product(step)
+                    sigma = flow @ sigma @ flow.T
+                current, flow_of = j, propagator(j)
+            flow = flow_of.matrix(times[first + a:first + b] - starts[j], sites)
+            kept[a:b] = flow @ sigma @ flow.swapaxes(1, 2)
+        yield block, kept
+
+
+# Linear pieces start _FIRST_PIECE / sqrt(max lam) long and halve at most
+# _MAX_DOUBLINGS times; on the ramp the change falls 16-fold a level.
+_FIRST_PIECE = 1.0
+_MAX_DOUBLINGS = 10
+
+
+def _linear_kept(spec, schedule, times, sites, rows, tolerance) -> np.ndarray:
+    """Kept-block covariances of a linear schedule: pieces double until two
+    levels agree within ``tolerance`` relative to max(1, |sigma|)."""
     lam_scale = max(float((schedule.omegas**2 + 4.0 * schedule.ks).max()), 1e-12)
-    h_target = min(0.02, 0.2 / np.sqrt(lam_scale))
-
-    for level in range(max_refinements + 1):
-        h_cap = h_target / 2**level
-        snapshots = np.empty((bounds.size, 2 * n, 2 * n))
-        snapshots[0] = sigma0
-        sigma = sigma0
-        for seg, (start, end) in enumerate(zip(bounds[:-1], bounds[1:])):
-            span = end - start
-            nsteps = max(1, int(np.ceil(span / h_cap)))
-            h = span / nsteps
-            constant = schedule.interpolation == "previous"
-            if constant:
-                k_mid = coupling_at(0.5 * (start + end))
-            for i in range(nsteps):
-                t0 = start + i * h
-                if constant:
-                    k_a = k_m = k_b = k_mid
-                else:
-                    k_a = coupling_at(t0)
-                    k_m = coupling_at(t0 + 0.5 * h)
-                    k_b = coupling_at(t0 + h)
-                f1 = _flow_derivative(sigma, k_a, n)
-                f2 = _flow_derivative(sigma + 0.5 * h * f1, k_m, n)
-                f3 = _flow_derivative(sigma + 0.5 * h * f2, k_m, n)
-                f4 = _flow_derivative(sigma + h * f3, k_b, n)
-                sigma = sigma + (h / 6.0) * (f1 + 2.0 * (f2 + f3) + f4)
-            sigma = 0.5 * (sigma + sigma.T)
-            snapshots[seg + 1] = sigma
-
-        drift = 0.0
-        for start in range(0, want.size, rows):
-            try:
-                nu = symplectic_eigenvalues(snapshots[want[start:start + rows]])
-            except NumericsError:
-                drift = np.inf
-                break
-            drift = max(drift, float(np.abs(nu - 0.5).max()))
-        if drift < tolerance:
-            return snapshots[want]
+    length = _FIRST_PIECE / np.sqrt(lam_scale)
+    previous = None
+    for level in range(_MAX_DOUBLINGS + 1):
+        pieces = _linear_pieces(schedule, times, length / 2**level)
+        blocks = _kept_blocks(spec, schedule, pieces, times, sites, rows)
+        kept = np.concatenate([k for _, k in blocks])
+        if previous is not None:
+            scale = np.maximum(1.0, np.abs(kept).max(axis=(1, 2)))
+            change = np.abs(kept - previous).max(axis=(1, 2)) / scale
+            if change.max() <= tolerance:
+                return kept
+        previous = kept
+    worst = int(np.argmax(change))
     raise IntegrationError(
-        f"covariance step refinement exhausted ({max_refinements} halvings) "
-        f"without meeting purity tolerance {tolerance:g}",
-        time=float(t_max),
+        f"covariance flow missed tolerance {tolerance:g} after {_MAX_DOUBLINGS} "
+        f"piece doublings: levels differ by {change[worst]:.3e}", time=float(times[worst])
     )
-
-
-def _kept_coordinates(partition: Partition) -> list[int]:
-    """Phase-space indices (positions, then momenta) of the kept sites."""
-    kp = [s - 1 for s in partition.kept]
-    return kp + [s + partition.n for s in kp]
 
 
 def reduce_covariance(sigma: np.ndarray, partition: Partition) -> np.ndarray:
@@ -311,7 +310,8 @@ def reduce_covariance(sigma: np.ndarray, partition: Partition) -> np.ndarray:
     n = sigma.shape[-1] // 2
     if partition.n != n:
         raise ValueError(f"partition covers {partition.n} sites but sigma has {n}")
-    sel = _kept_coordinates(partition)
+    kp = [s - 1 for s in partition.kept]
+    sel = kp + [s + n for s in kp]
     return sigma[..., sel, :][..., sel]
 
 
@@ -348,36 +348,35 @@ def covariance_series(
     """Entropy series computed purely from covariance dynamics.
 
     Same call shape and output type as the scale-factor pipeline, but the
-    dynamics is the symplectic flow of the coupling matrix, so the two
-    results are independent up to shared linear-algebra primitives.  Time
-    points are taken in blocks of ``max(1, 8192 // (2m)**2)`` for m kept
-    sites, the rule of ``entropy_series``, one stacked spectrum call each.
-    For a sudden quench the propagator builds only the 2m kept rows F_k of
-    each flow (``matrix(t, sites)``), and F_k sigma0 F_k.T is the
-    kept-block covariance.
+    dynamics is the symplectic flow of the full coupling matrix K(t), so
+    the two are independent up to shared linear-algebra primitives.  A
+    sudden quench is one piece of constant K and a ``previous`` schedule
+    one per row, both exact; a ``linear`` schedule doubles its Magnus
+    pieces until two levels agree within ``tolerance``, or raises
+    ``IntegrationError``.  Only the 2m kept rows of each output flow are
+    built.  Time points are taken in blocks of ``max(1, 8192 // (2m)**2)``,
+    the rule of ``entropy_series``, one stacked spectrum call each.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)
     if partition.n != spec.n:
         raise ValueError(f"partition covers {partition.n} sites but the chain has {spec.n}")
-
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
     if schedule is None:
-        sigma0 = ground_state_covariance(build_coupling_matrix(spec, "pre"))
-        propagator = SymplecticPropagator.from_coupling(build_coupling_matrix(spec, "post"))
-        sites = [s - 1 for s in partition.kept]
+        schedule = QuenchSchedule([0.0], [spec.omega_f], [spec.k_f], "previous")
+    sites = [s - 1 for s in partition.kept]
+    rows = _block_rows(2 * len(sites))
+    if schedule.interpolation == "previous":
+        pieces = (schedule.times, schedule.times)
+        blocks = _kept_blocks(spec, schedule, pieces, times, sites, rows)
     else:
-        sigmas = integrate_covariance_general(spec, schedule, times, tolerance=tolerance)
+        kept = _linear_kept(spec, schedule, times, sites, rows, tolerance)
+        blocks = ((slice(s, s + rows), kept[s:s + rows]) for s in range(0, times.size, rows))
 
-    xi_out = np.empty((times.size, len(partition.kept)))
+    xi_out = np.empty((times.size, len(sites)))
     ent_out = {a: np.empty(times.size) for a in alphas}
-    rows = _block_rows(2 * len(partition.kept))
-    for start in range(0, times.size, rows):
-        block = slice(start, start + rows)
-        if schedule is None:
-            flow = propagator.matrix(times[block], sites)
-            kept = flow @ sigma0 @ flow.swapaxes(1, 2)
-        else:
-            kept = reduce_covariance(sigmas[block], partition)
+    for block, kept in blocks:
         nu = physical_nu(symplectic_eigenvalues(kept))
         xi_out[block] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
         ents = covariance_entropy(nu, alphas)

@@ -96,9 +96,11 @@ def write_csv(table: ResultTable, path: str) -> None:
 def run_sweep(raw_doc: dict, out_dir: str, threads: int = 1) -> list[str]:
     """Run the cartesian sweep of a document with list-valued model keys.
 
-    One CSV per combination, named by the swept values; combinations run
-    in a worker pool but files are written in sorted-label order, so the
-    output set is deterministic.  ``threads=0`` means one worker per CPU.
+    One CSV per combination, named by the swept values.  With
+    ``threads != 1`` and more than one combination they run in a worker
+    pool (``threads=0`` means one worker per CPU), otherwise one after
+    another; files are written in sorted-label order either way, so the
+    output set is deterministic.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0 (0 = one per CPU), got {threads}")

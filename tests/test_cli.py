@@ -315,6 +315,18 @@ class TestMain:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_non_finite_table_exits_1_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"model": {"n": 4, "omega_i": 3.0, "k_i": 2.0}, "quench": {"kind": "general",'
+            ' "table": [[0, 3.0, 2.0], [10, NaN, 2.2]]}, "time": {"t_max": 20, "dt": 0.5}}'
+        )
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "quench.table[1]: values must be finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         doc = json.loads(json.dumps(STATIC_DOC))
         doc["model"]["typo"] = 1

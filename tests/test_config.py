@@ -200,6 +200,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="must be finite"):
             from_dict(doc)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_non_finite_table_value_rejected(self, literal, column):
+        row = ["10.0", "2.0", "2.2"]
+        row[column] = literal
+        doc = {
+            "model": {"n": 3, "omega_i": 3.0, "k_i": 2.0},
+            "quench": {"kind": "general", "table": json.loads(f"[[0, 3, 2], [{', '.join(row)}]]")},
+        }
+        with pytest.raises(ConfigError, match=r"quench\.table\[1\]: .*must be finite"):
+            from_dict(doc)
+
     def test_bad_choice_lists_options(self):
         doc = minimal_doc()
         doc["model"]["boundary"] = "closed"

@@ -135,6 +135,12 @@ def test_schedule_mode_protocol():
         QuenchSchedule(times=[1.0], omegas=[1.0], ks=[0.0])
     with pytest.raises(ValueError, match="non-negative"):
         QuenchSchedule(times=[0.0], omegas=[-1.0], ks=[0.0])
+    for bad in (np.nan, np.inf):
+        for samples in ([[0.0, bad], [1.0, 1.0], [0.0, 0.0]],
+                        [[0.0, 1.0], [1.0, bad], [0.0, 0.0]],
+                        [[0.0, 1.0], [1.0, 1.0], [bad, 0.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                QuenchSchedule(*samples)
 
 
 def test_integrate_constant_protocol():

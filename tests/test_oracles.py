@@ -5,6 +5,8 @@ The propagator path never touches the scale-factor machinery, so
 agreement between the two pipelines is evidence against shared bugs.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ import entchain.oracles
 from entchain import (
     ChainSpec,
     GridError,
+    IntegrationError,
     NumericsError,
     Partition,
     QuenchSchedule,
@@ -27,13 +30,13 @@ from entchain import (
     solve_sudden,
     symplectic_eigenvalues,
 )
+from entchain.chain import bond_laplacian
 from entchain.gaussian import mode_covariance
 from entchain.oracles import (
     KernelGrid,
     SymplecticPropagator,
     covariance_entropy,
     ground_state_covariance,
-    integrate_covariance_general,
     reduce_covariance,
     symplectic_form,
     two_site_reduced,
@@ -82,6 +85,22 @@ def test_propagator_stack_matches_scalar_calls():
     assert stack.shape == (4, 10, 10)
     for t, flow in zip(times, stack):
         assert np.array_equal(flow, prop.matrix(float(t)))
+
+
+def test_propagator_of_a_coupling_stack():
+    """A stack of couplings flows each over its own time, as one
+    propagator per coupling would, and ``increment`` is the flow minus
+    the identity."""
+    lap = bond_laplacian(4, "open")
+    couplings = [0.09 * np.eye(4) + 2.5 * lap, 4.0 * np.eye(4), 1.7 * lap]
+    times = np.array([0.3, 1e-3, 5.0])
+    stack = SymplecticPropagator.from_coupling(np.stack(couplings))
+    flows = stack.matrix(times)
+    assert flows.shape == (3, 8, 8)
+    for coupling, t, flow, step in zip(couplings, times, flows, stack.increment(times)):
+        single = SymplecticPropagator.from_coupling(coupling).matrix(t)
+        assert np.abs(flow - single).max() < 1e-14
+        assert np.abs(step + np.eye(8) - single).max() < 1e-14
 
 
 @pytest.mark.parametrize("sites", [[2], [6, 0, 3], [1, 4, 5]], ids=str)
@@ -226,11 +245,31 @@ def test_general_integrator_reproduces_sudden():
     )
     times = 0.2 * np.arange(101)
     part = Partition.second_half(4)
-    sudden = covariance_series(spec, part, times, alphas=(1,))
+    sudden = covariance_series(spec, part, times, alphas=(1, 2, 3))
     general = covariance_series(
-        spec, part, times, alphas=(1,), schedule=schedule
+        spec, part, times, alphas=(1, 2, 3), schedule=schedule
     )
-    assert np.abs(sudden.s1 - general.s1).max() < 1e-8
+    assert np.array_equal(sudden.xi, general.xi)
+    for a in (1, 2, 3):
+        assert np.array_equal(sudden.entropies[a], general.entropies[a])
+
+
+def test_constant_linear_table_reproduces_sudden():
+    """The Magnus rule is exact for a constant K, so a linear table with
+    equal rows only adds the roundoff of its many pieces.  (Near the
+    gapless point, omega_f = 0.3, k_f = 2.5, the sudden oracle itself is
+    2.3e-13 from the primary path and the two routes 1.7e-13 apart.)"""
+    spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=1.0, k_f=1.0)
+    schedule = QuenchSchedule(
+        times=[0.0, 30.0], omegas=[1.0, 1.0], ks=[1.0, 1.0], interpolation="linear"
+    )
+    times = 0.5 * np.arange(101)
+    part = Partition.second_half(4)
+    sudden = covariance_series(spec, part, times, alphas=(1, 2))
+    general = covariance_series(spec, part, times, alphas=(1, 2), schedule=schedule)
+    assert np.abs(sudden.xi - general.xi).max() < 1e-13
+    for a in (1, 2):
+        assert np.abs(sudden.entropies[a] - general.entropies[a]).max() < 1e-13
 
 
 def test_general_schedule_cross_validates_primary_path():
@@ -250,38 +289,68 @@ def test_general_schedule_cross_validates_primary_path():
     assert np.abs(primary.s1 - oracle.s1).max() < 1e-8
 
 
-@pytest.mark.parametrize("interpolation, t_max", [("linear", 100.0), ("previous", 40.0)])
-def test_ramp_table_cross_validates_primary_path(interpolation, t_max):
-    """The eight-site ramp table, with Taylor-piece (linear) or cos/sin
-    (previous) segment propagators, against the tightly integrated
-    covariance flow.  The previous-hold window stops 10 past the last breakpoint: over
-    t <= 100 the flow takes about 20 s there."""
+@pytest.mark.parametrize("interpolation", ["linear", "previous"])
+def test_ramp_table_cross_validates_primary_path(interpolation):
+    """The eight-site ramp table to t = 100, with Taylor-piece (linear) or
+    cos/sin (previous) segment propagators, against the covariance flow at
+    its default tolerance: Magnus pieces (linear) or exact per-row flows
+    (previous)."""
     table = [[0.0, 3.0, 2.0], [10.0, 2.0, 2.2], [20.0, 1.0, 2.4], [30.0, 0.3, 2.5]]
     spec = ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
     schedule = QuenchSchedule(*np.transpose(table), interpolation=interpolation)
-    times = np.linspace(0.0, t_max, 51)
+    times = np.linspace(0.0, 100.0, 51)
     part = Partition.second_half(8)
     primary = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
-    oracle = covariance_series(
-        spec, part, times, alphas=(1, 2), schedule=schedule, tolerance=1e-12
-    )
+    oracle = covariance_series(spec, part, times, alphas=(1, 2), schedule=schedule)
     for a in (1, 2):
-        assert np.abs(primary.entropies[a] - oracle.entropies[a]).max() < 1e-8
+        assert np.abs(primary.entropies[a] - oracle.entropies[a]).max() < 1e-9
     modes = quench_modes(spec)
     for mu, lam0 in zip(modes.mu, modes.lam_pre):
         phis = integrate_general(schedule.mode_protocol(mu, lam0)).phis
         assert np.abs(np.linalg.det(phis) - 1.0).max() <= 1e-12
 
 
-def test_integrate_covariance_validation():
+def test_linear_flow_meets_tight_tolerance():
+    """Products of many short flows are taken as increments from the
+    identity; rounding each flow against I instead leaves the levels
+    4e-11 apart on this ramp, and 1e-12 is never met."""
+    table = [[0.0, 3.0, 2.0], [10.0, 2.0, 2.2], [20.0, 1.0, 2.4], [30.0, 0.3, 2.5]]
+    spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+    schedule = QuenchSchedule(*np.transpose(table), interpolation="linear")
+    times = np.linspace(0.0, 100.0, 51)
+    part = Partition.second_half(4)
+    primary = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
+    oracle = covariance_series(
+        spec, part, times, alphas=(1, 2), schedule=schedule, tolerance=1e-12
+    )
+    for a in (1, 2):
+        assert np.abs(primary.entropies[a] - oracle.entropies[a]).max() < 1e-11
+
+
+def test_covariance_series_validation():
     spec = ChainSpec(n=2, omega_i=1.0, k_i=1.0, omega_f=1.0, k_f=1.0)
     schedule = QuenchSchedule(times=[0.0], omegas=[1.0], ks=[1.0])
-    with pytest.raises(ValueError, match="sorted"):
-        integrate_covariance_general(spec, schedule, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError, match="tolerance"):
-        integrate_covariance_general(
-            spec, schedule, np.array([0.0, 1.0]), tolerance=0.0
+    part = Partition.second_half(2)
+    with pytest.raises(ValueError, match="increasing"):
+        covariance_series(spec, part, np.array([1.0, 0.5]), schedule=schedule)
+    for bad in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="tolerance"):
+            covariance_series(spec, part, np.array([0.0, 1.0]), schedule=schedule, tolerance=bad)
+
+
+def test_unreachable_tolerance_raises_integration_error():
+    spec = ChainSpec(n=2, omega_i=1.0, k_i=1.0, omega_f=0.5, k_f=1.5)
+    schedule = QuenchSchedule(
+        times=[0.0, 2.0], omegas=[1.0, 0.5], ks=[1.0, 1.5], interpolation="linear"
+    )
+    start = time.process_time()
+    with pytest.raises(IntegrationError, match="tolerance 1e-300") as err:
+        covariance_series(
+            spec, Partition.second_half(2), np.linspace(0.0, 4.0, 5),
+            schedule=schedule, tolerance=1e-300,
         )
+    assert time.process_time() - start < 1.0
+    assert err.value.time is not None and 0.0 <= err.value.time <= 4.0
 
 
 def test_covariance_entropy_values():
