@@ -20,7 +20,7 @@ from .config import from_dict
 from .errors import ConfigError, EntchainError
 from .run import (
     FIGURE_NAMES,
-    format_csv,
+    csv_chunks,
     make_figure,
     run,
     run_sweep,
@@ -44,7 +44,7 @@ def _load_document(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be an object")
@@ -76,7 +76,7 @@ def _cmd_simulate(args) -> int:
         write_csv(table, target)
         print(f"wrote {target}")
     else:
-        sys.stdout.write(format_csv(table))
+        sys.stdout.writelines(csv_chunks(table))
     return 0
 
 

@@ -76,6 +76,15 @@ def _reject_unknown(block: dict, allowed, path: str) -> None:
             raise _fail(f"{path}.{key}", "unknown key")
 
 
+def _float(value, path: str) -> float:
+    """A JSON number as a float; an integer beyond the float range is a
+    ``ConfigError``, not an ``OverflowError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise _fail(path, "integer is too large for a float") from None
+
+
 def _number(block: dict, key: str, path: str, *, default=None, minimum=None,
             exclusive=False) -> float:
     if key not in block:
@@ -85,7 +94,7 @@ def _number(block: dict, key: str, path: str, *, default=None, minimum=None,
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(f"{path}.{key}", f"expected a number, got {value!r}")
-    value = float(value)
+    value = _float(value, f"{path}.{key}")
     if not np.isfinite(value):
         raise _fail(f"{path}.{key}", "must be finite")
     if minimum is not None:
@@ -170,7 +179,7 @@ def _parse_model(raw: dict):
             if (not isinstance(row, list) or len(row) != 3
                     or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)):
                 raise _fail(f"quench.table[{i}]", "expected a [t, omega, k] number triple")
-            values = [float(v) for v in row]
+            values = [_float(v, f"quench.table[{i}]") for v in row]
             if not np.all(np.isfinite(values)):
                 raise _fail(f"quench.table[{i}]", f"values must be finite, got {row}")
             rows.append(values)
@@ -312,7 +321,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"invalid JSON: {exc}") from exc
     return from_dict(raw)
 

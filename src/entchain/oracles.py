@@ -203,12 +203,14 @@ class SymplecticPropagator:
         return flow
 
 
-def _linear_pieces(schedule: QuenchSchedule, times: np.ndarray, length: float):
+def _linear_pieces(schedule: QuenchSchedule, times: np.ndarray, length: float, level: int):
     """(starts, frozen) of a linear schedule's pieces: each stretch between
     breakpoints and output times, up to the last breakpoint, is cut into
-    equal pieces of at most ``length``; a piece [t0, t0 + h] becomes two
-    halves frozen at K(t0 + h/6) and K(t0 + 5h/6), both inside it.  For
-    affine K(t) that is the fourth-order commutator-free Magnus rule
+    ``ceil(stretch / length) * 2**level`` equal pieces, so every stretch
+    doubles its pieces from one level to the next however short it is; a
+    piece [t0, t0 + h] becomes two halves frozen at K(t0 + h/6) and
+    K(t0 + 5h/6), both inside it.  For affine K(t) that is the
+    fourth-order commutator-free Magnus rule
     (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  A last
     piece holds K from there on."""
     st = schedule.times
@@ -216,7 +218,7 @@ def _linear_pieces(schedule: QuenchSchedule, times: np.ndarray, length: float):
     bounds = np.union1d(st[st < end], times[times < end])
     starts, frozen = [], []
     for a, b in zip(bounds, np.append(bounds[1:], end)):
-        count = 2 * int(np.ceil((b - a) / length))
+        count = 2 * int(np.ceil((b - a) / length)) * 2**level
         half = (b - a) / count
         starts.append(a + half * np.arange(count))
         frozen.append(starts[-1] + half * np.tile([1 / 3, 2 / 3], count // 2))
@@ -283,14 +285,18 @@ _MAX_DOUBLINGS = 10
 
 def _linear_kept(spec, schedule, times, sites, rows, tolerance) -> np.ndarray:
     """Kept-block covariances of a linear schedule: pieces double until two
-    levels agree within ``tolerance`` relative to max(1, |sigma|)."""
+    levels agree within ``tolerance`` relative to max(1, |sigma|).  With no
+    stretch to cut (every output time at or past the last breakpoint, or
+    t = 0 alone) the one piece is exact and level 0 is the answer."""
     lam_scale = max(float((schedule.omegas**2 + 4.0 * schedule.ks).max()), 1e-12)
     length = _FIRST_PIECE / np.sqrt(lam_scale)
     previous = None
     for level in range(_MAX_DOUBLINGS + 1):
-        pieces = _linear_pieces(schedule, times, length / 2**level)
+        pieces = _linear_pieces(schedule, times, length, level)
         blocks = _kept_blocks(spec, schedule, pieces, times, sites, rows)
-        kept = np.concatenate([k for _, k in blocks])
+        kept = np.concatenate([stack for _, stack in blocks])
+        if pieces[0].size == 1:
+            return kept
         if previous is not None:
             scale = np.maximum(1.0, np.abs(kept).max(axis=(1, 2)))
             change = np.abs(kept - previous).max(axis=(1, 2)) / scale
@@ -376,8 +382,8 @@ def covariance_series(
 
     xi_out = np.empty((times.size, len(sites)))
     ent_out = {a: np.empty(times.size) for a in alphas}
-    for block, kept in blocks:
-        nu = physical_nu(symplectic_eigenvalues(kept))
+    for block, stack in blocks:
+        nu = physical_nu(symplectic_eigenvalues(stack))
         xi_out[block] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
         ents = covariance_entropy(nu, alphas)
         for a in alphas:

@@ -68,29 +68,56 @@ def run(config: RunConfig) -> ResultTable:
     )
 
 
-def format_csv(table: ResultTable) -> str:
-    """Render a result table; fixed column order, ``\\n`` endings."""
+# Rows formatted into one piece of CSV text (see csv_chunks).
+_CSV_ROWS = 1024
+
+
+def csv_chunks(table: ResultTable):
+    """Yield a result table's CSV text in pieces: the two header lines,
+    then rows ``_CSV_ROWS`` at a time, so a writer holds one piece of text
+    at a time.  Fixed column order, ``\\n`` endings."""
     m = table.xi.shape[1]
     header = ",".join(
         ["t"]
         + [f"xi_{j}" for j in range(1, m + 1)]
         + [f"S_{a}" for a in table.alphas]
     )
-    lines = [f"# config: {table.echo_line}", header]
+    yield f"# config: {table.echo_line}\n{header}\n"
     columns = [table.times] + [table.xi[:, j] for j in range(m)] + [
         table.entropies[a] for a in table.alphas
     ]
-    row = ",".join([f"%.{table.precision}g"] * len(columns))
-    lines.extend(row % r for r in zip(*columns))
-    return "\n".join(lines) + "\n"
+    row = ",".join([f"%.{table.precision}g"] * len(columns)) + "\n"
+    for first in range(0, table.times.size, _CSV_ROWS):
+        values = [c[first:first + _CSV_ROWS].tolist() for c in columns]
+        yield "".join([row % r for r in zip(*values)])
 
 
-def write_csv(table: ResultTable, path: str) -> None:
+def format_csv(table: ResultTable) -> str:
+    """Render a result table as one string (the pieces of ``csv_chunks``)."""
+    return "".join(csv_chunks(table))
+
+
+def _write_atomic(path: str, pieces) -> None:
+    """Write text pieces to a temporary file in the directory of ``path``
+    and rename it over ``path`` once the last piece is written: a failure
+    part-way leaves no partial file, and any earlier file as it was."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        handle.write(format_csv(table))
+    temporary = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", newline="") as handle:
+            handle.writelines(pieces)
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+        raise
+
+
+def write_csv(table: ResultTable, path: str) -> None:
+    """Write a result table's CSV to ``path`` piece by piece, atomically."""
+    _write_atomic(path, csv_chunks(table))
 
 
 def run_sweep(raw_doc: dict, out_dir: str, threads: int = 1) -> list[str]:
@@ -233,8 +260,7 @@ def make_figure(name: str, out_dir: str) -> list[str]:
         files.append(fname)
         labels.append(label)
     script_path = os.path.join(out_dir, f"{name}_plot.py")
-    with open(script_path, "w", newline="") as handle:
-        handle.write(_plot_script(name, files, labels))
+    _write_atomic(script_path, [_plot_script(name, files, labels)])
     paths.append(script_path)
     return paths
 

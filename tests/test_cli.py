@@ -1,5 +1,6 @@
 """Run execution, CSV output, figure pipelines, and the command line."""
 
+import importlib
 import json
 import os
 import re
@@ -53,6 +54,20 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _cli_env() -> dict:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_cli(args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "entchain.cli", *args],
+        capture_output=True, text=True, env=_cli_env(),
+    )
 
 
 class TestRun:
@@ -146,6 +161,38 @@ class TestWriteCsv:
         target = tmp_path / "nested" / "deeper" / "out.csv"
         write_csv(table, str(target))
         assert target.read_text() == format_csv(table)
+
+    def test_failure_mid_write_keeps_old_file(self, tmp_path, monkeypatch):
+        # the package binds the function run under the module's name
+        run_module = importlib.import_module("entchain.run")
+        doc = json.loads(json.dumps(QUENCH_DOC))
+        doc["time"] = {"t_max": 300.0, "dt": 0.1}  # 3001 rows, three row chunks
+        table = run(from_dict(doc))
+        chunks = run_module.csv_chunks
+
+        def failing_chunks(table):
+            pieces = chunks(table)
+            yield next(pieces)  # header lines
+            yield next(pieces)  # first chunk of rows
+            raise OSError("disk full")
+
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        monkeypatch.setattr(run_module, "csv_chunks", failing_chunks)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(table, str(target))
+        assert target.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_rows_come_in_chunks(self):
+        # the package binds the function run under the module's name
+        run_module = importlib.import_module("entchain.run")
+        doc = json.loads(json.dumps(QUENCH_DOC))
+        doc["time"] = {"t_max": 300.0, "dt": 0.1}
+        table = run(from_dict(doc))
+        pieces = list(run_module.csv_chunks(table))
+        assert [p.count("\n") for p in pieces] == [2, 1024, 1024, 953]
+        assert "".join(pieces) == format_csv(table)
 
 
 class TestSweep:
@@ -381,19 +428,77 @@ class TestMain:
             "time": {"t_max": 1e200, "dt": 1e199},
         }
         config_path = write_config(tmp_path, doc)
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "entchain.cli", "simulate", "--config", config_path],
-            capture_output=True, text=True, env=env,
-        )
+        proc = _run_cli(["simulate", "--config", config_path])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         # the gapless mode's b**2 = 1 + 9 t**2 first overflows at t = 1e199
         assert "t = 1e+199" in proc.stderr
+
+    def test_numerics_failure_creates_no_file(self, tmp_path):
+        # the t_max = 1e200 run fails in the scale factors, before any output
+        doc = {
+            "model": {"n": 4, "omega_i": 3, "k_i": 2, "omega_f": 0, "k_f": 2.5},
+            "time": {"t_max": 1e200, "dt": 1e199},
+        }
+        config_path = write_config(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        proc = _run_cli(["simulate", "--config", config_path,
+                         "--output", str(out_dir / "result.csv")])
+        assert proc.returncode == 2
+        assert "t = 1e+199" in proc.stderr
+        assert os.listdir(out_dir) == []
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_peak_memory_per_row_is_the_output_columns(self, tmp_path):
+        """Only t, xi and S span the whole grid: an n = 4 ring (two kept
+        sites, 32 bytes of output per row) peaks at most 64 bytes per row
+        higher at 100,001 rows than at 20,001."""
+        doc = {
+            "model": {"n": 4, "omega_i": 3.0, "k_i": 2.0, "omega_f": 0.01, "k_f": 2.5},
+            "time": {"dt": 0.01},
+        }
+        config_path = write_config(tmp_path, doc)
+        env = _cli_env()
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        peaks = {}
+        for t_max, rows in ((200, 20_001), (1000, 100_001)):
+            out = tmp_path / f"rows{rows}.csv"
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "entchain.cli", "simulate", "--config", config_path,
+                 "--t-max", str(t_max), "--output", str(out)],
+                env=env, stdout=subprocess.DEVNULL,
+            )
+            _, status, usage = os.wait4(proc.pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert out.read_text().count("\n") == 2 + rows
+            peaks[rows] = usage.ru_maxrss * 1024  # kilobytes on Linux
+        growth = (peaks[100_001] - peaks[20_001]) / 80_000
+        assert growth <= 64, f"{growth:.0f} bytes per row"
+
+    def test_huge_json_integers_are_config_errors(self, tmp_path, capsys):
+        huge = 10**400
+        docs = [
+            json.loads(json.dumps(QUENCH_DOC)),
+            {
+                "model": {"n": 4, "omega_i": 3.0, "k_i": 2.0},
+                "quench": {"kind": "general", "table": [[0, 3, 2], [1, huge, 2]]},
+            },
+        ]
+        docs[0]["model"]["omega_f"] = huge
+        for doc, where in zip(docs, ("model.omega_f", "quench.table[1]")):
+            config_path = write_config(tmp_path, doc)
+            assert main(["simulate", "--config", config_path]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {where}: integer is too large for a float\n"
+            )
+        # past Python's 4300-digit limit the JSON parser itself refuses
+        config_path = tmp_path / "digits.json"
+        config_path.write_text('{"model": {"n": ' + "1" * 5000 + "}}")
+        assert main(["simulate", "--config", str(config_path)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_figure_command_dispatch(self, capsys, monkeypatch):
         import entchain.cli as cli_module
@@ -449,11 +554,9 @@ class TestMain:
             f" '--output', {str(tmp_path / 'out.csv')!r}])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(),
+            check=True,
         )
         assert proc.stdout.strip().splitlines()[-1] == "[]"
         assert (tmp_path / "out.csv").read_text().count("\n") == 2 + 11
@@ -465,11 +568,9 @@ class TestMain:
             "import sys, entchain.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
         )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(),
+            check=True,
         )
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 

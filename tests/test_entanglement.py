@@ -20,6 +20,8 @@ from entchain import (
     symplectic_eigenvalues,
     von_neumann_entropy,
 )
+from entchain.entanglement import _block_rows, _chunk_rows
+from entchain.ermakov import QuenchSchedule
 from entchain.oracles import (
     GaussianState,
     ReducedState,
@@ -35,6 +37,7 @@ from entchain.oracles import (
     xi_spectrum,
 )
 
+RAMP_TABLE = [[0.0, 3.0, 2.0], [10.0, 2.0, 2.2], [20.0, 1.0, 2.4], [30.0, 0.3, 2.5]]
 XI_STATIC = 2.0 / (7.0 + 3.0 * np.sqrt(5.0))  # 0.14589803375031546
 
 
@@ -354,6 +357,32 @@ class TestEntropySeries:
             assert np.array_equal(whole.xi[i:i + 1], point.xi)
             assert whole.s1[i] == point.s1[0]
             assert whole.entropies[2][i] == point.entropies[2][0]
+
+    @pytest.mark.parametrize(
+        "n, schedule",
+        [
+            (8, QuenchSchedule(*np.transpose(RAMP_TABLE), interpolation="linear")),
+            (6, None),
+        ],
+        ids=["ramp-table", "sudden-ring"],
+    )
+    def test_chunk_edges_match_slices(self, n, schedule):
+        # the grid spans four evaluation chunks; the slices start and end
+        # between chunk edges and between block edges
+        spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+        part = Partition.second_half(n)
+        chunk = _chunk_rows(_block_rows(2 * len(part.kept)))
+        times = 0.01 * np.arange(3 * chunk + 200)
+        cuts = [0, chunk - 37, chunk + 1, chunk + 2, 2 * chunk + 301, times.size]
+        whole = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
+        pieces = [
+            entropy_series(spec, part, times[a:b], alphas=(1, 2), schedule=schedule)
+            for a, b in zip(cuts[:-1], cuts[1:])
+        ]
+        assert np.array_equal(whole.xi, np.concatenate([p.xi for p in pieces]))
+        for a in (1, 2):
+            joined = np.concatenate([p.entropies[a] for p in pieces])
+            assert np.array_equal(whole.entropies[a], joined)
 
     @pytest.mark.parametrize(
         "spec, traced, times, xi_window",

@@ -239,19 +239,22 @@ def test_spectrum_routes_reject_bad_covariances(spectrum):
 
 
 def test_general_integrator_reproduces_sudden():
+    # a one-row table has no linear stretch to cut: both rules give the
+    # sudden quench's one exact piece
     spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
-    schedule = QuenchSchedule(
-        times=[0.0], omegas=[0.3], ks=[2.5], interpolation="previous"
-    )
     times = 0.2 * np.arange(101)
     part = Partition.second_half(4)
     sudden = covariance_series(spec, part, times, alphas=(1, 2, 3))
-    general = covariance_series(
-        spec, part, times, alphas=(1, 2, 3), schedule=schedule
-    )
-    assert np.array_equal(sudden.xi, general.xi)
-    for a in (1, 2, 3):
-        assert np.array_equal(sudden.entropies[a], general.entropies[a])
+    for interpolation in ("previous", "linear"):
+        schedule = QuenchSchedule(
+            times=[0.0], omegas=[0.3], ks=[2.5], interpolation=interpolation
+        )
+        general = covariance_series(
+            spec, part, times, alphas=(1, 2, 3), schedule=schedule
+        )
+        assert np.array_equal(sudden.xi, general.xi)
+        for a in (1, 2, 3):
+            assert np.array_equal(sudden.entropies[a], general.entropies[a])
 
 
 def test_constant_linear_table_reproduces_sudden():
@@ -291,19 +294,21 @@ def test_general_schedule_cross_validates_primary_path():
 
 @pytest.mark.parametrize("interpolation", ["linear", "previous"])
 def test_ramp_table_cross_validates_primary_path(interpolation):
-    """The eight-site ramp table to t = 100, with Taylor-piece (linear) or
-    cos/sin (previous) segment propagators, against the covariance flow at
-    its default tolerance: Magnus pieces (linear) or exact per-row flows
-    (previous)."""
+    """The eight-site ramp table, with Taylor-piece (linear) or cos/sin
+    (previous) segment propagators, against the covariance flow at its
+    default tolerance: Magnus pieces (linear) or exact per-row flows
+    (previous).  The sparse grid reaches t = 100; the dense one spans four
+    128-row blocks with a step of 0.1, below the first Magnus piece
+    (0.24), so every stretch between output times must still be refined."""
     table = [[0.0, 3.0, 2.0], [10.0, 2.0, 2.2], [20.0, 1.0, 2.4], [30.0, 0.3, 2.5]]
     spec = ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
     schedule = QuenchSchedule(*np.transpose(table), interpolation=interpolation)
-    times = np.linspace(0.0, 100.0, 51)
     part = Partition.second_half(8)
-    primary = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
-    oracle = covariance_series(spec, part, times, alphas=(1, 2), schedule=schedule)
-    for a in (1, 2):
-        assert np.abs(primary.entropies[a] - oracle.entropies[a]).max() < 1e-9
+    for times in (np.linspace(0.0, 100.0, 51), np.linspace(0.0, 40.0, 401)):
+        primary = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
+        oracle = covariance_series(spec, part, times, alphas=(1, 2), schedule=schedule)
+        for a in (1, 2):
+            assert np.abs(primary.entropies[a] - oracle.entropies[a]).max() < 1e-9
     modes = quench_modes(spec)
     for mu, lam0 in zip(modes.mu, modes.lam_pre):
         phis = integrate_general(schedule.mode_protocol(mu, lam0)).phis
