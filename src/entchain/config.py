@@ -30,6 +30,11 @@ DEFAULT_T_MAX = 100.0
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_PRECISION = 12
 
+# Caps that keep a valid document runnable: at MAX_SITES the n x n mode
+# basis alone is 134 MB, and MAX_TIME_POINTS rows of t alone are 80 MB.
+MAX_SITES = 4096
+MAX_TIME_POINTS = 10_000_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -52,11 +57,15 @@ class RunConfig:
         return time_grid(self.t_max, self.dt)
 
 
+def _grid_points(t_max: float, dt: float) -> float:
+    """floor(t_max/dt) + 1 as a float, infinite when t_max/dt overflows; the
+    small slack absorbs roundoff in t_max/dt for non-representable steps."""
+    return float(np.floor(t_max / dt + 1e-9)) + 1.0
+
+
 def time_grid(t_max: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, ..., with floor(t_max/dt) + 1 points; the small
-    slack absorbs roundoff in t_max/dt for non-representable steps."""
-    count = int(np.floor(t_max / dt + 1e-9)) + 1
-    return dt * np.arange(count)
+    """Uniform grid 0, dt, ..., with floor(t_max/dt) + 1 points."""
+    return dt * np.arange(int(_grid_points(t_max, dt)))
 
 
 def _fail(path: str, message: str) -> ConfigError:
@@ -105,7 +114,8 @@ def _number(block: dict, key: str, path: str, *, default=None, minimum=None,
     return value
 
 
-def _integer(block: dict, key: str, path: str, *, default=None, minimum=None) -> int:
+def _integer(block: dict, key: str, path: str, *, default=None, minimum=None,
+             maximum=None) -> int:
     if key not in block:
         if default is None:
             raise _fail(f"{path}.{key}", "required key is missing")
@@ -115,6 +125,8 @@ def _integer(block: dict, key: str, path: str, *, default=None, minimum=None) ->
         raise _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise _fail(f"{path}.{key}", f"must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise _fail(f"{path}.{key}", f"must be at most {maximum}, got {value}")
     return value
 
 
@@ -165,7 +177,7 @@ def _parse_model(raw: dict):
             "post-quench values come from the quench.table when quench.kind = general",
         )
     _reject_unknown(model, allowed, "model")
-    n = _integer(model, "n", "model", minimum=2)
+    n = _integer(model, "n", "model", minimum=2, maximum=MAX_SITES)
     boundary = _choice(model, "boundary", "model", {"periodic", "open"}, default="periodic")
     omega_i = _number(model, "omega_i", "model", minimum=0.0, exclusive=True)
     k_i = _number(model, "k_i", "model", minimum=0.0)
@@ -243,6 +255,12 @@ def from_dict(raw: dict) -> RunConfig:
                     exclusive=True)
     if t_max < dt:
         raise _fail("time.t_max", f"must be at least dt = {dt:g}, got {t_max:g}")
+    points = _grid_points(t_max, dt)
+    if points > MAX_TIME_POINTS:
+        raise _fail(
+            "time.t_max",
+            f"t_max / dt gives {points:.0f} grid points, more than {MAX_TIME_POINTS}",
+        )
 
     entropy = _as_block(raw, "entropy")
     _reject_unknown(entropy, {"alphas"}, "entropy")
@@ -251,6 +269,8 @@ def from_dict(raw: dict) -> RunConfig:
         isinstance(a, bool) or not isinstance(a, int) or a < 1 for a in alphas_raw
     ):
         raise _fail("entropy.alphas", "expected a non-empty list of integers >= 1")
+    for alpha in alphas_raw:
+        _float(alpha, "entropy.alphas")
     alphas = tuple(sorted(set(alphas_raw)))
 
     output = _as_block(raw, "output")
@@ -258,9 +278,8 @@ def from_dict(raw: dict) -> RunConfig:
     path = output.get("path")
     if path is not None and not isinstance(path, str):
         raise _fail("output.path", f"expected a string, got {path!r}")
-    precision = _integer(output, "precision", "output", default=DEFAULT_PRECISION, minimum=1)
-    if precision > 17:
-        raise _fail("output.precision", f"must be at most 17, got {precision}")
+    precision = _integer(output, "precision", "output", default=DEFAULT_PRECISION, minimum=1,
+                         maximum=17)
 
     if bh is not None:
         model_echo = {

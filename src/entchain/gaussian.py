@@ -20,8 +20,9 @@ antisymmetric matrix L^T J L is similar to J sigma, so the nu_j are the
 positive eigenvalues of the Hermitian matrix i L^T J L (Williamson,
 Am. J. Math. 58, 141 (1936)).  That is one Cholesky factorization and one
 Hermitian eigensolve per matrix, with no matrix square root and no
-squared spectrum.  ``entchain.oracles`` keeps its own eigh-root route as
-the reference.
+squared spectrum.  ``entchain.oracles`` keeps its own route as the
+reference: the same Williamson form, with the factor of sigma taken from
+``eigh`` instead of Cholesky.
 """
 
 from __future__ import annotations

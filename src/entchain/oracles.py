@@ -11,9 +11,9 @@ No product run (``simulate``, ``sweep``, ``figure``) calls this module;
   into fourth-order commutator-free Magnus pieces.  No scale factor is
   evaluated.  Entropies come from the symplectic eigenvalues nu_j of
   the kept block, taken by this module's own ``symplectic_eigenvalues``
-  (the positive spectrum of i sigma^(1/2) J sigma^(1/2), with the square
-  root from ``eigh``; the product path uses a Cholesky factor instead),
-  through a formula of their own:
+  (the positive spectrum of i F^T J F for the eigen-factor
+  F = V diag(sqrt(w)) of sigma's ``eigh``; the product path uses a
+  Cholesky factor instead), through a formula of their own:
 
       S_1 = sum_j (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2),
 
@@ -92,20 +92,16 @@ from .errors import GridError, IntegrationError, NumericsError
 from .gaussian import physical_nu
 
 
-def symplectic_form(n: int) -> np.ndarray:
-    """Block form J = [[0, I], [-I, 0]] matching the (x..., p...) ordering."""
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    return j
-
-
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, ascending (reference).
 
-    Computed as the positive spectrum of the Hermitian matrix
-    i sigma^(1/2) J sigma^(1/2), which is similar to i J sigma but keeps
-    the eigenproblem symmetric.  A pure state gives all values 1/2.
+    Takes sigma = V diag(w) V^T from ``eigh`` and the eigen-factor
+    F = V diag(sqrt(w)), so sigma = F F^T.  The real antisymmetric matrix
+    F^T J F = D (Vx^T Vp - Vp^T Vx) D, with D = diag(sqrt(w)) and Vx, Vp
+    the position and momentum rows of V, is orthogonally similar to
+    sigma^(1/2) J sigma^(1/2) and so to J sigma: the nu_j are the positive
+    eigenvalues of the Hermitian matrix i F^T J F.  A pure state gives all
+    values 1/2.  The product path factors sigma by Cholesky instead.
 
     ``sigma`` may be one (2m, 2m) matrix or a stack (..., 2m, 2m); the
     result has shape (..., m), and each matrix of a stack gets the same
@@ -123,10 +119,9 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
         raise NumericsError(
             f"covariance matrix must be positive-definite, got eigenvalue {w.min():.3e}"
         )
-    root = vecs @ (np.sqrt(w)[..., :, None] * vecs.swapaxes(-1, -2))
-    herm = 1j * (root @ symplectic_form(n) @ root)
-    vals = np.linalg.eigvalsh(0.5 * (herm + herm.conj().swapaxes(-1, -2)))
-    return vals[..., n:]
+    factor = vecs * np.sqrt(w)[..., None, :]
+    g = factor[..., :n, :].swapaxes(-1, -2) @ factor[..., n:, :]
+    return np.linalg.eigvalsh(1j * (g - g.swapaxes(-1, -2)))[..., n:]
 
 
 def ground_state_covariance(coupling: np.ndarray) -> np.ndarray:

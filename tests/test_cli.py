@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -488,7 +489,9 @@ class TestMain:
             },
         ]
         docs[0]["model"]["omega_f"] = huge
-        for doc, where in zip(docs, ("model.omega_f", "quench.table[1]")):
+        docs.append(json.loads(json.dumps(QUENCH_DOC)))
+        docs[2]["entropy"] = {"alphas": [1, huge]}
+        for doc, where in zip(docs, ("model.omega_f", "quench.table[1]", "entropy.alphas")):
             config_path = write_config(tmp_path, doc)
             assert main(["simulate", "--config", config_path]) == 1
             assert capsys.readouterr().err == (
@@ -499,6 +502,26 @@ class TestMain:
         config_path.write_text('{"model": {"n": ' + "1" * 5000 + "}}")
         assert main(["simulate", "--config", str(config_path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block, values, message",
+        [
+            ("model", {"n": 10**30}, "model.n: must be at most 4096"),
+            ("time", {"t_max": 1e300, "dt": 1e-300}, "time.t_max: t_max / dt gives inf "),
+            ("time", {"t_max": 1e12, "dt": 1e-3}, "time.t_max: t_max / dt gives 1000000000000001 "),
+        ],
+        ids=["n", "overflowing-grid", "unallocatable-grid"],
+    )
+    def test_oversized_configs_exit_1_quickly(self, tmp_path, capsys, block, values, message):
+        doc = json.loads(json.dumps(QUENCH_DOC))
+        doc[block].update(values)
+        config_path = write_config(tmp_path, doc)
+        start = time.process_time()
+        assert main(["simulate", "--config", config_path]) == 1
+        assert time.process_time() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
 
     def test_figure_command_dispatch(self, capsys, monkeypatch):
         import entchain.cli as cli_module

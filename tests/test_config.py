@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entchain import ConfigError, RunConfig, __version__, from_dict, parse_config, time_grid
-from entchain.config import canonical_echo, expand_sweep
+from entchain.config import MAX_SITES, MAX_TIME_POINTS, canonical_echo, expand_sweep
 
 
 def minimal_doc():
@@ -246,6 +246,21 @@ class TestValidation:
         doc = minimal_doc()
         doc["output"] = {"precision": 18}
         with pytest.raises(ConfigError, match="at most 17"):
+            from_dict(doc)
+
+    def test_size_caps_are_inclusive(self):
+        doc = minimal_doc()
+        doc["model"]["n"] = MAX_SITES
+        doc["time"] = {"t_max": (MAX_TIME_POINTS - 1) * 0.5, "dt": 0.5}
+        cfg = from_dict(doc)
+        assert cfg.chain.n == MAX_SITES
+        assert cfg.times.size == MAX_TIME_POINTS
+        doc["model"]["n"] = MAX_SITES + 1
+        with pytest.raises(ConfigError, match="model.n: must be at most 4096"):
+            from_dict(doc)
+        doc["model"]["n"] = 4
+        doc["time"]["t_max"] += 0.5
+        with pytest.raises(ConfigError, match="time.t_max: .* more than 10000000"):
             from_dict(doc)
 
     def test_invalid_json_text(self):

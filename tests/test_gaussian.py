@@ -20,9 +20,9 @@ from entchain.oracles import (
     GaussianState,
     assemble_state,
     mode_matrices,
-    symplectic_form,
     to_covariance,
 )
+from support import symplectic_form
 
 SQRT5 = np.sqrt(5.0)
 

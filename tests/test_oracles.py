@@ -7,6 +7,7 @@ agreement between the two pipelines is evidence against shared bugs.
 
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from entchain import (
     build_coupling_matrix,
     covariance_series,
     entropy_series,
+    from_dict,
     integrate_general,
     kernel_spectrum,
     quench_modes,
@@ -38,9 +40,10 @@ from entchain.oracles import (
     covariance_entropy,
     ground_state_covariance,
     reduce_covariance,
-    symplectic_form,
     two_site_reduced,
 )
+from entchain.run import figure_documents
+from support import symplectic_form
 
 XI_STATIC = 2.0 / (7.0 + 3.0 * np.sqrt(5.0))
 
@@ -191,16 +194,109 @@ def test_random_chains_agree_across_paths(data):
     assert np.abs(nu - 0.5).max() < 1e-9
 
 
-def test_spectrum_routes_are_separate_code():
-    """The primary path and the oracle each run their own spectrum code."""
+class _Forbidden(Exception):
+    pass
+
+
+def test_spectrum_routes_are_separate_code(monkeypatch):
+    """The primary path and the oracle each run their own spectrum code:
+    with Cholesky and QR unavailable the oracle still checks a fig2 curve,
+    and the primary path cannot run."""
     assert entchain.entanglement.symplectic_eigenvalues is not entchain.oracles.symplectic_eigenvalues
+    config = from_dict(figure_documents("fig2")[0][1])
+    times = np.linspace(0.0, 100.0, 201)
+    primary = entropy_series(config.chain, config.partition, times, alphas=(1, 2))
+
+    def forbidden(*args, **kwargs):
+        raise _Forbidden
+
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    oracle = covariance_series(config.chain, config.partition, times, alphas=(1, 2))
+    for a in (1, 2):
+        assert np.abs(oracle.entropies[a] - primary.entropies[a]).max() < 1e-8
+    with pytest.raises(_Forbidden):
+        entropy_series(config.chain, config.partition, times)
+
+
+def _mp_symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a double-precision covariance to 50 digits,
+    by a route neither spectrum function takes: A = L^T J L for the
+    50-digit Cholesky factor L, and nu_j from the eigenvalues nu_j**2 of
+    A^T A, each of which appears twice.  Squaring costs nothing at 50
+    digits."""
+    m = sigma.shape[0] // 2
+    with mpmath.workdps(50):
+        low = mpmath.cholesky(mpmath.matrix(sigma.tolist()))
+        a = low.T * mpmath.matrix(symplectic_form(m).tolist()) * low
+        squares = sorted(mpmath.eigsy(a.T * a, eigvals_only=True))
+        return np.array([float(mpmath.sqrt(v)) for v in squares[1::2]])
+
+
+def _random_chain_case(seed: int):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    traced = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False)
+    spec = ChainSpec(
+        n=n, omega_i=float(rng.uniform(0.5, 3.0)), k_i=float(rng.uniform(0.0, 2.5)),
+        omega_f=float(rng.uniform(0.0, 3.0)), k_f=float(rng.uniform(0.0, 2.5)),
+        boundary=("open", "periodic")[seed % 2],
+    )
+    return spec, Partition.from_traced(traced.tolist(), n).kept, [0.0, 0.9, 37.0, 640.0]
+
+
+_GAPLESS_RING = ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.0, k_f=2.5)
+_REFERENCE_CASES = {
+    **{f"random-{seed}": _random_chain_case(seed) for seed in range(4)},
+    "asymmetric": (
+        ChainSpec(n=7, omega_i=1.0, k_i=1.0, omega_f=0.3, k_f=2.0, boundary="open"),
+        Partition.from_traced([1, 2, 5], 7).kept,
+        [0.0, 3.3, 71.0],
+    ),
+    # nu - 1/2 between 1e-16 and 6e-9
+    "near-pure": (
+        ChainSpec(n=4, omega_i=3.0, k_i=1e-3, omega_f=3.0, k_f=2e-3, boundary="open"),
+        (1, 2),
+        [0.0, 0.4, 5.0],
+    ),
+    "gapless-ring-kept-1234": (_GAPLESS_RING, (1, 2, 3, 4), [1e2, 1e3, 1e4]),
+    "gapless-ring-kept-256": (_GAPLESS_RING, (2, 5, 6), [1e2, 1e3, 1e4]),
+}
+
+# |d nu| <= c eps ||sigma||_2.  Over 360 random kept blocks (m up to 11,
+# t up to 1e4) the largest |d nu| / (eps ||sigma||_2) was 3.1 for the
+# Cholesky route and 9.5 for the eigen-factor route.
+_SPECTRUM_C = 16.0
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_spectrum_routes_match_50_digit_reference(case):
+    """Both spectrum routes stay within c eps ||sigma||_2 of a 50-digit
+    spectrum of the same double-precision kept-block covariances."""
+    spec, kept, times = _REFERENCE_CASES[case]
+    modes = quench_modes(spec)
+    pairs = [
+        solve_sudden(li, lf).evaluate(np.array(times))
+        for li, lf in zip(modes.lam_pre, modes.lam_post)
+    ]
+    b, bdot = (np.column_stack(col) for col in zip(*pairs))
+    stack = mode_covariance(modes.u[:, [s - 1 for s in kept]], modes.lam_pre, b, bdot)
+    routes = [
+        entchain.entanglement.symplectic_eigenvalues(stack),
+        entchain.oracles.symplectic_eigenvalues(stack),
+    ]
+    for row, sigma in enumerate(stack):
+        reference = _mp_symplectic_eigenvalues(sigma)
+        bound = _SPECTRUM_C * np.finfo(float).eps * np.linalg.norm(sigma, 2)
+        for nu in routes:
+            assert np.abs(nu[row] - reference).max() <= bound
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_cholesky_route_matches_reference_spectrum(data):
     """The Cholesky-factor spectrum of the primary path against the
-    oracle's eigh-root reference on kept-block covariance stacks of random
+    oracle's eigen-factor reference on kept-block covariance stacks of random
     chains, partitions, quench targets and times."""
     n = data.draw(st.integers(2, 11), label="n")
     boundary = data.draw(st.sampled_from(["open", "periodic"]), label="boundary")
