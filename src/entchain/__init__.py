@@ -15,11 +15,9 @@ from .analysis import (
 from .bosehubbard import BoseHubbardSpec, from_oscillator, mode_frequencies, to_oscillator
 from .chain import (
     ChainSpec,
-    NormalModes,
     QuenchModes,
     bond_laplacian,
     build_coupling_matrix,
-    eigendecompose,
     periodic_eigenvalues,
     quench_modes,
 )
@@ -33,12 +31,10 @@ from .entanglement import (
 )
 from .ermakov import (
     ModeSolution,
-    QuenchProtocol,
     QuenchSchedule,
     integrate_general,
-    ode_residual,
+    mode_checks,
     solve_sudden,
-    sudden_invariant,
 )
 from .errors import (
     ConfigError,
@@ -61,12 +57,10 @@ __all__ = [
     "GridError",
     "IntegrationError",
     "ModeSolution",
-    "NormalModes",
     "NumericsError",
     "Partition",
     "PeriodEstimate",
     "QuenchModes",
-    "QuenchProtocol",
     "QuenchSchedule",
     "ResultTable",
     "RunConfig",
@@ -74,7 +68,6 @@ __all__ = [
     "bond_laplacian",
     "build_coupling_matrix",
     "covariance_series",
-    "eigendecompose",
     "entropy_series",
     "extract_periods",
     "fit_scaling",
@@ -84,8 +77,8 @@ __all__ = [
     "integrate_general",
     "kernel_spectrum",
     "make_figure",
+    "mode_checks",
     "mode_frequencies",
-    "ode_residual",
     "parse_config",
     "periodic_eigenvalues",
     "quench_modes",
@@ -94,7 +87,6 @@ __all__ = [
     "run",
     "run_sweep",
     "solve_sudden",
-    "sudden_invariant",
     "symplectic_eigenvalues",
     "time_grid",
     "to_oscillator",

@@ -65,22 +65,6 @@ class ChainSpec:
 
 
 @dataclass(frozen=True)
-class NormalModes:
-    """Orthogonal mode basis of one coupling matrix.
-
-    ``matrix`` holds the mode vectors as rows, so that
-    ``matrix @ K @ matrix.T`` is diagonal with entries ``lam`` (ascending).
-    """
-
-    matrix: np.ndarray
-    lam: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.lam.shape[0]
-
-
-@dataclass(frozen=True)
 class QuenchModes:
     """Shared normal-mode data for both phases of a quench.
 
@@ -129,22 +113,6 @@ def build_coupling_matrix(spec: ChainSpec, phase: Phase) -> np.ndarray:
     return omega**2 * np.eye(spec.n) + k * bond_laplacian(spec.n, spec.boundary)
 
 
-def eigendecompose(coupling: np.ndarray) -> NormalModes:
-    """Diagonalize a symmetric coupling matrix into :class:`NormalModes`."""
-    coupling = np.asarray(coupling, dtype=float)
-    if coupling.ndim != 2 or coupling.shape[0] != coupling.shape[1]:
-        raise ValueError("coupling matrix must be square")
-    if not np.allclose(coupling, coupling.T, rtol=0, atol=1e-12 * max(1.0, np.abs(coupling).max())):
-        raise ValueError("coupling matrix must be symmetric")
-    try:
-        lam, vecs = np.linalg.eigh(coupling)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"eigendecomposition failed: {exc}") from exc
-    # eigh returns ascending eigenvalues; rows of ``matrix`` are its
-    # columns, stored row-major.
-    return NormalModes(matrix=np.ascontiguousarray(vecs.T), lam=lam)
-
-
 def periodic_eigenvalues(spec: ChainSpec, phase: Phase) -> np.ndarray:
     """Closed-form mode eigenvalues of the periodic chain, in mode order
     j = 1..N: ``omega**2 + 2 k (1 - cos(2 pi j / N))``."""
@@ -158,13 +126,17 @@ def periodic_eigenvalues(spec: ChainSpec, phase: Phase) -> np.ndarray:
 def quench_modes(spec: ChainSpec) -> QuenchModes:
     """Shared mode basis plus eigenvalues for both phases of the quench.
 
-    The basis comes from the bond Laplacian, which both coupling matrices
-    are affine functions of; this keeps degenerate pairs consistently
-    paired across the quench.  Raises if any pre-quench eigenvalue is not
-    positive (no ground state to quench from).
+    The basis rows are the ``eigh`` eigenvectors of the bond Laplacian,
+    which both coupling matrices are affine functions of; this keeps
+    degenerate pairs consistently paired across the quench.  Raises
+    :class:`NumericsError` if ``eigh`` fails, if any pre-quench eigenvalue
+    is not positive, or if the basis fails to decouple either matrix.
     """
-    modes = eigendecompose(bond_laplacian(spec.n, spec.boundary))
-    mu = modes.lam.copy()
+    try:
+        mu, vecs = np.linalg.eigh(bond_laplacian(spec.n, spec.boundary))
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"eigendecomposition failed: {exc}") from exc
+    u = np.ascontiguousarray(vecs.T)
     mu[np.abs(mu) <= _MU_SNAP * max(1.0, np.abs(mu).max())] = 0.0
     lam_pre = spec.omega_i**2 + spec.k_i * mu
     lam_post = spec.omega_f**2 + spec.k_f * mu
@@ -173,9 +145,9 @@ def quench_modes(spec: ChainSpec) -> QuenchModes:
             f"pre-quench spectrum must be positive, got min eigenvalue {lam_pre.min():.3e}"
         )
     for phase, lam in (("pre", lam_pre), ("post", lam_post)):
-        check = modes.matrix @ build_coupling_matrix(spec, phase) @ modes.matrix.T
+        check = u @ build_coupling_matrix(spec, phase) @ u.T
         off = check - np.diag(np.diag(check))
         scale = max(1.0, np.abs(lam).max())
         if np.abs(off).max() > 1e-10 * scale:
             raise NumericsError(f"mode basis failed to decouple the {phase}-quench matrix")
-    return QuenchModes(u=modes.matrix, mu=mu, lam_pre=lam_pre, lam_post=lam_post)
+    return QuenchModes(u=u, mu=mu, lam_pre=lam_pre, lam_post=lam_post)

@@ -64,8 +64,17 @@ def _grid_points(t_max: float, dt: float) -> float:
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, ..., with floor(t_max/dt) + 1 points."""
-    return dt * np.arange(int(_grid_points(t_max, dt)))
+    """Uniform grid 0, dt, ..., with floor(t_max/dt) + 1 points.  Raises
+    ``ValueError`` unless t_max and dt are finite, dt > 0, t_max >= 0 and
+    the grid has at most ``MAX_TIME_POINTS`` points."""
+    if not (np.isfinite(t_max) and np.isfinite(dt) and dt > 0 and t_max >= 0):
+        raise ValueError(
+            f"time grid needs finite dt > 0 and t_max >= 0, got t_max={t_max!r}, dt={dt!r}"
+        )
+    points = _grid_points(t_max, dt)
+    if points > MAX_TIME_POINTS:
+        raise ValueError(f"t_max / dt gives {points:.0f} grid points, more than {MAX_TIME_POINTS}")
+    return dt * np.arange(int(points))
 
 
 def _fail(path: str, message: str) -> ConfigError:

@@ -207,7 +207,8 @@ def entropy_series(
         sols = [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
     else:
         sols = [
-            integrate_general(schedule.mode_protocol(mu, li), tolerance=tolerance)
+            integrate_general(li, schedule.times, schedule.omegas**2 + mu * schedule.ks,
+                              schedule.interpolation, tolerance=tolerance)
             for mu, li in zip(modes.mu, modes.lam_pre)
         ]
 

@@ -46,76 +46,6 @@ Interpolation = Literal["linear", "previous"]
 
 
 @dataclass(frozen=True)
-class QuenchProtocol:
-    """Time profile lam(t) of one mode's eigenvalue, for t >= 0.
-
-    ``lam_initial`` is the eigenvalue just before t = 0; it fixes the
-    initial ground state and the inverse-cube source term.  Sudden
-    protocols jump to ``lam_final`` at t = 0.  General protocols sample
-    lam at ``times`` (strictly increasing, starting at 0) and interpolate
-    piecewise linearly (``"linear"``) or hold the previous sample
-    (``"previous"``); past the last sample the final value is held.
-    """
-
-    kind: Literal["sudden", "general"]
-    lam_initial: float
-    lam_final: float | None = None
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
-    interpolation: Interpolation = "linear"
-
-    @classmethod
-    def sudden(cls, lam_initial: float, lam_final: float) -> "QuenchProtocol":
-        if lam_initial <= 0:
-            raise ValueError("lam_initial must be positive (ground state before the quench)")
-        if lam_final < 0:
-            raise ValueError("lam_final must be non-negative")
-        return cls(kind="sudden", lam_initial=float(lam_initial), lam_final=float(lam_final))
-
-    @classmethod
-    def general(
-        cls,
-        lam_initial: float,
-        times,
-        values,
-        interpolation: Interpolation = "linear",
-    ) -> "QuenchProtocol":
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if lam_initial <= 0:
-            raise ValueError("lam_initial must be positive (ground state before the quench)")
-        if times.ndim != 1 or times.shape != values.shape or times.size == 0:
-            raise ValueError("times and values must be matching 1-d arrays")
-        if times[0] != 0.0:
-            raise ValueError("protocol sample times must start at 0")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("protocol sample times must be strictly increasing")
-        if np.any(values < 0):
-            raise ValueError("protocol lam values must be non-negative")
-        if interpolation not in ("linear", "previous"):
-            raise ValueError(f"unknown interpolation {interpolation!r}")
-        return cls(
-            kind="general",
-            lam_initial=float(lam_initial),
-            times=times,
-            values=values,
-            interpolation=interpolation,
-        )
-
-    def value_at(self, t):
-        """lam(t) for t >= 0 (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "sudden":
-            out = np.full(t.shape, self.lam_final)
-            return out if out.shape else float(out)
-        if self.interpolation == "linear":
-            return np.interp(t, self.times, self.values)
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 1)
-        out = self.values[idx]
-        return out if out.shape else float(out)
-
-
-@dataclass(frozen=True)
 class QuenchSchedule:
     """Chain-parameter protocol (t, omega, k) shared by all modes.
 
@@ -133,28 +63,31 @@ class QuenchSchedule:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
         object.__setattr__(self, "ks", np.asarray(self.ks, dtype=float))
-        if self.times.ndim != 1 or self.times.size == 0:
-            raise ValueError("schedule needs at least one sample time")
-        if not all(np.isfinite(v).all() for v in (self.times, self.omegas, self.ks)):
-            raise ValueError("schedule samples must be finite")
-        if self.times[0] != 0.0:
-            raise ValueError("schedule must start at t = 0")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("schedule times must be strictly increasing")
-        if self.omegas.shape != self.times.shape or self.ks.shape != self.times.shape:
-            raise ValueError("omegas and ks must match the sample times in shape")
-        if np.any(self.omegas < 0) or np.any(self.ks < 0):
-            raise ValueError("schedule omega and k values must be non-negative")
-        if self.interpolation not in ("linear", "previous"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
+        _check_table(self.times, (self.omegas, self.ks), self.interpolation)
 
     @property
     def final_params(self) -> tuple[float, float]:
         return float(self.omegas[-1]), float(self.ks[-1])
 
-    def mode_protocol(self, mu: float, lam_initial: float) -> QuenchProtocol:
-        values = self.omegas**2 + mu * self.ks
-        return QuenchProtocol.general(lam_initial, self.times, values, self.interpolation)
+
+def _check_table(times: np.ndarray, columns, interpolation) -> None:
+    """Rules shared by schedules and per-mode lam tables: 1-d sample times
+    starting at 0 and strictly increasing, value columns of the same shape,
+    every sample finite, values non-negative, a known interpolation."""
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("table needs at least one sample time")
+    if not all(np.isfinite(v).all() for v in (times, *columns)):
+        raise ValueError("samples must be finite")
+    if times[0] != 0.0:
+        raise ValueError("sample times must start at t = 0")
+    if times.size > 1 and not np.all(np.diff(times) > 0):
+        raise ValueError("sample times must be strictly increasing")
+    if any(v.shape != times.shape for v in columns):
+        raise ValueError("values must match the sample times in shape")
+    if any(np.any(v < 0) for v in columns):
+        raise ValueError("values must be non-negative")
+    if interpolation not in ("linear", "previous"):
+        raise ValueError(f"unknown interpolation {interpolation!r}")
 
 
 # Linear segments are cut into equal pieces no longer than
@@ -191,12 +124,6 @@ class ModeSolution:
         if np.ndim(t) == 0:
             return float(b[0]), float(bdot[0])
         return b, bdot
-
-    def second_derivative(self, t):
-        """b''(t) from the fundamental solutions, through
-        (b**2)'' = 2 (u1'**2 + lam(0) u2'**2) - 2 lam(t) b**2."""
-        bdd = self._derivatives(t)[2]
-        return float(bdd[0]) if np.ndim(t) == 0 else bdd
 
     # Past about t = 1e154 (gapless modes) b**2 overflows; the inf and nan
     # that follow are reported once, at the end, with the first such time.
@@ -307,52 +234,44 @@ def solve_sudden(lam_initial: float, lam_final: float) -> ModeSolution:
     )
 
 
-def ode_residual(solution: ModeSolution, times) -> np.ndarray:
-    """|b'' + lam(t) b - lam(0)/b**3| on a grid.
-
-    b'' comes from the fundamental solutions, not from this equation, so
-    by Lagrange's identity the residual is lam(0) |W**2 - 1| / b**3 for
-    the computed Wronskian W.
-    """
-    return mode_checks(solution, times)[0]
-
-
-def sudden_invariant(solution: ModeSolution, times) -> np.ndarray:
-    """b'**2 + lam_f b**2 + lam_i / b**2, conserved (= lam_i + lam_f) for
-    sudden quenches."""
-    return mode_checks(solution, times)[1]
-
-
 def mode_checks(solution: ModeSolution, times) -> tuple[np.ndarray, np.ndarray]:
-    """``ode_residual`` and ``sudden_invariant`` on a grid, from one
-    evaluation of the mode."""
+    """|b'' + lam(t) b - lam(0)/b**3| and b'**2 + lam_f b**2 + lam(0)/b**2
+    on a grid, from one evaluation of the mode.
+
+    b'' comes from the fundamental solutions, not from the equation, so by
+    Lagrange's identity the residual is lam(0) |W**2 - 1| / b**3 for the
+    computed Wronskian W.  A sudden quench to lam_f conserves the second
+    array at lam(0) + lam_f.
+    """
     b, bdot, bdd, lam = solution._derivatives(times)
     w = solution.lam_initial
     return np.abs(bdd + lam * b - w / b**3), bdot**2 + solution.lams[-1] * b**2 + w / b**2
 
 
-def integrate_general(protocol: QuenchProtocol, tolerance: float = 1e-10) -> ModeSolution:
-    """Scale factor for an arbitrary protocol, valid for all t >= 0.
+def integrate_general(lam_initial: float, times, lams, interpolation: Interpolation = "linear",
+                      tolerance: float = 1e-10) -> ModeSolution:
+    """Scale factor, valid for all t >= 0, for lam(t) sampled as ``lams``
+    at ``times`` (from 0, strictly increasing) and interpolated piecewise
+    linearly (``"linear"``) or held from the previous sample
+    (``"previous"``), the final value past the last sample.  The mode
+    starts in the ground state of ``lam_initial``.
 
-    The fundamental matrix is carried across each protocol segment by the
+    The fundamental matrix is carried across each table segment by the
     segment's exact propagator; linear segments are first cut into equal
     Taylor pieces, which become breakpoints of the solution.  If its
     determinant, the Wronskian, drifts from 1 by more than ``tolerance`` at
     a breakpoint, :class:`IntegrationError` is raised carrying the first
     failing time, which can be a piece boundary inside a table segment.
     """
-    if tolerance <= 0:
+    if not lam_initial > 0:
+        raise ValueError("lam_initial must be positive (ground state before the quench)")
+    if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    if protocol.kind == "sudden":
-        protocol = QuenchProtocol.general(
-            protocol.lam_initial,
-            [0.0],
-            [protocol.lam_final],
-            interpolation="previous",
-        )
-    times, lams = protocol.times, protocol.values
+    times = np.asarray(times, dtype=float)
+    lams = np.asarray(lams, dtype=float)
+    _check_table(times, (lams,), interpolation)
     slopes = np.zeros(times.size)
-    if protocol.interpolation == "linear":
+    if interpolation == "linear":
         slopes[:-1] = np.diff(lams) / np.diff(times)
     # Cut each linear segment into equal pieces of rate * length at most
     # _PIECE_PHASE; the pieces are ordinary breakpoints from here on.
@@ -389,5 +308,5 @@ def integrate_general(protocol: QuenchProtocol, tolerance: float = 1e-10) -> Mod
             time=float(times[k]),
         )
     return ModeSolution(
-        lam_initial=protocol.lam_initial, starts=times, lams=lams, slopes=slopes, phis=phis
+        lam_initial=float(lam_initial), starts=times, lams=lams, slopes=slopes, phis=phis
     )

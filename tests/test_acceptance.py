@@ -12,18 +12,16 @@ from entchain import (
     BoseHubbardSpec,
     ChainSpec,
     Partition,
-    QuenchProtocol,
     entropy_series,
     extract_periods,
     fit_scaling,
     integrate_general,
     kernel_spectrum,
     make_figure,
-    ode_residual,
+    mode_checks,
     quench_modes,
     revival_period,
     solve_sudden,
-    sudden_invariant,
     symplectic_eigenvalues,
 )
 from entchain.analysis import _spectrum_peaks
@@ -180,9 +178,9 @@ def test_criterion_05_scale_factor_quality():
     for _, chain in all_figure_chains():
         modes = quench_modes(chain)
         for lam_i, lam_f in zip(modes.lam_pre, modes.lam_post):
-            sol = solve_sudden(lam_i, lam_f)
-            residual_worst = max(residual_worst, float(ode_residual(sol, dense).max()))
-            drift = np.abs(sudden_invariant(sol, dense) - (lam_i + lam_f))
+            residual, invariant = mode_checks(solve_sudden(lam_i, lam_f), dense)
+            residual_worst = max(residual_worst, float(residual.max()))
+            drift = np.abs(invariant - (lam_i + lam_f))
             invariant_worst = max(invariant_worst, float(drift.max()))
 
     check_times = np.linspace(0.0, 100.0, 1000)
@@ -192,9 +190,7 @@ def test_criterion_05_scale_factor_quality():
         for lam_i, lam_f in zip(modes.lam_pre, modes.lam_post):
             closed = solve_sudden(lam_i, lam_f)
             cuts = [0.0, 17.0, 41.5, 80.0]
-            numeric = integrate_general(
-                QuenchProtocol.general(lam_i, cuts, [lam_f] * 4, "previous")
-            )
+            numeric = integrate_general(lam_i, cuts, [lam_f] * 4, "previous")
             gap = np.abs(numeric.evaluate(check_times)[0] - closed.evaluate(check_times)[0])
             general_worst = max(general_worst, float(gap.max()))
     _report(

@@ -15,7 +15,6 @@ from entchain import (
     QuenchModes,
     bond_laplacian,
     build_coupling_matrix,
-    eigendecompose,
     periodic_eigenvalues,
     quench_modes,
     solve_sudden,
@@ -62,28 +61,21 @@ def test_two_site_open_matrix():
 
 def test_four_site_periodic_eigenvalues():
     spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=1.0, k_f=0.0)
-    modes = eigendecompose(build_coupling_matrix(spec, "pre"))
-    assert np.allclose(modes.lam, [9.0, 13.0, 13.0, 17.0], atol=1e-10)
+    modes = quench_modes(spec)
+    assert np.allclose(modes.lam_pre, [9.0, 13.0, 13.0, 17.0], atol=1e-10)
 
 
-def test_eigendecompose_diagonal_input():
-    modes = eigendecompose(np.diag([1.0, 2.0]))
-    assert np.allclose(modes.lam, [1.0, 2.0])
-    assert np.allclose(np.abs(modes.matrix), np.eye(2))
-
-
-def test_eigendecompose_two_site_rows():
+def test_quench_modes_two_site_rows():
     spec = ChainSpec(n=2, omega_i=1.0, k_i=2.0, omega_f=1.0, k_f=0.0, boundary="open")
-    coupling = build_coupling_matrix(spec, "pre")
-    modes = eigendecompose(coupling)
-    assert np.allclose(modes.lam, [1.0, 5.0], atol=1e-12)
+    modes = quench_modes(spec)
+    assert np.allclose(modes.lam_pre, [1.0, 5.0], atol=1e-12)
     # rows are the +/- combinations up to sign
     want = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    for row, ref in zip(modes.matrix, want):
+    for row, ref in zip(modes.u, want):
         assert np.allclose(row, ref) or np.allclose(row, -ref)
 
 
-def test_eigendecompose_orthogonality_and_decoupling():
+def test_quench_modes_orthogonality_and_decoupling():
     rng = np.random.default_rng(7)
     for _ in range(5):
         n = int(rng.integers(2, 9))
@@ -96,20 +88,13 @@ def test_eigendecompose_orthogonality_and_decoupling():
             boundary="periodic" if rng.integers(2) else "open",
         )
         coupling = build_coupling_matrix(spec, "pre")
-        modes = eigendecompose(coupling)
-        u = modes.matrix
+        modes = quench_modes(spec)
+        u = modes.u
         assert np.allclose(u @ u.T, np.eye(n), atol=1e-12)
         diag = u @ coupling @ u.T
         off = diag - np.diag(np.diag(diag))
         assert np.abs(off).max() < 1e-10 * max(1.0, np.abs(diag).max())
-        assert np.allclose(np.sort(np.diag(diag)), modes.lam, atol=1e-10)
-
-
-def test_eigendecompose_rejects_bad_input():
-    with pytest.raises(ValueError, match="square"):
-        eigendecompose(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="symmetric"):
-        eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        assert np.allclose(np.sort(np.diag(diag)), modes.lam_pre, atol=1e-10)
 
 
 def test_periodic_closed_form_order():

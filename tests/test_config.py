@@ -69,6 +69,21 @@ class TestTimeGrid:
         grid = time_grid(0.3, 0.1)
         assert grid.shape == (4,)
 
+    @pytest.mark.parametrize("t_max, dt, match", [
+        (10.0, -0.1, "finite dt > 0"),
+        (10.0, 0.0, "finite dt > 0"),
+        (-5.0, 0.1, "t_max >= 0"),
+        (np.nan, 0.1, "finite"),
+        (np.inf, 0.1, "finite"),
+        (10.0, np.nan, "finite"),
+        # Refused from the point count, before any grid is allocated.
+        (1e300, 1e-300, "grid points, more than"),
+        (float(MAX_TIME_POINTS), 0.5, "grid points, more than"),
+    ])
+    def test_invalid_grid_rejected(self, t_max, dt, match):
+        with pytest.raises(ValueError, match=match):
+            time_grid(t_max, dt)
+
     def test_config_times_property(self):
         doc = minimal_doc()
         doc["time"] = {"t_max": 2.0, "dt": 0.5}

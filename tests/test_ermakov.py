@@ -14,12 +14,10 @@ import pytest
 
 from entchain import (
     IntegrationError,
-    QuenchProtocol,
     QuenchSchedule,
     integrate_general,
-    ode_residual,
+    mode_checks,
     solve_sudden,
-    sudden_invariant,
 )
 from entchain.ermakov import _PIECE_PHASE, _propagator
 
@@ -69,16 +67,16 @@ def test_free_expansion_closed_form():
     b10, _ = sol.evaluate(10.0)
     assert b10 == pytest.approx(np.sqrt(101.0), rel=1e-14)
     t = np.linspace(0.0, 200.0, 2001)
-    assert np.abs(ode_residual(sol, t)).max() < 1e-9
+    assert mode_checks(sol, t)[0].max() < 1e-9
 
 
 def test_closed_form_residual_and_invariant():
     t = np.linspace(0.0, 200.0, 2001)
     for lam_i, lam_f in FIG1_MODE_PAIRS:
-        sol = solve_sudden(lam_i, lam_f)
-        assert np.abs(ode_residual(sol, t)).max() < 1e-9
+        residual, invariant = mode_checks(solve_sudden(lam_i, lam_f), t)
+        assert residual.max() < 1e-9
         # dbdot^2 + lam_f b^2 + lam_i / b^2 is conserved at lam_i + lam_f
-        assert np.abs(sudden_invariant(sol, t) - (lam_i + lam_f)).max() < 1e-9
+        assert np.abs(invariant - (lam_i + lam_f)).max() < 1e-9
 
 
 def test_positivity_guard():
@@ -101,36 +99,58 @@ def test_solve_sudden_validation():
         solve_sudden(1.0, -0.5)
 
 
+def _assert_solves_ode(sol, t, lam):
+    """b'' from the fundamental solutions satisfies b'' + lam b = lam(0) / b**3
+    for a lam(t) computed outside the solver."""
+    b, _, bdd, _ = sol._derivatives(t)
+    assert np.abs(bdd + lam * b - sol.lam_initial / b**3).max() < 1e-10
+
+
+def _step(t, times, values):
+    """lam(t) of a ``previous`` table: the last sample at or before t."""
+    return np.asarray(values)[np.searchsorted(times, t, side="right") - 1]
+
+
 def test_protocol_validation():
-    with pytest.raises(ValueError, match="positive"):
-        QuenchProtocol.general(0.0, [0.0], [1.0])
-    with pytest.raises(ValueError, match="start at 0"):
-        QuenchProtocol.general(1.0, [0.5], [1.0])
+    for lam_initial in (0.0, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            integrate_general(lam_initial, [0.0], [1.0])
+    with pytest.raises(ValueError, match="start at t = 0"):
+        integrate_general(1.0, [0.5], [1.0])
     with pytest.raises(ValueError, match="increasing"):
-        QuenchProtocol.general(1.0, [0.0, 0.0], [1.0, 2.0])
+        integrate_general(1.0, [0.0, 0.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="interpolation"):
-        QuenchProtocol.general(1.0, [0.0], [1.0], interpolation="cubic")
+        integrate_general(1.0, [0.0], [1.0], interpolation="cubic")
     with pytest.raises(ValueError, match="non-negative"):
-        QuenchProtocol.general(1.0, [0.0, 1.0], [1.0, -0.5])
+        integrate_general(1.0, [0.0, 1.0], [1.0, -0.5])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_general(1.0, [0.0, 1.0], [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            integrate_general(1.0, [0.0, bad], [1.0, 2.0])
 
 
 def test_protocol_interpolation_rules():
-    lin = QuenchProtocol.general(1.0, [0.0, 2.0], [4.0, 8.0], interpolation="linear")
-    assert lin.value_at(1.0) == pytest.approx(6.0)
-    assert lin.value_at(5.0) == pytest.approx(8.0)  # clamped beyond the table
-    step = QuenchProtocol.general(1.0, [0.0, 2.0], [4.0, 8.0], interpolation="previous")
-    assert step.value_at(1.999) == pytest.approx(4.0)
-    assert step.value_at(2.5) == pytest.approx(8.0)
+    """Linear tables interpolate lam and hold the last value past the table;
+    ``previous`` tables hold each sample until the next one."""
+    table = ([0.0, 2.0], [4.0, 8.0])
+    t = np.array([0.0, 1.0, 1.999, 2.0, 2.5, 5.0])
+    _assert_solves_ode(integrate_general(1.0, *table, "linear"), t, np.interp(t, *table))
+    _assert_solves_ode(integrate_general(1.0, *table, "previous"), t, _step(t, *table))
 
 
 def test_schedule_mode_protocol():
+    """A mode with bond-Laplacian eigenvalue mu follows omega**2 + mu * k,
+    interpolated with the schedule's rule."""
     sched = QuenchSchedule(
         times=[0.0, 1.0, 2.0], omegas=[3.0, 2.0, 1.0], ks=[2.0, 1.0, 0.0]
     )
     assert sched.final_params == (1.0, 0.0)
-    proto = sched.mode_protocol(2.0, lam_initial=13.0)
-    assert np.allclose(proto.values, [13.0, 6.0, 1.0])
-    assert proto.value_at(0.5) == pytest.approx(9.5)
+    values = sched.omegas**2 + 2.0 * sched.ks
+    assert np.allclose(values, [13.0, 6.0, 1.0])
+    sol = integrate_general(13.0, sched.times, values, sched.interpolation)
+    t = np.array([0.5, 1.5, 3.0])
+    _assert_solves_ode(sol, t, [9.5, 3.5, 1.0])
     with pytest.raises(ValueError, match="start at t = 0"):
         QuenchSchedule(times=[1.0], omegas=[1.0], ks=[0.0])
     with pytest.raises(ValueError, match="non-negative"):
@@ -144,8 +164,7 @@ def test_schedule_mode_protocol():
 
 
 def test_integrate_constant_protocol():
-    proto = QuenchProtocol.general(2.0, [0.0], [2.0], interpolation="previous")
-    sol = integrate_general(proto, tolerance=1e-12)
+    sol = integrate_general(2.0, [0.0], [2.0], interpolation="previous", tolerance=1e-12)
     t = np.linspace(0.0, 20.0, 400)
     b, db = sol.evaluate(t)
     assert np.abs(b - 1.0).max() < 1e-9
@@ -159,10 +178,9 @@ def test_integrate_matches_closed_form():
     for lam_i, lam_f in ((1.0, 0.0225), (25.0, 17.2225)):
         closed = solve_sudden(lam_i, lam_f)
         for interpolation in ("previous", "linear"):
-            proto = QuenchProtocol.general(
-                lam_i, cuts, [lam_f] * len(cuts), interpolation=interpolation
+            numeric = integrate_general(
+                lam_i, cuts, [lam_f] * len(cuts), interpolation, tolerance=1e-10
             )
-            numeric = integrate_general(proto, tolerance=1e-10)
             b_ref, db_ref = closed.evaluate(t)
             b_num, db_num = numeric.evaluate(t)
             assert np.abs(b_num - b_ref).max() < 1e-8
@@ -191,10 +209,7 @@ def _chain_segment(lam0, lam, t_rel, u0, du0):
 
 
 def test_two_step_protocol_against_chained_closed_form():
-    proto = QuenchProtocol.general(
-        1.0, [0.0, 1.0], [4.0, 1.0], interpolation="previous"
-    )
-    numeric = integrate_general(proto, tolerance=1e-12)
+    numeric = integrate_general(1.0, [0.0, 1.0], [4.0, 1.0], "previous", tolerance=1e-12)
 
     def reference(t):
         u0, du0 = 1.0, 0.0
@@ -219,21 +234,21 @@ def test_integrate_refinement_exhaustion():
     Wronskian grows with them."""
     lengths = [0.23 if k % 2 else 1.3 for k in range(11)]
     values = [25.0 if k % 2 else 1.0 for k in range(12)]
-    proto = QuenchProtocol.general(1.0, np.cumsum([0.0] + lengths), values, "previous")
+    times = np.cumsum([0.0] + lengths)
     with pytest.raises(IntegrationError, match="Wronskian") as err:
-        integrate_general(proto, tolerance=1e-15)
-    sol = integrate_general(proto, tolerance=1e-6)
+        integrate_general(1.0, times, values, "previous", tolerance=1e-15)
+    sol = integrate_general(1.0, times, values, "previous", tolerance=1e-6)
     phis = sol.phis
     drift = np.abs(phis[:, 0, 0] * phis[:, 1, 1] - phis[:, 0, 1] * phis[:, 1, 0] - 1.0)
     assert 1e-15 < drift.max() < 1e-6
-    assert err.value.time == proto.times[np.argmax(drift > 1e-15)]
+    assert err.value.time == times[np.argmax(drift > 1e-15)]
     assert err.value.time > 0.0
 
 
 def test_integrate_validation():
-    proto = QuenchProtocol.sudden(1.0, 2.0)
-    with pytest.raises(ValueError, match="tolerance"):
-        integrate_general(proto, tolerance=0.0)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            integrate_general(1.0, [0.0], [2.0], tolerance=bad)
 
 
 def test_second_derivative_closed_only():
@@ -243,16 +258,12 @@ def test_second_derivative_closed_only():
     table = ([0.0, 2.0, 3.5], [4.0, 0.5, 9.0])
     cases = [
         (solve_sudden(1.0, 4.0), np.full(t.shape, 4.0)),
-        (integrate_general(QuenchProtocol.sudden(1.0, 4.0)), np.full(t.shape, 4.0)),
-        (integrate_general(QuenchProtocol.general(1.0, *table)), np.interp(t, *table)),
-        (
-            integrate_general(QuenchProtocol.general(1.0, *table, "previous")),
-            QuenchProtocol.general(1.0, *table, "previous").value_at(t),
-        ),
+        (integrate_general(1.0, [0.0], [4.0], "previous"), np.full(t.shape, 4.0)),
+        (integrate_general(1.0, *table), np.interp(t, *table)),
+        (integrate_general(1.0, *table, "previous"), _step(t, *table)),
     ]
     for sol, lam in cases:
-        b, _ = sol.evaluate(t)
-        assert np.abs(sol.second_derivative(t) + lam * b - 1.0 / b**3).max() < 1e-10
+        _assert_solves_ode(sol, t, lam)
 
 
 def _midpoint_product(lam, slope, tau, steps):
@@ -308,21 +319,19 @@ def test_taylor_propagator_against_midpoint_reference():
 def test_general_solution_has_no_time_limit():
     """Past the last sample the final value is held: b**2 is then periodic
     with period pi / sqrt(lam_final), as far out as asked."""
-    proto = QuenchProtocol.general(9.0, [0.0, 10.0, 30.0], [9.0, 4.0, 0.09])
-    sol = integrate_general(proto)
+    sol = integrate_general(9.0, [0.0, 10.0, 30.0], [9.0, 4.0, 0.09])
     period = np.pi / 0.3
     t = np.array([31.0, 1e3, 1e4])
     b, _ = sol.evaluate(t)
     b_next, _ = sol.evaluate(t + period)
     assert np.abs(b_next - b).max() < 1e-9
-    assert np.abs(ode_residual(sol, t)).max() < 1e-9
+    assert mode_checks(sol, t)[0].max() < 1e-9
 
 
 def test_grid_evaluation_matches_pointwise():
     """Each point is computed on its own from its piece's start value; a
     grid, the same grid shuffled, and single points must give the same bits."""
-    proto = QuenchProtocol.general(9.0, [0.0, 10.0, 20.0, 30.0], [9.0, 4.4, 1.96, 0.39])
-    sol = integrate_general(proto)
+    sol = integrate_general(9.0, [0.0, 10.0, 20.0, 30.0], [9.0, 4.4, 1.96, 0.39])
     t = np.linspace(0.0, 40.0, 401)
     b, bdot = sol.evaluate(t)
     order = np.random.default_rng(7).permutation(t.size)
