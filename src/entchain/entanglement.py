@@ -19,15 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, quench_modes
-from .ermakov import QuenchSchedule, integrate_general, solve_sudden
+from .ermakov import ModeSolution, QuenchSchedule, integrate_general, solve_sudden
 from .gaussian import mode_covariance, physical_nu, symplectic_eigenvalues
 
 # Matrix elements per stacked array when a time grid is taken in blocks
 # (see _block_rows).
 _BLOCK_ELEMENTS = 8192
 
-# Time points whose scale factors are evaluated at once (see _chunk_rows).
-_CHUNK_ROWS = 1024
+# Scale factors, (time points) x (modes), evaluated at once (see _chunk_rows).
+_CHUNK_VALUES = 2048
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,9 @@ def _validate_times(times) -> np.ndarray:
         steps = np.diff(times)
         if steps.min() <= 0:
             raise ValueError("times must be strictly increasing")
-        if steps.max() - steps.min() > 1e-9 * max(steps.max(), 1e-300):
+        # Each time of dt * arange(N) is rounded to half an ulp of itself,
+        # so its steps spread by up to an ulp of the largest time.
+        if steps.max() - steps.min() > 1e-9 * steps.max() + 4.0 * np.spacing(times[-1]):
             raise ValueError("times must form a uniform grid")
     return times
 
@@ -167,13 +169,12 @@ def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_ELEMENTS // dim**2)
 
 
-def _chunk_rows(block: int) -> int:
+def _chunk_rows(block: int, modes: int) -> int:
     """Time points per evaluation chunk: a whole number of ``block``-row
-    spectrum blocks, about _CHUNK_ROWS whatever the chain size.  On the
-    eight-site ramp of 10001 points, evaluating per 128-row block took
-    half again the CPU of the whole run (0.1 s more), and chunks of 2048
-    rows peaked 0.8 MB higher for no speed."""
-    return block * max(1, _CHUNK_ROWS // block)
+    spectrum blocks, at least one, holding about _CHUNK_VALUES scale
+    factors of ``modes`` modes, so that the chunk's temporaries keep one
+    size whatever the chain size."""
+    return block * max(1, _CHUNK_VALUES // (block * modes))
 
 
 def entropy_series(
@@ -189,11 +190,12 @@ def entropy_series(
     With ``schedule=None`` the quench is sudden (spec's pre -> post
     parameters); otherwise each mode follows the schedule, with the
     Wronskian of its scale factor checked against ``tolerance``.  Time
-    points are taken in chunks of about 1024 rows, each a whole number of
-    blocks of ``max(1, 8192 // (2m)**2)`` rows for m kept sites.  A chunk
-    evaluates the scale factors b and b' of every mode; a block stacks its
-    kept-block covariances, takes their symplectic spectra in one call and
-    its entropies as sums over the mode axis.  Only the returned columns
+    points are taken in chunks (``_chunk_rows``) of about 2048 scale
+    factors, (points) x (modes), each a whole number of blocks of
+    ``max(1, 8192 // (2m)**2)`` points for m kept sites.  A chunk
+    evaluates b and b' of every mode in one call and its entropies as
+    sums over the mode axis; a block stacks its kept-block covariances and
+    takes their symplectic spectra in one call.  Only the returned columns
     (times, xi and one series per order) span the whole grid.  Every row
     is computed the same way whatever chunk and block it falls in, so a
     grid gives bit for bit the values of its slices.
@@ -204,33 +206,31 @@ def entropy_series(
         raise ValueError(f"partition covers {partition.n} sites but the chain has {spec.n}")
     modes = quench_modes(spec)
     if schedule is None:
-        sols = [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
+        solution = ModeSolution.stack(
+            [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
+        )
     else:
-        sols = [
+        solution = ModeSolution.stack([
             integrate_general(li, schedule.times, schedule.omegas**2 + mu * schedule.ks,
                               schedule.interpolation, tolerance=tolerance)
             for mu, li in zip(modes.mu, modes.lam_pre)
-        ]
+        ])
 
     u_kp = modes.u[:, [s - 1 for s in partition.kept]]
     m = u_kp.shape[1]
     xi_out = np.empty((times.size, m))
     ent_out = {a: np.empty(times.size) for a in alphas}
     rows = _block_rows(2 * m)
-    chunk = _chunk_rows(rows)
+    chunk = _chunk_rows(rows, modes.n)
     for first in range(0, times.size, chunk):
-        span = times[first:first + chunk]
-        b = np.empty((span.size, modes.n))
-        bdot = np.empty((span.size, modes.n))
-        for j, sol in enumerate(sols):
-            b[:, j], bdot[:, j] = sol.evaluate(span)
-        for start in range(0, span.size, rows):
+        span = slice(first, first + chunk)
+        b, bdot = solution.evaluate(times[span])
+        for start in range(0, b.shape[0], rows):
             block = slice(start, start + rows)
-            out = slice(first + start, first + start + rows)
             sigma = mode_covariance(u_kp, modes.lam_pre, b[block], bdot[block])
-            xi = _xi_from_cov(sigma)
-            xi_out[out] = xi
-            for a in alphas:
-                ent_out[a][out] = von_neumann_entropy(xi) if a == 1 else renyi_entropy(xi, a)
+            xi_out[first + start:first + start + rows] = _xi_from_cov(sigma)
+        xi = xi_out[span]
+        for a in alphas:
+            ent_out[a][span] = von_neumann_entropy(xi) if a == 1 else renyi_entropy(xi, a)
 
     return EntropySeries(times=times, xi=xi_out, entropies=ent_out)

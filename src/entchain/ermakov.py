@@ -104,69 +104,122 @@ _TAYLOR_TERMS = 28
 
 @dataclass(frozen=True, eq=False)
 class ModeSolution:
-    """One mode's scale factor.  ``evaluate`` returns (b, b') for any t >= 0.
+    """Scale factors of one mode, or of several stacked by :meth:`stack`.
+    ``evaluate`` returns (b, b') for any t >= 0.
 
-    lam(t) is ``lams[k] + slopes[k] * (t - starts[k])`` on segment k, which
-    starts at ``starts[k]`` (``starts[0] = 0``); the last segment never
-    ends.  ``phis[k]`` is the fundamental matrix [[u1, u2], [u1', u2']] of
-    u'' + lam(t) u = 0 at ``starts[k]``.
+    The piece arrays list each mode's pieces in turn: mode j owns pieces
+    ``first[j]`` up to the next mode's first (or the end), and its first
+    piece starts at 0.  On piece k, lam(t) is
+    ``lams[k] + slopes[k] * (t - starts[k])`` from ``starts[k]`` on, and a
+    mode's last piece never ends.  ``phis[k]`` is the fundamental matrix
+    [[u1, u2], [u1', u2']] of u'' + lam(t) u = 0 at ``starts[k]``.  One
+    mode has a float ``lam_initial`` and ``first = 0``; a stack has one
+    entry of each per mode.
     """
 
-    lam_initial: float
+    lam_initial: float | np.ndarray
     starts: np.ndarray
     lams: np.ndarray
     slopes: np.ndarray
     phis: np.ndarray
+    first: int | np.ndarray = 0
+
+    @classmethod
+    def stack(cls, solutions) -> "ModeSolution":
+        """One solution for the one-mode ``solutions``: its ``evaluate``
+        gives column j from ``solutions[j]``, bit for bit."""
+        if any(np.ndim(sol.lam_initial) for sol in solutions):
+            raise ValueError("only one-mode solutions can be stacked")
+        sizes = [sol.starts.size for sol in solutions]
+        return cls(
+            lam_initial=np.array([sol.lam_initial for sol in solutions]),
+            starts=np.concatenate([sol.starts for sol in solutions]),
+            lams=np.concatenate([sol.lams for sol in solutions]),
+            slopes=np.concatenate([sol.slopes for sol in solutions]),
+            phis=np.concatenate([sol.phis for sol in solutions]),
+            first=np.cumsum([0] + sizes[:-1]),
+        )
 
     def evaluate(self, t):
-        """(b(t), b'(t)) for scalar or array t >= 0."""
-        b, bdot, _, _ = self._derivatives(t)
-        if np.ndim(t) == 0:
-            return float(b[0]), float(bdot[0])
+        """(b(t), b'(t)) for scalar or array t >= 0, each of shape
+        ``np.shape(t) + np.shape(lam_initial)``: (times, modes) for a stack,
+        floats for one mode at one time."""
+        b, bdot = self._derivatives(t, second=False)
+        if b.ndim == 0:
+            return float(b), float(bdot)
         return b, bdot
+
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index of each mode's first piece, and one past its last."""
+        first = np.atleast_1d(self.first)
+        return first, np.append(first[1:], self.starts.size)
 
     # Past about t = 1e154 (gapless modes) b**2 overflows; the inf and nan
     # that follow are reported once, at the end, with the first such time.
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def _derivatives(self, t):
-        """b, b', b'' and lam(t), as 1-d arrays."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def _derivatives(self, t, second: bool = True):
+        """b, b' and, with ``second``, b'' and lam(t), shaped as
+        ``evaluate``'s results."""
+        shape = np.shape(t) + np.shape(self.lam_initial)
+        t = np.asarray(t, dtype=float).ravel()
         if np.any(t < 0):
             raise ValueError("scale factor is defined for t >= 0 only")
-        k = np.searchsorted(self.starts, t, side="right") - 1
-        tau = t - self.starts[k]
+        first, ends = self._bounds()
+        k = np.empty((t.size, first.size), dtype=np.intp)
+        for j, (lo, hi) in enumerate(zip(first, ends)):
+            k[:, j] = np.searchsorted(self.starts[lo:hi], t, side="right") + (lo - 1)
+        tau = t[:, None] - self.starts[k]
         lam, slope = self.lams[k], self.slopes[k]
         # Gram matrix G = Phi diag(1, lam(0)) Phi.T at the segment start.
         # With propagator rows p (for u) and q (for u'), b**2 = p G p.T,
         # b b' = p G q.T and u1'**2 + lam(0) u2'**2 = q G q.T.
-        (u1, u2), (v1, v2) = self.phis[k].transpose(1, 2, 0)
+        phi = self.phis[k]
+        u1, u2, v1, v2 = phi[..., 0, 0], phi[..., 0, 1], phi[..., 1, 0], phi[..., 1, 1]
         w = self.lam_initial
         gxx = u1 * u1 + w * u2 * u2
         gxv = u1 * v1 + w * u2 * v2
         gvv = v1 * v1 + w * v2 * v2
+        del phi, u1, u2, v1, v2  # the dels keep a chunk's working set small
         # Constant lam: rows (cos, sin/root) and (-lam sin/root, cos),
         # written through gap = lam gxx - gvv so that lam = lam(0) on the
         # first segment gives b = 1 and b' = 0 exactly.
         cos, sinw = _harmonic(lam, tau)
         gap = lam * gxx - gvv
-        bsq = gxx - gap * sinw**2 + 2.0 * gxv * cos * sinw
-        bbdot = gxv * (cos**2 - lam * sinw**2) - gap * sinw * cos
-        dsq = gvv + gap * lam * sinw**2 - 2.0 * gxv * lam * sinw * cos
+        sinw2 = sinw**2
+        bsq = gxx - gap * sinw2 + 2.0 * gxv * cos * sinw
+        bbdot = gxv * (cos**2 - lam * sinw2) - gap * sinw * cos
+        if second:
+            dsq = gvv + gap * lam * sinw2 - 2.0 * gxv * lam * sinw * cos
+        del cos, sinw, sinw2, gap
         ramp = slope != 0.0
         if ramp.any():
-            p00, p01, p10, p11 = _propagator(lam[ramp], slope[ramp], tau[ramp])
+            # The Taylor coefficients once per piece the times reach.  A mask
+            # over the pieces, not np.unique: its sort costs about 0.5 MB of
+            # resident code on first use.
+            reached = k[ramp]
+            mask = np.zeros(self.starts.size, dtype=bool)
+            mask[reached] = True
+            pieces = np.flatnonzero(mask)
+            p00, p01, p10, p11 = _taylor_propagator(
+                self.lams[pieces], self.slopes[pieces], tau[ramp],
+                np.searchsorted(pieces, reached),
+            )
             g = gxx[ramp], gxv[ramp], gvv[ramp]
             bsq[ramp] = _form(g, p00, p01, p00, p01)
             bbdot[ramp] = _form(g, p00, p01, p10, p11)
-            dsq[ramp] = _form(g, p10, p11, p10, p11)
-        lam = lam + slope * tau
+            if second:
+                dsq[ramp] = _form(g, p10, p11, p10, p11)
         b = np.sqrt(bsq)
         bdot = bbdot / b
-        bdd = (dsq - lam * bsq - bdot**2) / b
-        bad = ~(np.isfinite(b) & np.isfinite(bdot))
-        if bad.any():
+        finite = np.isfinite(b) & np.isfinite(bdot)
+        if not finite.all():
+            bad = ~finite.all(axis=1)
             raise NumericsError(f"scale factor b(t) is not finite at t = {t[bad].min():g}")
-        return b, bdot, bdd, lam
+        if not second:
+            return b.reshape(shape), bdot.reshape(shape)
+        lam = lam + slope * tau
+        bdd = (dsq - lam * bsq - bdot**2) / b
+        return b.reshape(shape), bdot.reshape(shape), bdd.reshape(shape), lam.reshape(shape)
 
 
 def _form(g, p0, p1, q0, q1):
@@ -195,28 +248,37 @@ def _propagator(lam, slope, tau):
         cos, sinw = _harmonic(lam[flat], tau[flat])
         out[:, flat] = cos, sinw, -lam[flat] * sinw, cos
     if not flat.all():
-        out[:, ~flat] = _taylor_propagator(lam[~flat], slope[~flat], tau[~flat])
+        ramp = ~flat
+        out[:, ramp] = _taylor_propagator(lam[ramp], slope[ramp], tau[ramp],
+                                          np.arange(np.count_nonzero(ramp)))
     return out
 
 
-def _taylor_propagator(lam, slope, tau):
+def _taylor_propagator(lam, slope, tau, piece):
+    """(P00, P01, P10, P11) at times ``tau`` into the linear pieces
+    ``piece`` (indices into ``lam`` and ``slope``, one per time)."""
     # In x = rate * tau, u'' = -(a + b x) u with |a|, |b| <= 1, and the
     # coefficients c_k of x**k obey c_(k+2) = -(a c_k + b c_(k-1)) / ((k+1)(k+2)).
     # Both columns at once: c_0 = (1, 0), c_1 = (0, 1), so the second
-    # column is rate * u2.
+    # column is rate * u2.  The recursion runs once per piece, the sum
+    # once per time.
     rate = np.sqrt(np.abs(lam)) + np.abs(slope) ** (1.0 / 3.0)
     a, b = lam / rate**2, slope / rate**3
-    x = rate * tau
     c = np.zeros((_TAYLOR_TERMS, 2) + lam.shape)
     c[0, 0] = c[1, 1] = 1.0
     for k in range(_TAYLOR_TERMS - 2):  # at k = 0, c[k - 1] = c[-1] is still zero
         c[k + 2] = (a * c[k] + b * c[k - 1]) * (-1.0 / ((k + 1) * (k + 2)))
-    # Horner's rule for the sum and its x-derivative.
-    u, du = c[-1], np.zeros_like(c[-1])
+    rate = rate[piece]
+    x = rate * tau
+    # Horner's rule for the sum and its x-derivative, in place.
+    u = c[-1].take(piece, axis=1)
+    du = np.zeros_like(u)
     for ck in c[-2::-1]:
-        du = du * x + u
-        u = u * x + ck
-    return np.array([u[0], u[1] / rate, du[0] * rate, du[1]])
+        du *= x
+        du += u
+        u *= x
+        u += ck.take(piece, axis=1)
+    return u[0], u[1] / rate, du[0] * rate, du[1]
 
 
 def solve_sudden(lam_initial: float, lam_final: float) -> ModeSolution:
@@ -236,7 +298,8 @@ def solve_sudden(lam_initial: float, lam_final: float) -> ModeSolution:
 
 def mode_checks(solution: ModeSolution, times) -> tuple[np.ndarray, np.ndarray]:
     """|b'' + lam(t) b - lam(0)/b**3| and b'**2 + lam_f b**2 + lam(0)/b**2
-    on a grid, from one evaluation of the mode.
+    on a grid, shaped as ``solution.evaluate(times)``: one evaluation of
+    the mode, or of every mode of a stack.
 
     b'' comes from the fundamental solutions, not from the equation, so by
     Lagrange's identity the residual is lam(0) |W**2 - 1| / b**3 for the
@@ -245,7 +308,8 @@ def mode_checks(solution: ModeSolution, times) -> tuple[np.ndarray, np.ndarray]:
     """
     b, bdot, bdd, lam = solution._derivatives(times)
     w = solution.lam_initial
-    return np.abs(bdd + lam * b - w / b**3), bdot**2 + solution.lams[-1] * b**2 + w / b**2
+    lam_final = solution.lams[solution._bounds()[1] - 1].reshape(np.shape(w))
+    return np.abs(bdd + lam * b - w / b**3), bdot**2 + lam_final * b**2 + w / b**2
 
 
 def integrate_general(lam_initial: float, times, lams, interpolation: Interpolation = "linear",

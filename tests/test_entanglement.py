@@ -6,6 +6,8 @@ checks between the kernel-block route and the covariance route for
 partitions whose cross coupling picks up a skew part.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -371,7 +373,7 @@ class TestEntropySeries:
         # between chunk edges and between block edges
         spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
         part = Partition.second_half(n)
-        chunk = _chunk_rows(_block_rows(2 * len(part.kept)))
+        chunk = _chunk_rows(_block_rows(2 * len(part.kept)), n)
         times = 0.01 * np.arange(3 * chunk + 200)
         cuts = [0, chunk - 37, chunk + 1, chunk + 2, 2 * chunk + 301, times.size]
         whole = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
@@ -429,3 +431,44 @@ class TestEntropySeries:
             entropy_series(spec, part, [0.0, 0.1], alphas=(1.5,))
         with pytest.raises(ValueError, match="covers"):
             entropy_series(spec, Partition.second_half(6), [0.0, 0.1])
+
+    def test_long_uniform_grid_is_accepted(self):
+        """dt * arange(N) rounds each time to half an ulp of itself: from
+        t = 70000 at dt = 0.01 the steps spread by 1.5e-9 of dt, and the
+        grid is still uniform.  Its rows match single-point runs."""
+        spec = ChainSpec(n=2, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+        part = Partition.second_half(2)
+        times = 0.01 * np.arange(7_000_000, 7_001_000)
+        whole = entropy_series(spec, part, times, alphas=(1, 2))
+        for i in (0, 999):
+            point = entropy_series(spec, part, times[i:i + 1], alphas=(1, 2))
+            assert whole.s1[i] == point.s1[0]
+        with pytest.raises(ValueError, match="uniform"):
+            entropy_series(spec, part, times + np.where(np.arange(1000) == 500, 1e-9, 0.0))
+
+    @pytest.mark.parametrize(
+        "n, schedule, times",
+        [
+            (8, QuenchSchedule(*np.transpose(RAMP_TABLE), interpolation="linear"),
+             0.01 * np.arange(10_001)),
+            (64, None, 0.05 * np.arange(200)),
+        ],
+        ids=["ramp-table", "ring-64"],
+    )
+    def test_peak_allocation_is_the_columns_plus_a_fixed_budget(self, n, schedule, times):
+        """Beyond the returned xi and entropy columns, one call allocates at
+        most a fixed budget, whatever the grid length and chain size.  With
+        1024-row chunks evaluated mode by mode the excess was 1.04 MB
+        (ramp) and 0.83 MB (ring); chunks of about 2048 scale factors over
+        all modes take 0.59 MB and 0.62 MB."""
+        spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary="periodic")
+        part = Partition.second_half(n)
+        entropy_series(spec, part, times[:2], alphas=(1, 2), schedule=schedule)  # warm caches
+        tracemalloc.start()
+        try:
+            series = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = series.xi.nbytes + sum(s.nbytes for s in series.entropies.values())
+        assert peak - columns < 800_000

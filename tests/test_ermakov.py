@@ -14,6 +14,7 @@ import pytest
 
 from entchain import (
     IntegrationError,
+    ModeSolution,
     QuenchSchedule,
     integrate_general,
     mode_checks,
@@ -340,3 +341,37 @@ def test_grid_evaluation_matches_pointwise():
     assert np.array_equal(bdot_shuffled, bdot[order])
     for i in (0, 1, 99, 100, 101, 250, 400):
         assert sol.evaluate(t[i]) == (b[i], bdot[i])
+
+
+def test_stack_matches_each_mode_bit_for_bit():
+    """A stack evaluates every mode in one pass, and column j equals the
+    mode alone bit for bit: sudden quenches (lam_f = 0 included),
+    ``previous`` and ``linear`` tables, at t = 0, exactly at every piece
+    start and past the last breakpoint."""
+    sols = [
+        solve_sudden(1.0, 0.0225),
+        solve_sudden(2.0, 0.0),
+        solve_sudden(2.7, 2.7),
+        integrate_general(9.0, [0.0, 10.0, 30.0], [9.0, 4.0, 0.09], "previous"),
+        integrate_general(9.0, [0.0, 10.0, 20.0, 30.0], [9.0, 4.4, 1.96, 0.39]),
+        integrate_general(5.0, [0.0, 3.0], [0.0, 6.0]),
+    ]
+    stack = ModeSolution.stack(sols)
+    starts = np.unique(np.concatenate([sol.starts for sol in sols]))
+    t = np.concatenate([starts, np.linspace(0.0, 45.0, 181), [1e3]])
+    b, bdot = stack.evaluate(t)
+    residual, invariant = mode_checks(stack, t)
+    assert b.shape == bdot.shape == residual.shape == invariant.shape == (t.size, len(sols))
+    for j, sol in enumerate(sols):
+        b_j, bdot_j = sol.evaluate(t)
+        residual_j, invariant_j = mode_checks(sol, t)
+        assert np.array_equal(b[:, j], b_j)
+        assert np.array_equal(bdot[:, j], bdot_j)
+        assert np.array_equal(residual[:, j], residual_j)
+        assert np.array_equal(invariant[:, j], invariant_j)
+    for i in (0, 1, starts.size - 1, t.size - 1):
+        b_i, bdot_i = stack.evaluate(t[i])
+        assert b_i.shape == (len(sols),)
+        assert [(b_i[j], bdot_i[j]) for j in range(len(sols))] == [sol.evaluate(t[i]) for sol in sols]
+    with pytest.raises(ValueError, match="one-mode"):
+        ModeSolution.stack([stack])

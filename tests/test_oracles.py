@@ -33,6 +33,7 @@ from entchain import (
     symplectic_eigenvalues,
 )
 from entchain.chain import bond_laplacian
+from entchain.entanglement import _block_rows, _chunk_rows
 from entchain.gaussian import mode_covariance
 from entchain.oracles import (
     KernelGrid,
@@ -410,6 +411,52 @@ def test_ramp_table_cross_validates_primary_path(interpolation):
         lams = schedule.omegas**2 + mu * schedule.ks
         phis = integrate_general(lam0, schedule.times, lams, interpolation).phis
         assert np.abs(np.linalg.det(phis) - 1.0).max() <= 1e-12
+
+
+# One table row (omega, k): omega and k each reach 0, but never together,
+# so at most a zero mode (omega = 0) evolves freely.
+_TABLE_ROW = st.one_of(
+    st.tuples(st.just(0.0), st.floats(0.5, 3.0)),
+    st.tuples(st.floats(0.3, 3.0), st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
+)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_random_tables_agree_across_paths(data):
+    """Random 2-6-row tables, either interpolation, with omega and k
+    reaching 0, on random chains and partitions: the primary path (Taylor
+    pieces summed per chunk) matches the covariance flow within 1e-9.  The
+    grid spans two evaluation chunks or a little more with a dense (below
+    the first Magnus piece) or sparse step.  The window stops at t = 30,
+    table segments last at most 3, the initial state is entangled
+    (k_i >= 0.5) and no row lets every mode evolve freely.  Free or
+    nearly free stretches squeeze the modes until one path or the other
+    loses 1e-9 (by t = 15 to 50 in wider draws, against a 40-digit
+    reference), and with t up to 40 one draw in about 600 still did
+    (ROADMAP item 7)."""
+    n = data.draw(st.integers(2, 10), label="n")
+    boundary = data.draw(st.sampled_from(["open", "periodic"]), label="boundary")
+    traced = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1), label="traced")
+    samples = data.draw(st.integers(2, 6), label="samples")
+    gaps = data.draw(st.lists(st.floats(0.2, 3.0), min_size=samples - 1,
+                              max_size=samples - 1), label="gaps")
+    rows = data.draw(st.lists(_TABLE_ROW, min_size=samples, max_size=samples), label="rows")
+    omegas, ks = (list(column) for column in zip(*rows))
+    interpolation = data.draw(st.sampled_from(["linear", "previous"]), label="interpolation")
+    spec = ChainSpec(n=n, omega_i=data.draw(st.floats(0.5, 3.0), label="omega_i"),
+                     k_i=data.draw(st.floats(0.5, 3.0), label="k_i"),
+                     omega_f=omegas[-1], k_f=ks[-1], boundary=boundary)
+    schedule = QuenchSchedule(np.cumsum([0.0] + gaps), omegas, ks, interpolation)
+    part = Partition.from_traced(traced, n)
+    chunk = _chunk_rows(_block_rows(2 * len(part.kept)), n)
+    size = chunk + 1 + data.draw(st.integers(0, chunk // 4), label="extra rows")
+    step = data.draw(st.one_of(st.floats(0.02, 0.15), st.floats(0.4, 2.0)), label="step")
+    times = min(step, 30.0 / size) * np.arange(size)
+    primary = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
+    oracle = covariance_series(spec, part, times, alphas=(1, 2), schedule=schedule)
+    for a in (1, 2):
+        assert np.abs(primary.entropies[a] - oracle.entropies[a]).max() < 1e-9
 
 
 def test_linear_flow_meets_tight_tolerance():
