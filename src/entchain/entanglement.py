@@ -10,6 +10,14 @@ nu_j carries one geometric ladder of the reduced density matrix,
 and the Renyi and von Neumann entropies follow from the xi_j in closed
 form.  The Gaussian-kernel form of the same reduction lives with the
 references in ``entchain.oracles``.
+
+A reflection of the chain that maps the kept sites onto themselves
+commutes with every covariance of the quenched chain, so the even and
+odd site combinations under it split the kept covariance into two
+sectors of about half the size (``_mirror_sectors``).  ``entropy_series``
+takes the symplectic spectrum of each sector and merges them, two
+half-size eigensolves per time point instead of one full-size one; a
+kept block with no such reflection is one sector, the whole block.
 """
 
 from __future__ import annotations
@@ -84,12 +92,6 @@ class EntropySeries:
     @property
     def s1(self) -> np.ndarray:
         return self.entropies[1]
-
-
-def _xi_from_cov(sigma: np.ndarray) -> np.ndarray:
-    """xi, shape (..., m), of a kept-block covariance (2m, 2m) or a stack."""
-    nu = physical_nu(symplectic_eigenvalues(sigma))
-    return (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
 
 
 def _validate_xi(xi) -> np.ndarray:
@@ -177,6 +179,81 @@ def _chunk_rows(block: int, modes: int) -> int:
     return block * max(1, _CHUNK_VALUES // (block * modes))
 
 
+def _grid_rows(width: int, modes: int) -> tuple[int, int]:
+    """(block, chunk) time points of ``entropy_series`` for spectrum
+    sectors of at most ``width`` sites: a block holds about 8192 elements
+    per stacked (2 width, 2 width) array but no more points than a chunk
+    of about _CHUNK_VALUES scale factors, so that small sectors do not
+    grow the chunk."""
+    block = min(_block_rows(2 * width), _chunk_rows(1, modes))
+    return block, _chunk_rows(block, modes)
+
+
+def _mirror_sectors(n: int, boundary: str, kept) -> list[np.ndarray]:
+    """Even and odd combinations of the kept sites under a reflection of
+    the chain that maps the kept set onto itself.
+
+    The reflections s -> c - s (mod n) of a ring, and s -> n + 1 - s of
+    an open chain, commute with the bond Laplacian, so with every
+    coupling matrix and every covariance of the quenched chain; one that
+    maps the kept set onto itself commutes with the kept block.  Returns
+    orthonormal columns Q_even (m, pairs + fixed sites) and Q_odd
+    (m, pairs), rows in the order of ``kept``, which together make an
+    orthogonal matrix Q; Q (+) Q is symplectic and splits the kept
+    covariance into two blocks.  Of several such reflections the one
+    fixing the fewest kept sites is taken.  Returns [] when no reflection
+    maps the kept set onto itself or the one found fixes every kept site.
+    """
+    column = {s - 1: i for i, s in enumerate(kept)}
+    best = None
+    for c in range(n) if boundary == "periodic" else [n - 1]:
+        if all((c - s) % n in column for s in column):
+            partner = [column[(c - s) % n] for s in column]
+            fixed = sum(i == j for i, j in enumerate(partner))
+            if best is None or fixed < best[0]:
+                best = (fixed, partner)
+    if best is None or best[0] == len(column):
+        return []
+    partner = best[1]
+    pairs = [(i, j) for i, j in enumerate(partner) if i < j]
+    fixed = [i for i, j in enumerate(partner) if i == j]
+    even = np.zeros((len(partner), len(pairs) + len(fixed)))
+    odd = np.zeros((len(partner), len(pairs)))
+    half = 0.5**0.5
+    for col, (i, j) in enumerate(pairs):
+        even[i, col] = even[j, col] = odd[i, col] = half
+        odd[j, col] = -half
+    for col, i in enumerate(fixed, start=len(pairs)):
+        even[i, col] = 1.0
+    return [even, odd]
+
+
+def _sector_columns(spec: ChainSpec, u: np.ndarray, kept) -> list[np.ndarray]:
+    """Mode-basis columns (modes x m_s) of each spectrum sector of the kept
+    block: ``u_kept @ Q_s`` for the mirror sectors, or the kept columns
+    themselves as one sector when the partition has no mirror symmetry."""
+    u_kept = u[:, [s - 1 for s in kept]]
+    return [u_kept @ q for q in _mirror_sectors(spec.n, spec.boundary, kept)] or [u_kept]
+
+
+def _sector_spectrum(sectors, lam0: np.ndarray, b: np.ndarray, bdot: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum (rows, m) of the kept block, ascending per row,
+    merged from the ascending spectra of its sectors (see
+    ``_sector_columns``)."""
+    nu = [symplectic_eigenvalues(mode_covariance(cols, lam0, b, bdot)) for cols in sectors]
+    if len(nu) == 1:
+        return nu[0]
+    # Merged without np.sort, whose code costs about 0.15 MB of resident
+    # memory on first use: a value's place in its row is its index plus
+    # the number of values of the other sector below it (even first on ties).
+    even, odd = nu
+    merged = np.empty((even.shape[0], even.shape[1] + odd.shape[1]))
+    below = odd[:, None, :] < even[:, :, None]
+    np.put_along_axis(merged, np.arange(even.shape[1]) + below.sum(axis=2), even, axis=1)
+    np.put_along_axis(merged, np.arange(odd.shape[1]) + (~below).sum(axis=1), odd, axis=1)
+    return merged
+
+
 def entropy_series(
     spec: ChainSpec,
     partition: Partition,
@@ -190,12 +267,13 @@ def entropy_series(
     With ``schedule=None`` the quench is sudden (spec's pre -> post
     parameters); otherwise each mode follows the schedule, with the
     Wronskian of its scale factor checked against ``tolerance``.  Time
-    points are taken in chunks (``_chunk_rows``) of about 2048 scale
-    factors, (points) x (modes), each a whole number of blocks of
-    ``max(1, 8192 // (2m)**2)`` points for m kept sites.  A chunk
-    evaluates b and b' of every mode in one call and its entropies as
-    sums over the mode axis; a block stacks its kept-block covariances and
-    takes their symplectic spectra in one call.  Only the returned columns
+    points are taken in chunks of about 2048 scale factors, (points) x
+    (modes), each a whole number of blocks of ``max(1, 8192 // (2w)**2)``
+    points for spectrum sectors of at most w sites, but no more points
+    than a chunk (``_grid_rows``).  A chunk evaluates b and b' of every
+    mode in one call and its entropies as sums over the mode axis; a
+    block stacks each sector's covariances and takes their symplectic
+    spectra in one call per sector.  Only the returned columns
     (times, xi and one series per order) span the whole grid.  Every row
     is computed the same way whatever chunk and block it falls in, so a
     grid gives bit for bit the values of its slices.
@@ -210,25 +288,21 @@ def entropy_series(
             [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
         )
     else:
-        solution = ModeSolution.stack([
-            integrate_general(li, schedule.times, schedule.omegas**2 + mu * schedule.ks,
-                              schedule.interpolation, tolerance=tolerance)
-            for mu, li in zip(modes.mu, modes.lam_pre)
-        ])
+        lams = schedule.omegas**2 + modes.mu[:, None] * schedule.ks
+        solution = integrate_general(modes.lam_pre, schedule.times, lams,
+                                     schedule.interpolation, tolerance=tolerance)
 
-    u_kp = modes.u[:, [s - 1 for s in partition.kept]]
-    m = u_kp.shape[1]
-    xi_out = np.empty((times.size, m))
+    sectors = _sector_columns(spec, modes.u, partition.kept)
+    xi_out = np.empty((times.size, len(partition.kept)))
     ent_out = {a: np.empty(times.size) for a in alphas}
-    rows = _block_rows(2 * m)
-    chunk = _chunk_rows(rows, modes.n)
+    rows, chunk = _grid_rows(max(cols.shape[1] for cols in sectors), modes.n)
     for first in range(0, times.size, chunk):
         span = slice(first, first + chunk)
         b, bdot = solution.evaluate(times[span])
         for start in range(0, b.shape[0], rows):
             block = slice(start, start + rows)
-            sigma = mode_covariance(u_kp, modes.lam_pre, b[block], bdot[block])
-            xi_out[first + start:first + start + rows] = _xi_from_cov(sigma)
+            nu = physical_nu(_sector_spectrum(sectors, modes.lam_pre, b[block], bdot[block]))
+            xi_out[first + start:first + start + rows] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
         xi = xi_out[span]
         for a in alphas:
             ent_out[a][span] = von_neumann_entropy(xi) if a == 1 else renyi_entropy(xi, a)

@@ -312,7 +312,7 @@ def mode_checks(solution: ModeSolution, times) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(bdd + lam * b - w / b**3), bdot**2 + lam_final * b**2 + w / b**2
 
 
-def integrate_general(lam_initial: float, times, lams, interpolation: Interpolation = "linear",
+def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "linear",
                       tolerance: float = 1e-10) -> ModeSolution:
     """Scale factor, valid for all t >= 0, for lam(t) sampled as ``lams``
     at ``times`` (from 0, strictly increasing) and interpolated piecewise
@@ -326,29 +326,58 @@ def integrate_general(lam_initial: float, times, lams, interpolation: Interpolat
     determinant, the Wronskian, drifts from 1 by more than ``tolerance`` at
     a breakpoint, :class:`IntegrationError` is raised carrying the first
     failing time, which can be a piece boundary inside a table segment.
+
+    An array ``lam_initial`` of several modes, with one row of ``lams``
+    per mode, gives their stack (see :meth:`ModeSolution.stack`), each mode
+    bit for bit as its own call gives it.  The piece counts follow from
+    the table alone, so the stack's arrays are allocated once at their
+    final size and filled mode by mode: set-up never holds a mode's pieces
+    twice.  The first mode to fail its Wronskian check raises.
     """
-    if not lam_initial > 0:
+    lam0 = np.asarray(lam_initial, dtype=float)
+    if lam0.ndim > 1 or not np.all(lam0 > 0):
         raise ValueError("lam_initial must be positive (ground state before the quench)")
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     times = np.asarray(times, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    _check_table(times, (lams,), interpolation)
-    slopes = np.zeros(times.size)
+    table = np.asarray(lams, dtype=float)
+    if lam0.ndim == 0:
+        table = table[None]
+    if table.ndim != 2 or table.shape[0] != lam0.size:
+        raise ValueError("lams needs one row of samples per lam_initial")
+    _check_table(times, tuple(table), interpolation)
+    slopes = np.zeros(table.shape)
     if interpolation == "linear":
-        slopes[:-1] = np.diff(lams) / np.diff(times)
+        slopes[:, :-1] = np.diff(table) / np.diff(times)
     # Cut each linear segment into equal pieces of rate * length at most
     # _PIECE_PHASE; the pieces are ordinary breakpoints from here on.
     lengths = np.append(np.diff(times), 0.0)
-    rises = np.append(np.diff(lams), 0.0)
-    rate = np.sqrt(np.maximum(lams, lams + rises)) + np.abs(slopes) ** (1.0 / 3.0)
+    rises = np.diff(table, append=table[:, -1:])
+    rate = np.sqrt(np.maximum(table, table + rises)) + np.abs(slopes) ** (1.0 / 3.0)
     counts = np.where(slopes != 0.0, np.ceil(rate * lengths / _PIECE_PHASE), 1.0).astype(int)
-    segment = np.repeat(np.arange(times.size), counts)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    frac = (np.arange(segment.size) - first) / counts[segment]
-    times = times[segment] + frac * lengths[segment]
-    lams = lams[segment] + frac * rises[segment]
-    slopes = slopes[segment]
+    sizes = counts.sum(axis=1)
+    first = np.cumsum(sizes) - sizes
+    starts, piece_lams, piece_slopes = (np.empty(sizes.sum()) for _ in range(3))
+    phis = np.empty((sizes.sum(), 2, 2))
+    for j, lo in enumerate(first):
+        out = slice(lo, lo + sizes[j])
+        segment = np.repeat(np.arange(times.size), counts[j])
+        offset = np.repeat(np.cumsum(counts[j]) - counts[j], counts[j])
+        frac = (np.arange(segment.size) - offset) / counts[j, segment]
+        starts[out] = times[segment] + frac * lengths[segment]
+        piece_lams[out] = table[j, segment] + frac * rises[j, segment]
+        piece_slopes[out] = slopes[j, segment]
+        phis[out] = _chain(starts[out], piece_lams[out], piece_slopes[out], tolerance)
+    if lam0.ndim == 0:
+        return ModeSolution(lam_initial=float(lam0), starts=starts, lams=piece_lams,
+                            slopes=piece_slopes, phis=phis)
+    return ModeSolution(lam_initial=lam0, starts=starts, lams=piece_lams,
+                        slopes=piece_slopes, phis=phis, first=first)
+
+
+def _chain(times, lams, slopes, tolerance):
+    """Fundamental matrices (pieces, 2, 2) at the piece starts ``times`` of
+    one mode, checking the Wronskian of each against ``tolerance``."""
     # phis[k] = steps[k - 1] @ ... @ steps[0], by log-depth doubling on the
     # entries (P00, P01, P10, P11): after the pass with shift d, column k
     # holds the product of up to 2d steps.
@@ -371,6 +400,4 @@ def integrate_general(lam_initial: float, times, lams, interpolation: Interpolat
             f"at t = {times[k]:g}",
             time=float(times[k]),
         )
-    return ModeSolution(
-        lam_initial=float(lam_initial), starts=times, lams=lams, slopes=slopes, phis=phis
-    )
+    return phis

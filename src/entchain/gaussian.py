@@ -73,7 +73,7 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     ``sigma`` may be one (2m, 2m) matrix or a stack (..., 2m, 2m); the
     result has shape (..., m), and each matrix of a stack gets the same
     values as a call on that matrix alone.  One matrix that is not finite
-    or not positive-definite fails the whole call.
+    or not positive-definite to working precision fails the whole call.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2] or sigma.shape[-1] % 2:
@@ -84,9 +84,17 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     try:
         factor = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(sigma)
+        # Report the worst-conditioned matrix of the stack.  All of its
+        # eigenvalues can be positive: Cholesky also fails once the
+        # condition number nears 1 / eps.
+        w = np.linalg.eigvalsh(sigma).reshape(-1, 2 * m)
+        lo, hi = w[np.argmin(w[:, 0] / np.abs(w).max(axis=1)), [0, -1]]
+        if lo > 0:
+            state = "is numerically singular, not positive-definite to working precision:"
+        else:
+            state = "must be positive-definite, got"
         raise NumericsError(
-            f"covariance matrix must be positive-definite, got eigenvalue {w.min():.3e}"
+            f"covariance matrix {state} eigenvalues from {lo:.3e} to {hi:.3e}"
         ) from None
     # L^T J L = Lx^T Lp - Lp^T Lx for the position rows Lx and momentum
     # rows Lp of L; real antisymmetric, so i times it is Hermitian.

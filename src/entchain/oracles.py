@@ -355,8 +355,8 @@ def covariance_series(
     one per row, both exact; a ``linear`` schedule doubles its Magnus
     pieces until two levels agree within ``tolerance``, or raises
     ``IntegrationError``.  Only the 2m kept rows of each output flow are
-    built.  Time points are taken in blocks of ``max(1, 8192 // (2m)**2)``,
-    the rule of ``entropy_series``, one stacked spectrum call each.
+    built.  Time points are taken in blocks of ``max(1, 8192 // (2m)**2)``
+    (``_block_rows``), one stacked spectrum call each.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)

@@ -437,6 +437,26 @@ class TestMain:
         # the gapless mode's b**2 = 1 + 9 t**2 first overflows at t = 1e199
         assert "t = 1e+199" in proc.stderr
 
+    def test_singular_covariance_exits_2(self, tmp_path):
+        """At t = 1e9 the gapless zero mode makes the kept covariance of an
+        open chain's second half numerically singular (condition number
+        past 1 / eps): exit 2 with both ends of its spectrum named.  The
+        ring's kept block {1, 2} splits into two one-site mirror sectors
+        that each factor, and gives S_1 within 1e-6 of a 60-digit value."""
+        model = {"n": 4, "omega_i": 3, "k_i": 2, "omega_f": 0, "k_f": 2.5}
+        time = {"t_max": 1e9, "dt": 1e9}
+        open_path = write_config(tmp_path, {"model": {**model, "boundary": "open"}, "time": time},
+                                 name="open.json")
+        proc = _run_cli(["simulate", "--config", open_path])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: covariance matrix is numerically singular")
+        assert "eigenvalues from" in proc.stderr and "Traceback" not in proc.stderr
+        ring_path = write_config(tmp_path, {"model": model, "time": time}, name="ring.json")
+        proc = _run_cli(["simulate", "--config", ring_path])
+        assert proc.returncode == 0
+        s1 = float(proc.stdout.splitlines()[-1].split(",")[-1])
+        assert abs(s1 - 21.3409311148951) < 1e-6
+
     def test_numerics_failure_creates_no_file(self, tmp_path):
         # the t_max = 1e200 run fails in the scale factors, before any output
         doc = {

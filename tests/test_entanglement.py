@@ -22,8 +22,10 @@ from entchain import (
     symplectic_eigenvalues,
     von_neumann_entropy,
 )
-from entchain.entanglement import _block_rows, _chunk_rows
-from entchain.ermakov import QuenchSchedule
+from entchain.chain import bond_laplacian
+from entchain.entanglement import _grid_rows, _mirror_sectors, _sector_columns
+from entchain.ermakov import ModeSolution, QuenchSchedule, integrate_general
+from entchain.gaussian import mode_covariance, physical_nu
 from entchain.oracles import (
     GaussianState,
     ReducedState,
@@ -41,6 +43,12 @@ from entchain.oracles import (
 
 RAMP_TABLE = [[0.0, 3.0, 2.0], [10.0, 2.0, 2.2], [20.0, 1.0, 2.4], [30.0, 0.3, 2.5]]
 XI_STATIC = 2.0 / (7.0 + 3.0 * np.sqrt(5.0))  # 0.14589803375031546
+
+
+def _grid(spec, part):
+    """(block, chunk) rows that entropy_series takes for this partition."""
+    sectors = _sector_columns(spec, quench_modes(spec).u, part.kept)
+    return _grid_rows(max(cols.shape[1] for cols in sectors), spec.n)
 
 
 def _state(spec, t):
@@ -339,22 +347,24 @@ class TestEntropySeries:
         assert np.all(np.diff(series.xi, axis=1) >= -1e-15)
 
     def test_block_boundaries_match_slices_and_points(self):
-        # n = 20 keeps 10 sites: 8192 // 20**2 = 20 rows per block, so 70
-        # points span four blocks; slices and single points start blocks
-        # at other rows.
+        # n = 20 keeps 10 sites, two mirror sectors of 5: blocks of
+        # min(8192 // 10**2, 2048 // 20) = 81 rows, so 3 blocks + 10 points
+        # span four blocks; slices and single points start blocks at other
+        # rows.
         spec = ChainSpec(n=20, omega_i=3.0, k_i=2.0, omega_f=0.01, k_f=2.5)
-        times = 0.7 * np.arange(70)
         part = Partition.second_half(20)
+        rows, _ = _grid(spec, part)
+        times = 0.7 * np.arange(3 * rows + 10)
         whole = entropy_series(spec, part, times, alphas=(1, 2))
         pieces = [
             entropy_series(spec, part, times[a:b], alphas=(1, 2))
-            for a, b in ((0, 7), (7, 33), (33, 34), (34, 70))
+            for a, b in ((0, 7), (7, rows + 13), (rows + 13, rows + 14), (rows + 14, times.size))
         ]
         assert np.array_equal(whole.xi, np.concatenate([p.xi for p in pieces]))
         for a in (1, 2):
             joined = np.concatenate([p.entropies[a] for p in pieces])
             assert np.array_equal(whole.entropies[a], joined)
-        for i in (0, 19, 20, 69):
+        for i in (0, rows - 1, rows, times.size - 1):
             point = entropy_series(spec, part, times[i:i + 1], alphas=(1, 2))
             assert np.array_equal(whole.xi[i:i + 1], point.xi)
             assert whole.s1[i] == point.s1[0]
@@ -373,7 +383,7 @@ class TestEntropySeries:
         # between chunk edges and between block edges
         spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
         part = Partition.second_half(n)
-        chunk = _chunk_rows(_block_rows(2 * len(part.kept)), n)
+        _, chunk = _grid(spec, part)
         times = 0.01 * np.arange(3 * chunk + 200)
         cuts = [0, chunk - 37, chunk + 1, chunk + 2, 2 * chunk + 301, times.size]
         whole = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
@@ -446,6 +456,30 @@ class TestEntropySeries:
         with pytest.raises(ValueError, match="uniform"):
             entropy_series(spec, part, times + np.where(np.arange(1000) == 500, 1e-9, 0.0))
 
+    def test_table_pieces_are_held_once(self):
+        """A linear table's Taylor pieces are stored once during set-up:
+        a 3-point run on a 32-site ring with about 1,600 pieces per mode
+        peaks below 1.5 times their bytes.  Stacking the one-mode
+        solutions held them twice and peaked at 2.0 times."""
+        schedule = QuenchSchedule([0.0, 100.0], [30.0, 1.0], [5.0, 5.0], interpolation="linear")
+        spec = ChainSpec(n=32, omega_i=30.0, k_i=5.0, omega_f=1.0, k_f=5.0)
+        part = Partition.second_half(32)
+        modes = quench_modes(spec)
+        piece_bytes = 0
+        for mu, li in zip(modes.mu, modes.lam_pre):
+            sol = integrate_general(li, schedule.times, schedule.omegas**2 + mu * schedule.ks)
+            piece_bytes += sum(a.nbytes for a in (sol.starts, sol.lams, sol.slopes, sol.phis))
+        del sol
+        entropy_series(spec, part, [0.0, 1.0], schedule=schedule)  # warm caches
+        tracemalloc.start()
+        try:
+            entropy_series(spec, part, [0.0, 1.0, 2.0], schedule=schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert piece_bytes > 2_500_000
+        assert peak < 1.5 * piece_bytes
+
     @pytest.mark.parametrize(
         "n, schedule, times",
         [
@@ -472,3 +506,67 @@ class TestEntropySeries:
             tracemalloc.stop()
         columns = series.xi.nbytes + sum(s.nbytes for s in series.entropies.values())
         assert peak - columns < 800_000
+
+
+class TestMirrorSectors:
+    @pytest.mark.parametrize(
+        "n, boundary, kept, widths",
+        [
+            (8, "periodic", (1, 2, 3, 4), [2, 2]),  # the benchmark's ring
+            (8, "periodic", (8, 1, 2), [2, 1]),  # across the seam, centre fixed
+            (8, "periodic", (1, 3, 5, 7), [2, 2]),  # the reflection fixing no site
+            (7, "open", (1, 2, 6, 7), [2, 2]),
+            (7, "open", (1, 4, 7), [2, 1]),  # odd m, centre site fixed
+            (5, "periodic", (1, 2, 4), [2, 1]),  # not contiguous
+            (7, "open", (1, 2, 3), None),  # an open chain's second half
+            (6, "periodic", (1, 2, 4), None),
+            (4, "periodic", (1,), None),  # one site: one sector
+        ],
+    )
+    def test_sectors_of_reflected_kept_sets(self, n, boundary, kept, widths):
+        """The sectors are the even and odd combinations under a reflection
+        of the chain that commutes with the bond Laplacian and maps the
+        kept set onto itself; [Q_even, Q_odd] is orthogonal."""
+        sectors = _mirror_sectors(n, boundary, kept)
+        if widths is None:
+            assert sectors == []
+            return
+        assert [q.shape for q in sectors] == [(len(kept), w) for w in widths]
+        q = np.hstack(sectors)
+        assert np.allclose(q.T @ q, np.eye(len(kept)), atol=1e-15)
+        reflection = q @ np.diag([1.0] * widths[0] + [-1.0] * widths[1]) @ q.T
+        permutation = np.round(reflection)
+        assert np.allclose(reflection, permutation, atol=1e-15)
+        assert np.array_equal(np.sort(permutation, axis=0)[-1], np.ones(len(kept)))
+        assert np.array_equal(permutation.sum(axis=0), np.ones(len(kept)))
+        lap = bond_laplacian(n, boundary)
+        sites = [s - 1 for s in kept]
+        # the kept-block restriction of a Laplacian function commutes with
+        # the reflection: here, of L itself and of L**2
+        for matrix in (lap, lap @ lap):
+            block = matrix[np.ix_(sites, sites)]
+            assert np.allclose(reflection @ block, block @ reflection, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "spec, traced",
+        [
+            (ChainSpec(n=7, omega_i=1.0, k_i=1.0, omega_f=0.3, k_f=2.0, boundary="open"), (1, 2, 5)),
+            (ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.0, k_f=2.5, boundary="open"),
+             (5, 6, 7, 8)),
+        ],
+        ids=["asymmetric", "open-second-half"],
+    )
+    def test_asymmetric_partition_is_one_whole_block(self, spec, traced):
+        """With no mirror symmetry the kept block is one sector, and xi is
+        bit for bit that of the whole kept block's spectrum."""
+        part = Partition.from_traced(traced, spec.n)
+        assert _mirror_sectors(spec.n, spec.boundary, part.kept) == []
+        times = 0.37 * np.arange(300)
+        series = entropy_series(spec, part, times)
+        modes = quench_modes(spec)
+        b, bdot = ModeSolution.stack(
+            [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
+        ).evaluate(times)
+        u_kept = modes.u[:, [s - 1 for s in part.kept]]
+        nu = physical_nu(symplectic_eigenvalues(mode_covariance(u_kept, modes.lam_pre, b, bdot)))
+        assert np.array_equal(series.xi, (2.0 * nu - 1.0) / (2.0 * nu + 1.0))

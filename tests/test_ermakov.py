@@ -375,3 +375,33 @@ def test_stack_matches_each_mode_bit_for_bit():
         assert [(b_i[j], bdot_i[j]) for j in range(len(sols))] == [sol.evaluate(t[i]) for sol in sols]
     with pytest.raises(ValueError, match="one-mode"):
         ModeSolution.stack([stack])
+
+
+def test_stacked_integration_matches_each_mode():
+    """An array of initial eigenvalues with one table row per mode gives
+    the stack of the one-mode calls, every piece array bit for bit; the
+    first mode that fails its Wronskian check raises."""
+    times = [0.0, 10.0, 20.0, 30.0]
+    lam0 = np.array([9.0, 5.0, 2.0])
+    lams = np.array([[9.0, 4.4, 1.96, 0.39], [0.0, 6.0, 6.0, 0.5], [2.0, 2.0, 2.0, 2.0]])
+    for interpolation in ("linear", "previous"):
+        stack = integrate_general(lam0, times, lams, interpolation)
+        parts = ModeSolution.stack([
+            integrate_general(li, times, row, interpolation) for li, row in zip(lam0, lams)
+        ])
+        for field in ("lam_initial", "starts", "lams", "slopes", "phis", "first"):
+            assert np.array_equal(getattr(stack, field), getattr(parts, field))
+    with pytest.raises(ValueError, match="one row"):
+        integrate_general(lam0, times, lams[:2])
+    with pytest.raises(ValueError, match="one row"):
+        integrate_general(1.0, times, lams)
+    with pytest.raises(ValueError, match="positive"):
+        integrate_general(np.array([1.0, 0.0]), times, lams[:2])
+    # the second mode is the test_integrate_refinement_exhaustion table
+    cuts = np.cumsum([0.0] + [0.23 if k % 2 else 1.3 for k in range(11)])
+    values = np.array([[1.0] * 12, [25.0 if k % 2 else 1.0 for k in range(12)]])
+    with pytest.raises(IntegrationError) as err:
+        integrate_general(np.ones(2), cuts, values, "previous", tolerance=1e-15)
+    with pytest.raises(IntegrationError) as alone:
+        integrate_general(1.0, cuts, values[1], "previous", tolerance=1e-15)
+    assert err.value.time == alone.value.time

@@ -10,6 +10,7 @@ import pytest
 
 from entchain import (
     ChainSpec,
+    ModeSolution,
     NumericsError,
     quench_modes,
     solve_sudden,
@@ -152,6 +153,24 @@ def test_stacked_symplectic_eigenvalues_match_single_calls():
     bad[3] = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
     with pytest.raises(NumericsError, match="positive-definite"):
         symplectic_eigenvalues(bad)
+
+
+def test_numerically_singular_covariance_names_its_eigenvalue_range():
+    """A gapless ring at t = 1e9: ``eigvalsh`` finds every eigenvalue of
+    the kept block's covariance positive, from about 0.4 to 7.5e17, a
+    condition number past 1 / eps, and Cholesky fails.  The error gives
+    both ends of the spectrum and calls the matrix numerically singular."""
+    spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.0, k_f=2.5)
+    qm = quench_modes(spec)
+    b, bdot = ModeSolution.stack(
+        [solve_sudden(li, lf) for li, lf in zip(qm.lam_pre, qm.lam_post)]
+    ).evaluate(np.array([0.0, 1e9]))
+    sigma = mode_covariance(qm.u[:, :2], qm.lam_pre, b, bdot)
+    w = np.linalg.eigvalsh(sigma[1])
+    assert w.min() > 0.1 and w.max() / w.min() > 1e18
+    with pytest.raises(NumericsError, match=r"numerically singular.* to 7\.500e\+17$") as err:
+        symplectic_eigenvalues(sigma)
+    assert "eigenvalues from" in str(err.value)
 
 
 def test_assemble_state_validation():

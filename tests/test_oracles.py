@@ -10,7 +10,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entchain.entanglement
@@ -33,7 +33,7 @@ from entchain import (
     symplectic_eigenvalues,
 )
 from entchain.chain import bond_laplacian
-from entchain.entanglement import _block_rows, _chunk_rows
+from entchain.entanglement import _grid_rows, _sector_columns, _sector_spectrum
 from entchain.gaussian import mode_covariance
 from entchain.oracles import (
     KernelGrid,
@@ -272,8 +272,10 @@ _SPECTRUM_C = 16.0
 
 @pytest.mark.parametrize("case", list(_REFERENCE_CASES))
 def test_spectrum_routes_match_50_digit_reference(case):
-    """Both spectrum routes stay within c eps ||sigma||_2 of a 50-digit
-    spectrum of the same double-precision kept-block covariances."""
+    """The Cholesky and eigen-factor routes stay within c eps ||sigma||_2
+    of a 50-digit spectrum of the same double-precision kept-block
+    covariances, and so does the mirror-sector route of ``entropy_series``,
+    which builds its sector covariances from the same scale factors."""
     spec, kept, times = _REFERENCE_CASES[case]
     modes = quench_modes(spec)
     pairs = [
@@ -285,6 +287,7 @@ def test_spectrum_routes_match_50_digit_reference(case):
     routes = [
         entchain.entanglement.symplectic_eigenvalues(stack),
         entchain.oracles.symplectic_eigenvalues(stack),
+        _sector_spectrum(_sector_columns(spec, modes.u, kept), modes.lam_pre, b, bdot),
     ]
     for row, sigma in enumerate(stack):
         reference = _mp_symplectic_eigenvalues(sigma)
@@ -316,6 +319,79 @@ def test_cholesky_route_matches_reference_spectrum(data):
     nu = symplectic_eigenvalues(sigma)
     assert nu.shape == reference.shape == (times.size, len(kept))
     assert np.all(np.abs(nu - reference) <= 1e-11 * np.maximum(1.0, reference))
+
+
+def _mirrored_kept(data, n: int, boundary: str):
+    """A kept set that a reflection s -> c - s (mod n, sites from 0) of
+    the chain maps onto itself, and its centre c: a contiguous arc, or a
+    union of reflection orbits {s, c - s}, where an orbit of one site is
+    a fixed centre.  An open chain has the one reflection c = n - 1."""
+    centre = n - 1
+    if data.draw(st.booleans(), label="contiguous"):
+        if boundary == "open":
+            margin = data.draw(st.integers(1, max(1, (n - 1) // 2)), label="margin")
+            sites = range(margin, n - margin)
+        else:
+            first = data.draw(st.integers(0, n - 1), label="first")
+            length = data.draw(st.integers(1, n - 1), label="length")
+            sites = [(first + i) % n for i in range(length)]
+            centre = (2 * first + length - 1) % n
+    else:
+        if boundary == "periodic":
+            centre = data.draw(st.integers(0, n - 1), label="centre")
+        orbits = sorted({tuple(sorted({s, (centre - s) % n})) for s in range(n)})
+        chosen = data.draw(st.lists(st.booleans(), min_size=len(orbits),
+                                    max_size=len(orbits)), label="orbits")
+        sites = [s for orbit, keep in zip(orbits, chosen) if keep for s in orbit]
+    assume(0 < len(sites) < n)
+    assert {(centre - s) % n for s in sites} == set(sites)
+    return tuple(sorted(s + 1 for s in sites)), centre
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sector_route_matches_unsplit_spectrum(data):
+    """The mirror-sector spectrum of ``entropy_series`` against the
+    Cholesky spectrum of the whole kept block, on mirror-symmetric kept
+    sets of random chains (contiguous or not, odd sizes with a fixed
+    centre site), sudden quenches and tables, gapless targets included:
+    |d nu| <= c eps ||sigma||_2 row by row."""
+    n = data.draw(st.integers(2, 12), label="n")
+    boundary = data.draw(st.sampled_from(["open", "periodic"]), label="boundary")
+    kept, centre = _mirrored_kept(data, n, boundary)
+    kind = data.draw(st.sampled_from(["sudden", "linear", "previous"]), label="kind")
+    times = np.array(
+        data.draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6), label="times")
+    )
+    if kind == "sudden":
+        omega_f = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), label="omega_f")
+        spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=omega_f, k_f=2.5, boundary=boundary)
+        modes = quench_modes(spec)
+        pairs = [solve_sudden(li, lf).evaluate(times)
+                 for li, lf in zip(modes.lam_pre, modes.lam_post)]
+        b, bdot = (np.column_stack(col) for col in zip(*pairs))
+    else:
+        samples = data.draw(st.integers(2, 4), label="samples")
+        gaps = data.draw(st.lists(st.floats(0.2, 3.0), min_size=samples - 1,
+                                  max_size=samples - 1), label="gaps")
+        rows = data.draw(st.lists(_TABLE_ROW, min_size=samples, max_size=samples), label="rows")
+        omegas, ks = (np.array(column) for column in zip(*rows))
+        spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=omegas[-1], k_f=ks[-1],
+                         boundary=boundary)
+        modes = quench_modes(spec)
+        solution = integrate_general(modes.lam_pre, np.cumsum([0.0] + gaps),
+                                     omegas**2 + modes.mu[:, None] * ks, kind)
+        b, bdot = solution.evaluate(times)
+    sectors = _sector_columns(spec, modes.u, kept)
+    fixed = sum((centre - (s - 1)) % n == s - 1 for s in kept)
+    assert fixed == len(kept) or len(sectors) == 2
+    assert sum(cols.shape[1] for cols in sectors) == len(kept)
+    sigma = mode_covariance(modes.u[:, [s - 1 for s in kept]], modes.lam_pre, b, bdot)
+    whole = symplectic_eigenvalues(sigma)
+    split = _sector_spectrum(sectors, modes.lam_pre, b, bdot)
+    bound = _SPECTRUM_C * np.finfo(float).eps * np.linalg.norm(sigma, 2, axis=(1, 2))
+    assert split.shape == whole.shape
+    assert np.all(np.abs(split - whole) <= bound[:, None])
 
 
 @pytest.mark.parametrize(
@@ -449,7 +525,8 @@ def test_random_tables_agree_across_paths(data):
                      omega_f=omegas[-1], k_f=ks[-1], boundary=boundary)
     schedule = QuenchSchedule(np.cumsum([0.0] + gaps), omegas, ks, interpolation)
     part = Partition.from_traced(traced, n)
-    chunk = _chunk_rows(_block_rows(2 * len(part.kept)), n)
+    sectors = _sector_columns(spec, quench_modes(spec).u, part.kept)
+    _, chunk = _grid_rows(max(cols.shape[1] for cols in sectors), n)
     size = chunk + 1 + data.draw(st.integers(0, chunk // 4), label="extra rows")
     step = data.draw(st.one_of(st.floats(0.02, 0.15), st.floats(0.4, 2.0)), label="step")
     times = min(step, 30.0 / size) * np.arange(size)
