@@ -16,13 +16,17 @@ matrix, xi_j = (2 nu_j - 1) / (2 nu_j + 1); all sites together give a
 pure state, every nu_j = 1/2.
 
 The spectrum comes from a Cholesky factor sigma = L L^T: the real
-antisymmetric matrix L^T J L is similar to J sigma, so the nu_j are the
-positive eigenvalues of the Hermitian matrix i L^T J L (Williamson,
+antisymmetric matrix A = L^T J L is similar to J sigma, so the nu_j are
+the positive eigenvalues of the Hermitian matrix i A (Williamson,
 Am. J. Math. 58, 141 (1936)).  That is one Cholesky factorization and one
 Hermitian eigensolve per matrix, with no matrix square root and no
-squared spectrum.  ``entchain.oracles`` keeps its own route as the
-reference: the same Williamson form, with the factor of sigma taken from
-``eigh`` instead of Cholesky.
+squared spectrum.  One and two modes, the sectors of the smallest kept
+blocks, skip the eigensolve: nu = |a_01| for one mode, and for two the
+lengths u, v of the self-dual and anti-self-dual parts of A give
+nu = (|u - v| / 2, (u + v) / 2), again without squaring the spectrum.
+``entchain.oracles`` keeps its own route as the reference: the same
+Williamson form, with the factor of sigma taken from ``eigh`` instead of
+Cholesky and an eigensolve at every size.
 """
 
 from __future__ import annotations
@@ -67,13 +71,18 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, ascending.
 
     Factors sigma = L L^T (Cholesky) and takes the positive spectrum of
-    the Hermitian matrix i L^T J L, which is similar to i J sigma.  A pure
-    state gives all values 1/2.
+    the Hermitian matrix i L^T J L, which is similar to i J sigma: in
+    closed form for one and two modes (see the module docstring), by
+    ``eigvalsh`` for three or more.  Either way the absolute error is
+    about eps ||sigma||.  A pure state gives all values 1/2.
 
     ``sigma`` may be one (2m, 2m) matrix or a stack (..., 2m, 2m); the
     result has shape (..., m), and each matrix of a stack gets the same
     values as a call on that matrix alone.  One matrix that is not finite
-    or not positive-definite to working precision fails the whole call.
+    or not positive-definite to working precision fails the whole call;
+    the message names the worst-conditioned matrix's largest eigenvalue
+    and its smallest, or the roundoff level 2m eps |largest| when the
+    smallest is below it and neither its value nor its sign is known.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2] or sigma.shape[-1] % 2:
@@ -84,22 +93,44 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     try:
         factor = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        # Report the worst-conditioned matrix of the stack.  All of its
-        # eigenvalues can be positive: Cholesky also fails once the
-        # condition number nears 1 / eps.
+        # Report the worst-conditioned matrix of the stack.  Cholesky also
+        # fails once the condition number nears 1 / eps, and there
+        # eigvalsh resolves the smallest eigenvalue only to about
+        # 2m eps times the largest: below that level its value and even
+        # its sign are roundoff, so it is not printed.
         w = np.linalg.eigvalsh(sigma).reshape(-1, 2 * m)
         lo, hi = w[np.argmin(w[:, 0] / np.abs(w).max(axis=1)), [0, -1]]
-        if lo > 0:
-            state = "is numerically singular, not positive-definite to working precision:"
+        roundoff = 2 * m * np.finfo(float).eps * max(-lo, hi)
+        if lo < -roundoff:
+            state = f"must be positive-definite, got eigenvalues from {lo:.3e}"
+        elif lo > roundoff:
+            state = (
+                "is numerically singular, not positive-definite to working precision:"
+                f" eigenvalues from {lo:.3e}"
+            )
         else:
-            state = "must be positive-definite, got"
-        raise NumericsError(
-            f"covariance matrix {state} eigenvalues from {lo:.3e} to {hi:.3e}"
-        ) from None
+            state = f"is numerically singular: eigenvalues from 0 +/- {roundoff:.3e} (roundoff)"
+        raise NumericsError(f"covariance matrix {state} to {hi:.3e}") from None
     # L^T J L = Lx^T Lp - Lp^T Lx for the position rows Lx and momentum
     # rows Lp of L; real antisymmetric, so i times it is Hermitian.
     g = factor[..., :m, :].swapaxes(-1, -2) @ factor[..., m:, :]
-    return np.linalg.eigvalsh(1j * (g - g.swapaxes(-1, -2)))[..., m:]
+    a = g - g.swapaxes(-1, -2)
+    if m == 1:
+        return np.abs(a[..., 0, 1:])
+    if m == 2:
+        # so(4) = so(3) + so(3): the self-dual and anti-self-dual parts of
+        # A have lengths u and v with u^2 + v^2 = 2 sum_i<j a_ij^2 = 2 (nu_1^2
+        # + nu_2^2) and u^2 - v^2 = 4 Pf A = +-4 nu_1 nu_2, so they are
+        # nu_2 + nu_1 and nu_2 - nu_1 in some order.
+        # Squares are products: ``**`` on the numpy scalars of a single
+        # matrix calls pow(), which can differ from x * x in the last bit.
+        self_dual = (a[..., 0, 1] + a[..., 2, 3], a[..., 0, 2] - a[..., 1, 3],
+                     a[..., 0, 3] + a[..., 1, 2])
+        anti_dual = (a[..., 0, 1] - a[..., 2, 3], a[..., 0, 2] + a[..., 1, 3],
+                     a[..., 0, 3] - a[..., 1, 2])
+        u, v = (np.sqrt(x * x + y * y + z * z) for x, y, z in (self_dual, anti_dual))
+        return np.stack([np.abs(u - v), u + v], axis=-1) / 2
+    return np.linalg.eigvalsh(1j * a)[..., m:]
 
 
 def physical_nu(nu) -> np.ndarray:

@@ -158,8 +158,11 @@ def test_stacked_symplectic_eigenvalues_match_single_calls():
 def test_numerically_singular_covariance_names_its_eigenvalue_range():
     """A gapless ring at t = 1e9: ``eigvalsh`` finds every eigenvalue of
     the kept block's covariance positive, from about 0.4 to 7.5e17, a
-    condition number past 1 / eps, and Cholesky fails.  The error gives
-    both ends of the spectrum and calls the matrix numerically singular."""
+    condition number past 1 / eps, and Cholesky fails.  The smallest
+    eigenvalue lies below the roundoff level 2m eps * 7.5e17 = 666 (50
+    digits put it near -7e-3), so the error gives the largest eigenvalue
+    and that level instead of the smallest, and calls the matrix
+    numerically singular, not indefinite."""
     spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.0, k_f=2.5)
     qm = quench_modes(spec)
     b, bdot = ModeSolution.stack(
@@ -168,9 +171,42 @@ def test_numerically_singular_covariance_names_its_eigenvalue_range():
     sigma = mode_covariance(qm.u[:, :2], qm.lam_pre, b, bdot)
     w = np.linalg.eigvalsh(sigma[1])
     assert w.min() > 0.1 and w.max() / w.min() > 1e18
-    with pytest.raises(NumericsError, match=r"numerically singular.* to 7\.500e\+17$") as err:
+    with pytest.raises(NumericsError) as err:
         symplectic_eigenvalues(sigma)
-    assert "eigenvalues from" in str(err.value)
+    assert str(err.value) == (
+        "covariance matrix is numerically singular:"
+        " eigenvalues from 0 +/- 6.661e+02 (roundoff) to 7.500e+17"
+    )
+
+
+def test_cholesky_failure_message_follows_the_roundoff_level(monkeypatch):
+    """The smallest eigenvalue is printed only beyond the roundoff level
+    2m eps |largest|: a negative one makes the matrix indefinite, a
+    positive one that Cholesky still rejects numerically singular, and one
+    within roundoff is replaced by that level."""
+    eps = np.finfo(float).eps
+    with pytest.raises(NumericsError) as err:
+        symplectic_eigenvalues(np.diag([4.0, -1e-14, 1.0, 1.0]))
+    assert str(err.value) == (
+        "covariance matrix must be positive-definite, got eigenvalues from -1.000e-14 to 4.000e+00"
+    )
+    with pytest.raises(NumericsError) as err:
+        symplectic_eigenvalues(np.diag([4.0, -2 * eps, 1.0, 1.0]))
+    assert str(err.value) == (
+        "covariance matrix is numerically singular:"
+        " eigenvalues from 0 +/- 3.553e-15 (roundoff) to 4.000e+00"
+    )
+
+    def rejects(sigma):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", rejects)
+    with pytest.raises(NumericsError) as err:
+        symplectic_eigenvalues(np.diag([4.0, 1e-13, 1.0, 1.0]))
+    assert str(err.value) == (
+        "covariance matrix is numerically singular, not positive-definite to working"
+        " precision: eigenvalues from 1.000e-13 to 4.000e+00"
+    )
 
 
 def test_assemble_state_validation():

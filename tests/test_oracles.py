@@ -296,6 +296,82 @@ def test_spectrum_routes_match_50_digit_reference(case):
             assert np.abs(nu[row] - reference).max() <= bound
 
 
+def _random_symplectic(rng, m: int) -> np.ndarray:
+    """K Z K' (Bloch-Messiah): orthogonal symplectic K and K', each
+    [[X, -Y], [Y, X]] for a random unitary X + iY, around a squeeze
+    Z = diag(r, 1 / r) with r in [e^-2, e^2]."""
+
+    def passive():
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        return np.block([[q.real, -q.imag], [q.imag, q.real]])
+
+    r = np.exp(rng.uniform(-2.0, 2.0, size=m))
+    return passive() @ np.diag(np.concatenate([r, 1.0 / r])) @ passive()
+
+
+def _closed_form_stack(m: int) -> np.ndarray:
+    """Covariances S diag(nu, nu) S^T of m = 1 or 2 modes for random
+    symplectic S, 40 rows for each kind of spectrum:
+    near-pure (nu - 1/2 from 1e-16 to 1e-9), large (nu up to 1e6), one
+    near-pure value beside a large one, and exactly equal pairs."""
+    rng = np.random.default_rng(16 + m)
+    kinds = [
+        lambda: 0.5 + 10.0 ** rng.uniform(-16.0, -9.0, size=m),
+        lambda: 0.5 + 10.0 ** rng.uniform(0.0, 6.0, size=m),
+    ]
+    if m == 2:
+        kinds += [
+            lambda: 0.5 + 10.0 ** np.array([rng.uniform(-16.0, -9.0), rng.uniform(0.0, 6.0)]),
+            lambda: np.full(2, rng.uniform(0.5, 10.0)),
+        ]
+    stack = []
+    for kind in kinds:
+        for _ in range(40):
+            s, nu = _random_symplectic(rng, m), kind()
+            stack.append(s @ np.diag(np.concatenate([nu, nu])) @ s.T)
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_spectrum_matches_50_digit_reference(m):
+    """One- and two-mode covariances take a closed form instead of an
+    eigensolver; it stays within c eps ||sigma||_2 of a 50-digit spectrum
+    on degenerate, near-pure and large spectra, and a stack, a single
+    matrix and a nested stack give the same values bit for bit."""
+    stack = _closed_form_stack(m)
+    nu = symplectic_eigenvalues(stack)
+    assert nu.shape == (len(stack), m)
+    for row, sigma in enumerate(stack):
+        bound = _SPECTRUM_C * np.finfo(float).eps * np.linalg.norm(sigma, 2)
+        assert np.abs(nu[row] - _mp_symplectic_eigenvalues(sigma)).max() <= bound
+        assert np.array_equal(symplectic_eigenvalues(sigma), nu[row])
+    nested = symplectic_eigenvalues(stack.reshape(2, -1, 2 * m, 2 * m))
+    assert np.array_equal(nested, nu.reshape(2, -1, m))
+
+
+def test_ramp_sectors_take_no_eigensolver(monkeypatch):
+    """The benchmark's ramp shape, a ring of 8 with sites 1-4 kept, splits
+    into two two-site mirror sectors: with ``eigvalsh`` unavailable its
+    entropies still run and match the oracle's, while a three-mode
+    spectrum needs the eigensolver."""
+    spec = ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+    partition = Partition.from_traced([5, 6, 7, 8], 8)
+    schedule = QuenchSchedule(times=[0.0, 10.0, 20.0, 30.0], omegas=[3.0, 2.0, 1.0, 0.3],
+                              ks=[2.0, 2.2, 2.4, 2.5])
+    times = np.linspace(0.0, 40.0, 9)
+    oracle = covariance_series(spec, partition, times, alphas=(1, 2), schedule=schedule)
+
+    def forbidden(*args, **kwargs):
+        raise _Forbidden
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    primary = entropy_series(spec, partition, times, alphas=(1, 2), schedule=schedule)
+    for a in (1, 2):
+        assert np.abs(primary.entropies[a] - oracle.entropies[a]).max() < 1e-8
+    with pytest.raises(_Forbidden):
+        symplectic_eigenvalues(np.eye(6))
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_cholesky_route_matches_reference_spectrum(data):
