@@ -5,20 +5,12 @@ symplectic spectra, closed-form entropies, and independent references in
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    PeriodEstimate,
-    ScalingFit,
-    extract_periods,
-    fit_scaling,
-    revival_period,
-)
-from .bosehubbard import BoseHubbardSpec, from_oscillator, mode_frequencies, to_oscillator
+from .bosehubbard import BoseHubbardSpec, to_oscillator
 from .chain import (
     ChainSpec,
     QuenchModes,
     bond_laplacian,
     build_coupling_matrix,
-    periodic_eigenvalues,
     quench_modes,
 )
 from .config import RunConfig, from_dict, parse_config, time_grid
@@ -59,31 +51,23 @@ __all__ = [
     "ModeSolution",
     "NumericsError",
     "Partition",
-    "PeriodEstimate",
     "QuenchModes",
     "QuenchSchedule",
     "ResultTable",
     "RunConfig",
-    "ScalingFit",
     "bond_laplacian",
     "build_coupling_matrix",
     "covariance_series",
     "entropy_series",
-    "extract_periods",
-    "fit_scaling",
     "format_csv",
     "from_dict",
-    "from_oscillator",
     "integrate_general",
     "kernel_spectrum",
     "make_figure",
     "mode_checks",
-    "mode_frequencies",
     "parse_config",
-    "periodic_eigenvalues",
     "quench_modes",
     "renyi_entropy",
-    "revival_period",
     "run",
     "run_sweep",
     "solve_sudden",

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chain import ChainSpec
 
 
@@ -36,19 +34,6 @@ def to_oscillator(omega_bh: float, hop: float, *, allow_gapless: bool = False) -
             "omega_bh == J is allowed post-quench only"
         )
     return omega_bh - hop, 2.0 * omega_bh * hop
-
-
-def from_oscillator(omega: float, k: float) -> tuple[float, float]:
-    """Inverse map: oscillator parameters (omega, k) back to (omega_bh, J)."""
-    if omega < 0 or k < 0:
-        raise ValueError("omega and k must be non-negative")
-    omega_minus = np.sqrt(omega**2 + 2.0 * k)
-    return 0.5 * (omega + omega_minus), 0.5 * (omega_minus - omega)
-
-
-def mode_frequencies(omega_bh: float, hop: float) -> tuple[float, float]:
-    """Normal-mode frequencies (omega_plus, omega_minus) of the dimer."""
-    return omega_bh - hop, omega_bh + hop
 
 
 @dataclass(frozen=True)

@@ -113,16 +113,6 @@ def build_coupling_matrix(spec: ChainSpec, phase: Phase) -> np.ndarray:
     return omega**2 * np.eye(spec.n) + k * bond_laplacian(spec.n, spec.boundary)
 
 
-def periodic_eigenvalues(spec: ChainSpec, phase: Phase) -> np.ndarray:
-    """Closed-form mode eigenvalues of the periodic chain, in mode order
-    j = 1..N: ``omega**2 + 2 k (1 - cos(2 pi j / N))``."""
-    if spec.boundary != "periodic":
-        raise ValueError("closed-form eigenvalues exist only for periodic chains")
-    omega, k = spec.params(phase)
-    j = np.arange(1, spec.n + 1)
-    return omega**2 + 2.0 * k * (1.0 - np.cos(2.0 * np.pi * j / spec.n))
-
-
 def quench_modes(spec: ChainSpec) -> QuenchModes:
     """Shared mode basis plus eigenvalues for both phases of the quench.
 

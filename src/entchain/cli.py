@@ -89,7 +89,7 @@ def _cmd_sweep(args) -> int:
             out_dir = output_block.get("path")
     if not out_dir:
         raise ConfigError("sweep needs an output directory (--output or output.path)")
-    for path in run_sweep(raw, out_dir, threads=args.threads):
+    for path in run_sweep(raw, out_dir):
         print(f"wrote {path}")
     return 0
 
@@ -126,10 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="cartesian sweep over list-valued model parameters")
     add_config(p)
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads (0 = one per CPU, default 1)",
-    )
     p.add_argument("--output", default=None, help="output directory for the sweep CSVs")
     p.set_defaults(func=_cmd_sweep)
 

@@ -8,8 +8,8 @@ nu_j carries one geometric ladder of the reduced density matrix,
     xi_j = (2 nu_j - 1) / (2 nu_j + 1),    p_(n) = (1 - xi_j) xi_j**n,
 
 and the Renyi and von Neumann entropies follow from the xi_j in closed
-form.  The Gaussian-kernel form of the same reduction lives with the
-references in ``entchain.oracles``.
+form.  The tests keep the Gaussian-kernel form of the same reduction as
+a reference (``tests/support.py``).
 
 A reflection of the chain that maps the kept sites onto themselves
 commutes with every covariance of the quenched chain, so the even and
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, quench_modes
-from .ermakov import ModeSolution, QuenchSchedule, integrate_general, solve_sudden
+from .ermakov import QuenchSchedule, integrate_general, solve_sudden
 from .gaussian import mode_covariance, physical_nu, symplectic_eigenvalues
 
 # Matrix elements per stacked array when a time grid is taken in blocks
@@ -284,9 +284,7 @@ def entropy_series(
         raise ValueError(f"partition covers {partition.n} sites but the chain has {spec.n}")
     modes = quench_modes(spec)
     if schedule is None:
-        solution = ModeSolution.stack(
-            [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
-        )
+        solution = solve_sudden(modes.lam_pre, modes.lam_post)
     else:
         lams = schedule.omegas**2 + modes.mu[:, None] * schedule.ks
         solution = integrate_general(modes.lam_pre, schedule.times, lams,

@@ -104,8 +104,9 @@ _TAYLOR_TERMS = 28
 
 @dataclass(frozen=True, eq=False)
 class ModeSolution:
-    """Scale factors of one mode, or of several stacked by :meth:`stack`.
-    ``evaluate`` returns (b, b') for any t >= 0.
+    """Scale factors of one mode, or of several stacked (``solve_sudden``
+    and ``integrate_general`` on arrays).  ``evaluate`` returns (b, b') for
+    any t >= 0.
 
     The piece arrays list each mode's pieces in turn: mode j owns pieces
     ``first[j]`` up to the next mode's first (or the end), and its first
@@ -123,22 +124,6 @@ class ModeSolution:
     slopes: np.ndarray
     phis: np.ndarray
     first: int | np.ndarray = 0
-
-    @classmethod
-    def stack(cls, solutions) -> "ModeSolution":
-        """One solution for the one-mode ``solutions``: its ``evaluate``
-        gives column j from ``solutions[j]``, bit for bit."""
-        if any(np.ndim(sol.lam_initial) for sol in solutions):
-            raise ValueError("only one-mode solutions can be stacked")
-        sizes = [sol.starts.size for sol in solutions]
-        return cls(
-            lam_initial=np.array([sol.lam_initial for sol in solutions]),
-            starts=np.concatenate([sol.starts for sol in solutions]),
-            lams=np.concatenate([sol.lams for sol in solutions]),
-            slopes=np.concatenate([sol.slopes for sol in solutions]),
-            phis=np.concatenate([sol.phis for sol in solutions]),
-            first=np.cumsum([0] + sizes[:-1]),
-        )
 
     def evaluate(self, t):
         """(b(t), b'(t)) for scalar or array t >= 0, each of shape
@@ -281,18 +266,26 @@ def _taylor_propagator(lam, slope, tau, piece):
     return u[0], u[1] / rate, du[0] * rate, du[1]
 
 
-def solve_sudden(lam_initial: float, lam_final: float) -> ModeSolution:
-    """Closed-form scale factor for a sudden jump lam_initial -> lam_final."""
-    if lam_initial <= 0:
-        raise ValueError(f"lam_initial must be positive, got {lam_initial}")
-    if lam_final < 0:
-        raise ValueError(f"lam_final must be non-negative, got {lam_final}")
+def solve_sudden(lam_initial, lam_final) -> ModeSolution:
+    """Closed-form scale factor for a sudden jump lam_initial -> lam_final:
+    one mode for floats, or the stack of one mode per entry for 1-d arrays
+    of one length, each mode bit for bit as its own call gives it."""
+    lam0 = np.array(lam_initial, dtype=float)
+    lams = np.array(lam_final, dtype=float)
+    if lam0.ndim > 1 or lams.shape != lam0.shape:
+        raise ValueError("lam_initial and lam_final must be floats or 1-d arrays of one length")
+    if np.any(lam0 <= 0):
+        raise ValueError(f"lam_initial must be positive, got {lam0.min():g}")
+    if np.any(lams < 0):
+        raise ValueError(f"lam_final must be non-negative, got {lams.min():g}")
+    one = lam0.ndim == 0
     return ModeSolution(
-        lam_initial=float(lam_initial),
-        starts=np.zeros(1),
-        lams=np.array([float(lam_final)]),
-        slopes=np.zeros(1),
-        phis=np.eye(2)[None],
+        lam_initial=float(lam0) if one else lam0,
+        starts=np.zeros(lam0.size),
+        lams=lams.ravel(),
+        slopes=np.zeros(lam0.size),
+        phis=np.tile(np.eye(2), (lam0.size, 1, 1)),
+        first=0 if one else np.arange(lam0.size),
     )
 
 
@@ -328,8 +321,8 @@ def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "
     failing time, which can be a piece boundary inside a table segment.
 
     An array ``lam_initial`` of several modes, with one row of ``lams``
-    per mode, gives their stack (see :meth:`ModeSolution.stack`), each mode
-    bit for bit as its own call gives it.  The piece counts follow from
+    per mode, gives their stack, each mode bit for bit as its own call
+    gives it.  The piece counts follow from
     the table alone, so the stack's arrays are allocated once at their
     final size and filled mode by mode: set-up never holds a mode's pieces
     twice.  The first mode to fail its Wronskian check raises.

@@ -23,61 +23,15 @@ No product run (``simulate``, ``sweep``, ``figure``) calls this module;
   kernel rho(x, x') is an explicit function of (gamma, beta, z); sampling
   it on a uniform grid and diagonalizing the resulting matrix recovers
   the occupation ladder directly, with no Gaussian-state algebra at all.
-
-* Gaussian-state algebra (the kernel route).  After the quench the exact
-  N-body wavefunction stays Gaussian,
-
-      psi(x, t) ~ exp(i x.T B x) * exp(-x.T W x / 2),
-
-  with real symmetric matrices built in the shared mode basis U (rows
-  are mode vectors):
-
-      W = U.T diag(sqrt(lam_j(0)) / b_j(t)**2) U      ("omega" below)
-      B = U.T diag(b_j'(t) / (2 b_j(t))) U            ("btilde" below)
-
-  Mode phases never enter a reduced density matrix.  In covariance
-  language, ordering (x_1..x_N, p_1..p_N),
-
-      <x x.T> = W^-1 / 2,   sym <x p.T> = W^-1 B,   <p p.T> = (W + 4 B W^-1 B) / 2.
-
-  Tracing out a site block A leaves a reduced density matrix over the
-  kept block with kernel
-
-      rho(x, x') ~ exp[i (x.T Z x - x'.T Z x')]
-                   * exp[-(x.T G x + x'.T G x')/2 + x.T (Bt + i A) x'],
-
-  where, with W and B split into traced (A) and kept (B) blocks and
-  P = W_AB.T W_AA^-1 B_AB,
-
-      G  = W_BB - W_AB.T W_AA^-1 W_AB / 2 + 2 B_AB.T W_AA^-1 B_AB
-      Bt = W_AB.T W_AA^-1 W_AB / 2 + 2 B_AB.T W_AA^-1 B_AB
-      A  = P - P.T
-      Z  = B_BB - (P + P.T) / 2.
-
-  The cross coupling Bt + i A is Hermitian; its antisymmetric imaginary
-  part A vanishes for a single kept site and for reflection-symmetric
-  partitions, but not in general.  The local phase Z drops out of every
-  entropy.  The kernel blocks fix the kept block's covariance matrix
-  (S = G - Bt):
-
-      <x x.T>     = S^-1 / 2
-      sym <x p.T> = S^-1 (Z - A/2)
-      <p p.T>     = (G + Bt) / 2 + 2 (Z + A/2) S^-1 (Z - A/2).
-
-  When A = 0 this reproduces the textbook shortcut of diagonalizing G,
-  rescaling Bt by its eigenvalues, and mapping each eigenvalue beta_j of
-  the rescaled cross matrix through xi_j = beta_j / (1 + sqrt(1 -
-  beta_j**2)); the covariance route stays exact when A does not vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, QuenchModes, bond_laplacian, build_coupling_matrix
+from .chain import ChainSpec, bond_laplacian, build_coupling_matrix
 from .entanglement import (
     EntropySeries,
     Partition,
@@ -85,9 +39,8 @@ from .entanglement import (
     _mode_sum,
     _validate_alphas,
     _validate_times,
-    _validate_xi,
 )
-from .ermakov import ModeSolution, QuenchSchedule
+from .ermakov import QuenchSchedule
 from .errors import GridError, IntegrationError, NumericsError
 from .gaussian import physical_nu
 
@@ -448,182 +401,6 @@ def kernel_spectrum(
         )
     eigs = np.linalg.eigvalsh(weighted)
     return eigs[::-1][:count].astype(float)
-
-
-# Gaussian-state algebra: the kernel route, kept as a reference for the
-# per-mode covariance builder of the product path.
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """Pure Gaussian state: the real width matrix W (``omega``) and the
-    phase-curvature matrix B (``btilde``)."""
-
-    omega: np.ndarray
-    btilde: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[0]
-
-
-def mode_matrices(u: np.ndarray, lam0: np.ndarray, b: np.ndarray, bdot: np.ndarray):
-    """(W, B) from mode data: U.T diag(...) U with the rows-as-modes U."""
-    w_diag = np.sqrt(lam0) / b**2
-    c_diag = bdot / (2.0 * b)
-    omega = u.T @ (w_diag[:, None] * u)
-    btilde = u.T @ (c_diag[:, None] * u)
-    return 0.5 * (omega + omega.T), 0.5 * (btilde + btilde.T)
-
-
-def assemble_state(modes: QuenchModes, solutions: list[ModeSolution], t: float) -> GaussianState:
-    """Build the state at time t from the quench modes and their scale factors."""
-    if len(solutions) != modes.n:
-        raise ValueError(f"need {modes.n} mode solutions, got {len(solutions)}")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    pairs = [sol.evaluate(t) for sol in solutions]
-    b = np.array([p[0] for p in pairs])
-    bdot = np.array([p[1] for p in pairs])
-    omega, btilde = mode_matrices(modes.u, modes.lam_pre, b, bdot)
-    return GaussianState(omega=omega, btilde=btilde)
-
-
-def to_covariance(state: GaussianState) -> np.ndarray:
-    """Symmetrized covariance matrix of the state, (x..., p...) ordering."""
-    w, vecs = np.linalg.eigh(state.omega)
-    if w.min() <= 0:
-        raise NumericsError(
-            f"width matrix must be positive-definite, got eigenvalue {w.min():.3e}"
-        )
-    inv = vecs @ ((1.0 / w)[:, None] * vecs.T)
-    xx = 0.5 * inv
-    xp = inv @ state.btilde
-    pp = 0.5 * (state.omega + 4.0 * state.btilde @ inv @ state.btilde)
-    n = state.n
-    sigma = np.empty((2 * n, 2 * n))
-    sigma[:n, :n] = xx
-    sigma[:n, n:] = xp
-    sigma[n:, :n] = xp.T
-    sigma[n:, n:] = pp
-    return 0.5 * (sigma + sigma.T)
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Gaussian kernel of the reduced density matrix on the kept block.
-
-    ``gamma`` (width) and ``beta`` (cross coupling) are real symmetric;
-    ``skew`` is the antisymmetric imaginary part of the cross coupling,
-    zero for one kept site and for reflection-symmetric partitions; ``z``
-    is the symmetric local phase block, which never affects the spectrum.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    skew: np.ndarray
-    z: np.ndarray
-
-    @property
-    def n_kept(self) -> int:
-        return self.gamma.shape[0]
-
-
-def _reduce_blocks(w_aa, w_ab, w_bb, b_ab, b_bb):
-    try:
-        x = np.linalg.solve(w_aa, w_ab)
-        y = np.linalg.solve(w_aa, b_ab)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"traced block of the width matrix is singular: {exc}") from exc
-    q = w_ab.T @ x
-    r = b_ab.T @ y
-    p = w_ab.T @ y
-    gamma = w_bb - 0.5 * q + 2.0 * r
-    beta = 0.5 * q + 2.0 * r
-    skew = p - p.T
-    z = b_bb - 0.5 * (p + p.T)
-    return 0.5 * (gamma + gamma.T), 0.5 * (beta + beta.T), skew, 0.5 * (z + z.T)
-
-
-def partial_trace(state: GaussianState, partition: Partition) -> ReducedState:
-    """Trace the partition's traced block out of a pure Gaussian state."""
-    if partition.n != state.n:
-        raise ValueError(
-            f"partition covers {partition.n} sites but the state has {state.n}"
-        )
-    tr = [s - 1 for s in partition.traced]
-    kp = [s - 1 for s in partition.kept]
-    w, b = state.omega, state.btilde
-    gamma, beta, skew, z = _reduce_blocks(
-        w[np.ix_(tr, tr)], w[np.ix_(tr, kp)], w[np.ix_(kp, kp)],
-        b[np.ix_(tr, kp)], b[np.ix_(kp, kp)],
-    )
-    return ReducedState(gamma=gamma, beta=beta, skew=skew, z=z)
-
-
-def reduced_covariance(reduced: ReducedState) -> np.ndarray:
-    """Covariance matrix of the kept block, built from its kernel blocks.
-
-    Ordered as (x_1..x_m, p_1..p_m); the reduced state is Gaussian, so this
-    matrix determines its entire spectrum.
-    """
-    s = reduced.gamma - reduced.beta
-    try:
-        s_inv = np.linalg.inv(s)
-        np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(
-            "reduced kernel is not normalizable: the width minus cross "
-            "block must be positive-definite"
-        ) from exc
-    # Z - A/2 and Z + A/2 are transposes of each other.
-    cross = reduced.z - 0.5 * reduced.skew
-    s_inv_cross = s_inv @ cross
-    xx = 0.5 * s_inv
-    pp = 0.5 * (reduced.gamma + reduced.beta) + 2.0 * cross.T @ s_inv_cross
-    m = reduced.n_kept
-    sigma = np.empty((2 * m, 2 * m))
-    sigma[:m, :m] = 0.5 * (xx + xx.T)
-    sigma[:m, m:] = s_inv_cross
-    sigma[m:, :m] = s_inv_cross.T
-    sigma[m:, m:] = 0.5 * (pp + pp.T)
-    return sigma
-
-
-def xi_spectrum(reduced: ReducedState) -> np.ndarray:
-    """Geometric-ladder parameters xi_j of a reduced Gaussian state, ascending."""
-    w = np.linalg.eigvalsh(reduced.gamma)
-    if w.min() <= 0:
-        raise NumericsError(
-            f"reduced width matrix must be positive-definite, got eigenvalue {w.min():.3e}"
-        )
-    nu = physical_nu(symplectic_eigenvalues(reduced_covariance(reduced)))
-    return (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
-
-
-class TruncatedSpectrum(NamedTuple):
-    levels: np.ndarray
-    total: float
-
-
-def reduced_spectrum(xi, n_max: int) -> TruncatedSpectrum:
-    """Leading eigenvalues of the reduced density matrix.
-
-    One mode gives the geometric ladder (1 - xi) xi**n for n = 0..n_max in
-    that natural order; several modes give the tensor-product levels,
-    sorted descending.  ``total`` is the partial sum, which approaches 1
-    as n_max grows.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    xi = _validate_xi(xi)
-    ladders = [(1.0 - x) * x ** np.arange(n_max + 1) for x in xi]
-    levels = ladders[0]
-    for ladder in ladders[1:]:
-        levels = np.multiply.outer(levels, ladder).ravel()
-    if len(ladders) > 1:
-        levels = np.sort(levels)[::-1]
-    return TruncatedSpectrum(levels=levels, total=float(levels.sum()))
 
 
 def two_site_reduced(

@@ -23,7 +23,7 @@ import numpy as np
 from .chain import quench_modes
 from .config import RunConfig, canonical_echo, expand_sweep, from_dict
 from .entanglement import EntropySeries, _chunk_rows, entropy_series
-from .ermakov import ModeSolution, mode_checks, solve_sudden
+from .ermakov import mode_checks, solve_sudden
 from .errors import ConfigError, NumericsError
 from .gaussian import mode_covariance
 from .oracles import covariance_series, symplectic_eigenvalues
@@ -97,21 +97,38 @@ def format_csv(table: ResultTable) -> str:
     return "".join(csv_chunks(table))
 
 
+def _make_dirs(directory: str) -> None:
+    """Create ``directory`` and its missing parents; one that cannot be
+    made (a parent is a file, no permission) is a config error."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {directory}: {exc}") from exc
+
+
 def _write_atomic(path: str, pieces) -> None:
     """Write text pieces to a temporary file in the directory of ``path``
     and rename it over ``path`` once the last piece is written: a failure
-    part-way leaves no partial file, and any earlier file as it was."""
+    part-way leaves no partial file, and any earlier file as it was.  A
+    path that cannot be written (its directory cannot be made, the file
+    cannot be opened, or ``path`` is a directory) is a config error."""
     directory = os.path.dirname(path)
     if directory:
-        os.makedirs(directory, exist_ok=True)
+        _make_dirs(directory)
     temporary = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with open(temporary, "w", newline="") as handle:
+        handle = open(temporary, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    try:
+        with handle:
             handle.writelines(pieces)
-        os.replace(temporary, path)
+        try:
+            os.replace(temporary, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     except BaseException:
-        if os.path.exists(temporary):
-            os.remove(temporary)
+        os.remove(temporary)
         raise
 
 
@@ -120,44 +137,30 @@ def write_csv(table: ResultTable, path: str) -> None:
     _write_atomic(path, csv_chunks(table))
 
 
-def run_sweep(raw_doc: dict, out_dir: str, threads: int = 1) -> list[str]:
-    """Run the cartesian sweep of a document with list-valued model keys.
-
-    One CSV per combination, named by the swept values.  With
-    ``threads != 1`` and more than one combination they run in a worker
-    pool (``threads=0`` means one worker per CPU), otherwise one after
-    another; files are written in sorted-label order either way, so the
-    output set is deterministic.
-    """
-    if threads < 0:
-        raise ConfigError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
-    combos = expand_sweep(raw_doc)
-    combos.sort(key=lambda pair: pair[0])
-    configs = [(label, from_dict(doc)) for label, doc in combos]
-
-    def execute(item):
-        label, config = item
-        return label, run(config)
-
-    if threads == 1 or len(configs) == 1:
-        results = [execute(item) for item in configs]
-    else:
-        # Imported here: concurrent.futures (and the logging it pulls in)
-        # would add about 10 ms to every CLI start.
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = threads if threads > 0 else (os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(execute, configs))
-
-    os.makedirs(out_dir, exist_ok=True)
+def _write_runs(runs, out_dir: str) -> list[str]:
+    """Create ``out_dir``, then run each (file name, config) pair in turn
+    and write its CSV there as soon as it finishes, so only one table is
+    held at a time and a failing run leaves the CSVs of those before it.
+    Returns the paths written."""
+    _make_dirs(out_dir)
     paths = []
-    for label, table in results:
-        name = f"{label}.csv" if label else "run.csv"
-        path = os.path.join(out_dir, name)
-        write_csv(table, path)
+    for fname, config in runs:
+        path = os.path.join(out_dir, fname)
+        write_csv(run(config), path)
         paths.append(path)
     return paths
+
+
+def run_sweep(raw_doc: dict, out_dir: str) -> list[str]:
+    """Run the cartesian sweep of a document with list-valued model keys.
+
+    One CSV per combination, named by the swept values, run and written
+    one after another in sorted-label order.  Every combination is
+    validated before the first runs, so a config error writes nothing.
+    """
+    combos = sorted(expand_sweep(raw_doc), key=lambda pair: pair[0])
+    runs = [(f"{label}.csv" if label else "run.csv", from_dict(doc)) for label, doc in combos]
+    return _write_runs(runs, out_dir)
 
 
 _FIG1_TARGETS = [2.15, 2.06, 2.01]
@@ -246,23 +249,13 @@ plt.savefig({json.dumps(name + ".png")}, dpi=200)
 def make_figure(name: str, out_dir: str) -> list[str]:
     """Write one CSV per curve and a standalone plot script."""
     combos = figure_documents(name)
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    labels = []
-    files = []
-    for label, doc in combos:
-        config = from_dict(doc)
-        table = run(config)
-        fname = f"{name}_{label}.csv"
-        path = os.path.join(out_dir, fname)
-        write_csv(table, path)
-        paths.append(path)
-        files.append(fname)
-        labels.append(label)
+    runs = [(f"{name}_{label}.csv", from_dict(doc)) for label, doc in combos]
+    paths = _write_runs(runs, out_dir)
+    files = [fname for fname, _ in runs]
+    labels = [label for label, _ in combos]
     script_path = os.path.join(out_dir, f"{name}_plot.py")
     _write_atomic(script_path, [_plot_script(name, files, labels)])
-    paths.append(script_path)
-    return paths
+    return paths + [script_path]
 
 
 def verify_parameter_sets() -> list[tuple[str, RunConfig]]:
@@ -311,9 +304,7 @@ def verify_report() -> tuple[str, bool]:
         label, doc = figure_documents(name)[0]
         config = from_dict(doc)
         modes = quench_modes(config.chain)
-        solution = ModeSolution.stack(
-            [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
-        )
+        solution = solve_sudden(modes.lam_pre, modes.lam_post)
         b, bdot = solution.evaluate(np.array([0.0, 37.7, 83.1]))
         sigma = mode_covariance(modes.u, modes.lam_pre, b, bdot)
         nu = symplectic_eigenvalues(sigma)
@@ -325,9 +316,7 @@ def verify_report() -> tuple[str, bool]:
     sweep_times = np.linspace(0.0, 200.0, 2001)
     for _, config in verify_parameter_sets():
         modes = quench_modes(config.chain)
-        solution = ModeSolution.stack(
-            [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
-        )
+        solution = solve_sudden(modes.lam_pre, modes.lam_post)
         conserved = modes.lam_pre + modes.lam_post
         # entropy_series's chunk size: 2001 times by every mode at once
         # raised the peak resident memory of verify by 5 MB

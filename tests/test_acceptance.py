@@ -13,19 +13,23 @@ from entchain import (
     ChainSpec,
     Partition,
     entropy_series,
-    extract_periods,
-    fit_scaling,
     integrate_general,
     kernel_spectrum,
     make_figure,
     mode_checks,
     quench_modes,
-    revival_period,
     solve_sudden,
     symplectic_eigenvalues,
 )
-from entchain.analysis import _spectrum_peaks
-from entchain.oracles import assemble_state, covariance_series, to_covariance, two_site_reduced
+from entchain.oracles import covariance_series, two_site_reduced
+from support import (
+    _spectrum_peaks,
+    assemble_state,
+    extract_periods,
+    fit_scaling,
+    revival_period,
+    to_covariance,
+)
 
 FIG1_TARGETS = (2.15, 2.06, 2.01)
 FIG2_OMEGAS = (0.3, 0.1, 0.01)

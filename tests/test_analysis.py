@@ -3,16 +3,8 @@
 import numpy as np
 import pytest
 
-from entchain import (
-    ChainSpec,
-    EntropySeries,
-    Partition,
-    PeriodEstimate,
-    entropy_series,
-    extract_periods,
-    fit_scaling,
-    revival_period,
-)
+from entchain import ChainSpec, EntropySeries, Partition, entropy_series
+from support import PeriodEstimate, extract_periods, fit_scaling, revival_period
 
 
 def _series(times, values):

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from entchain import (
-    BoseHubbardSpec,
-    Partition,
-    entropy_series,
-    from_oscillator,
-    mode_frequencies,
-    to_oscillator,
-)
+from entchain import BoseHubbardSpec, Partition, entropy_series, to_oscillator
+from support import from_oscillator, mode_frequencies
 
 
 def test_zero_hopping_is_identity():

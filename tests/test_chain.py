@@ -15,12 +15,12 @@ from entchain import (
     QuenchModes,
     bond_laplacian,
     build_coupling_matrix,
-    periodic_eigenvalues,
     quench_modes,
     solve_sudden,
 )
 from entchain.gaussian import symplectic_eigenvalues
-from entchain.oracles import assemble_state, covariance_entropy, reduce_covariance, to_covariance
+from entchain.oracles import covariance_entropy, reduce_covariance
+from support import assemble_state, periodic_eigenvalues, to_covariance
 
 
 def test_spec_validation():

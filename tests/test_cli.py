@@ -214,17 +214,35 @@ class TestSweep:
         paths = run_sweep(dict(STATIC_DOC), str(tmp_path))
         assert [os.path.basename(p) for p in paths] == ["run.csv"]
 
-    def test_threaded_sweep_matches_serial(self, tmp_path):
+    def test_each_csv_is_written_before_the_next_run(self, tmp_path, monkeypatch, capsys):
+        """Each combination's CSV is on disk before the next combination
+        runs, and a numerical failure in the last one leaves the earlier
+        CSVs complete, no temporary file, and exit 2."""
+        # the package binds the function run under the module's name
+        run_module = importlib.import_module("entchain.run")
+        real_run = run_module.run
         doc = json.loads(json.dumps(QUENCH_DOC))
         doc["model"]["omega_f"] = [0.3, 0.1, 0.05]
-        serial = run_sweep(doc, str(tmp_path / "serial"), threads=1)
-        threaded = run_sweep(doc, str(tmp_path / "threaded"), threads=3)
-        assert [os.path.basename(p) for p in serial] == [
-            os.path.basename(p) for p in threaded
-        ]
-        for a, b in zip(serial, threaded):
-            with open(a) as fa, open(b) as fb:
-                assert fa.read() == fb.read()
+        out_dir = tmp_path / "sweep"
+        on_disk = []
+
+        def recording_run(config):
+            on_disk.append(sorted(os.listdir(out_dir)))
+            if len(on_disk) == 3:
+                raise NumericsError("synthetic failure")
+            return real_run(config)
+
+        monkeypatch.setattr(run_module, "run", recording_run)
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--output", str(out_dir)]
+        assert main(argv) == 2
+        assert "synthetic failure" in capsys.readouterr().err
+        done = ["omega_f=0.05.csv", "omega_f=0.1.csv"]
+        assert on_disk == [[], done[:1], done]
+        assert sorted(os.listdir(out_dir)) == done
+        for name, omega_f in zip(done, [0.05, 0.1]):
+            single = json.loads(json.dumps(QUENCH_DOC))
+            single["model"]["omega_f"] = omega_f
+            assert (out_dir / name).read_text() == format_csv(real_run(from_dict(single)))
 
 
 class TestFigures:
@@ -386,26 +404,41 @@ class TestMain:
         assert main(["simulate", "--nope"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_threads_flag_is_sweep_only(self, tmp_path, capsys):
+    def test_threads_flag_is_unknown(self, tmp_path, capsys):
+        """No subcommand takes ``--threads``: a sweep runs its combinations
+        one after another, and the flag is a usage error that writes
+        nothing."""
         config_path = write_config(tmp_path, QUENCH_DOC)
         for argv in (
             ["simulate", "--config", config_path, "--threads", "2"],
+            ["sweep", "--config", config_path, "--output", str(tmp_path / "sweep"),
+             "--threads", "2"],
             ["figure", "fig2", "--outdir", str(tmp_path / "fig"), "--threads", "2"],
             ["verify", "--threads", "2"],
         ):
             assert main(argv) == 1
-            assert "--threads" in capsys.readouterr().err
-        out_dir = str(tmp_path / "sweep")
-        assert main(["sweep", "--config", config_path, "--output", out_dir, "--threads", "2"]) == 0
-        capsys.readouterr()
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
 
-    def test_negative_threads_rejected(self, tmp_path, capsys):
-        config_path = write_config(tmp_path, QUENCH_DOC)
-        out_dir = tmp_path / "sweep"
-        argv = ["sweep", "--config", config_path, "--output", str(out_dir), "--threads", "-1"]
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "figure"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, command):
+        """An output path under a regular file is a config error: exit 1
+        with ``error: cannot write ...`` and no traceback, before any run."""
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory\n")
+        doc = json.loads(json.dumps(QUENCH_DOC))
+        doc["model"]["omega_f"] = [0.3, 0.1]
+        config_path = write_config(tmp_path, doc if command == "sweep" else QUENCH_DOC)
+        argv = {
+            "simulate": ["simulate", "--config", config_path, "--output", str(blocker / "out.csv")],
+            "sweep": ["sweep", "--config", config_path, "--output", str(blocker)],
+            "figure": ["figure", "fig2", "--outdir", str(blocker / "fig")],
+        }[command]
         assert main(argv) == 1
-        assert "threads" in capsys.readouterr().err
-        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocker}")
+        assert blocker.read_text() == "not a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["afile", "config.json"]
 
     def test_bad_figure_name(self, capsys):
         assert main(["figure", "fig9"]) == 1
@@ -604,11 +637,17 @@ class TestMain:
         assert proc.stdout.strip().splitlines()[-1] == "[]"
         assert (tmp_path / "out.csv").read_text().count("\n") == 2 + 11
 
-    def test_cli_import_leaves_thread_pool_unloaded(self):
-        """``concurrent.futures`` (about 10 ms with the ``logging`` it
-        pulls in) loads only when a sweep runs on several threads."""
+    def test_cli_import_leaves_thread_pool_unloaded(self, tmp_path):
+        """Neither importing the CLI nor a two-combination sweep loads
+        ``concurrent.futures`` (about 10 ms with the ``logging`` it pulls
+        in): the package starts no threads."""
+        doc = json.loads(json.dumps(QUENCH_DOC))
+        doc["model"]["omega_f"] = [0.3, 0.1]
+        config_path = write_config(tmp_path, doc)
         code = (
             "import sys, entchain.cli\n"
+            f"entchain.cli.main(['sweep', '--config', {config_path!r},"
+            f" '--output', {str(tmp_path / 'sweep')!r}])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
         )
         proc = subprocess.run(
@@ -616,6 +655,7 @@ class TestMain:
             check=True,
         )
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert sorted(os.listdir(tmp_path / "sweep")) == ["omega_f=0.1.csv", "omega_f=0.3.csv"]
 
     def test_version_flag(self, capsys):
         import entchain

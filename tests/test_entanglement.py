@@ -24,20 +24,18 @@ from entchain import (
 )
 from entchain.chain import bond_laplacian
 from entchain.entanglement import _grid_rows, _mirror_sectors, _sector_columns
-from entchain.ermakov import ModeSolution, QuenchSchedule, integrate_general
+from entchain.ermakov import QuenchSchedule, integrate_general
 from entchain.gaussian import mode_covariance, physical_nu
-from entchain.oracles import (
+from entchain.oracles import covariance_entropy, reduce_covariance, two_site_reduced
+from support import (
     GaussianState,
     ReducedState,
     assemble_state,
-    covariance_entropy,
     mode_matrices,
     partial_trace,
-    reduce_covariance,
     reduced_covariance,
     reduced_spectrum,
     to_covariance,
-    two_site_reduced,
     xi_spectrum,
 )
 
@@ -564,9 +562,7 @@ class TestMirrorSectors:
         times = 0.37 * np.arange(300)
         series = entropy_series(spec, part, times)
         modes = quench_modes(spec)
-        b, bdot = ModeSolution.stack(
-            [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
-        ).evaluate(times)
+        b, bdot = solve_sudden(modes.lam_pre, modes.lam_post).evaluate(times)
         u_kept = modes.u[:, [s - 1 for s in part.kept]]
         nu = physical_nu(symplectic_eigenvalues(mode_covariance(u_kept, modes.lam_pre, b, bdot)))
         assert np.array_equal(series.xi, (2.0 * nu - 1.0) / (2.0 * nu + 1.0))

@@ -14,7 +14,6 @@ import pytest
 
 from entchain import (
     IntegrationError,
-    ModeSolution,
     QuenchSchedule,
     integrate_general,
     mode_checks,
@@ -98,6 +97,14 @@ def test_solve_sudden_validation():
         solve_sudden(0.0, 1.0)
     with pytest.raises(ValueError, match="non-negative"):
         solve_sudden(1.0, -0.5)
+    with pytest.raises(ValueError, match="positive"):
+        solve_sudden(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        solve_sudden(np.array([1.0, 2.0]), np.array([1.0, -0.5]))
+    with pytest.raises(ValueError, match="one length"):
+        solve_sudden(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="one length"):
+        solve_sudden(np.ones((2, 2)), np.ones((2, 2)))
 
 
 def _assert_solves_ode(sol, t, lam):
@@ -343,54 +350,74 @@ def test_grid_evaluation_matches_pointwise():
         assert sol.evaluate(t[i]) == (b[i], bdot[i])
 
 
-def test_stack_matches_each_mode_bit_for_bit():
-    """A stack evaluates every mode in one pass, and column j equals the
-    mode alone bit for bit: sudden quenches (lam_f = 0 included),
-    ``previous`` and ``linear`` tables, at t = 0, exactly at every piece
-    start and past the last breakpoint."""
-    sols = [
-        solve_sudden(1.0, 0.0225),
-        solve_sudden(2.0, 0.0),
-        solve_sudden(2.7, 2.7),
-        integrate_general(9.0, [0.0, 10.0, 30.0], [9.0, 4.0, 0.09], "previous"),
-        integrate_general(9.0, [0.0, 10.0, 20.0, 30.0], [9.0, 4.4, 1.96, 0.39]),
-        integrate_general(5.0, [0.0, 3.0], [0.0, 6.0]),
-    ]
-    stack = ModeSolution.stack(sols)
-    starts = np.unique(np.concatenate([sol.starts for sol in sols]))
-    t = np.concatenate([starts, np.linspace(0.0, 45.0, 181), [1e3]])
+def _assert_columns_match(stack, singles, t):
+    """``evaluate`` and ``mode_checks`` of a stack give in column j, bit
+    for bit, what mode j's own solution gives, on the grid ``t`` and at
+    single times."""
     b, bdot = stack.evaluate(t)
     residual, invariant = mode_checks(stack, t)
-    assert b.shape == bdot.shape == residual.shape == invariant.shape == (t.size, len(sols))
-    for j, sol in enumerate(sols):
+    assert b.shape == bdot.shape == residual.shape == invariant.shape == (t.size, len(singles))
+    for j, sol in enumerate(singles):
         b_j, bdot_j = sol.evaluate(t)
         residual_j, invariant_j = mode_checks(sol, t)
         assert np.array_equal(b[:, j], b_j)
         assert np.array_equal(bdot[:, j], bdot_j)
         assert np.array_equal(residual[:, j], residual_j)
         assert np.array_equal(invariant[:, j], invariant_j)
-    for i in (0, 1, starts.size - 1, t.size - 1):
+    for i in (0, 1, t.size // 2, t.size - 1):
         b_i, bdot_i = stack.evaluate(t[i])
-        assert b_i.shape == (len(sols),)
-        assert [(b_i[j], bdot_i[j]) for j in range(len(sols))] == [sol.evaluate(t[i]) for sol in sols]
-    with pytest.raises(ValueError, match="one-mode"):
-        ModeSolution.stack([stack])
+        assert b_i.shape == (len(singles),)
+        assert [(b_i[j], bdot_i[j]) for j in range(len(singles))] == [
+            sol.evaluate(t[i]) for sol in singles
+        ]
+
+
+def _assert_pieces_match(stack, singles):
+    """Mode j of a stack owns pieces ``first[j]`` up to the next mode's
+    first, and they equal the one-mode solution's pieces bit for bit."""
+    ends = np.append(stack.first[1:], stack.starts.size)
+    for j, sol in enumerate(singles):
+        assert stack.lam_initial[j] == sol.lam_initial
+        owned = slice(stack.first[j], ends[j])
+        for field in ("starts", "lams", "slopes", "phis"):
+            assert np.array_equal(getattr(stack, field)[owned], getattr(sol, field))
+
+
+def test_stack_matches_each_mode_bit_for_bit():
+    """``solve_sudden`` on arrays builds the stack of its one-mode calls
+    (lam_f = 0 and no quench included): one piece per mode, every field
+    and every ``evaluate`` and ``mode_checks`` column bit for bit, at
+    t = 0, on a grid and far out."""
+    lam0 = np.array([1.0, 2.0, 2.7, 25.0])
+    lamf = np.array([0.0225, 0.0, 2.7, 17.2225])
+    stack = solve_sudden(lam0, lamf)
+    singles = [solve_sudden(li, lf) for li, lf in zip(lam0, lamf)]
+    assert np.array_equal(stack.first, np.arange(lam0.size))
+    assert np.array_equal(stack.lam_initial, lam0)
+    _assert_pieces_match(stack, singles)
+    _assert_columns_match(stack, singles, np.concatenate([np.linspace(0.0, 45.0, 181), [1e3]]))
 
 
 def test_stacked_integration_matches_each_mode():
     """An array of initial eigenvalues with one table row per mode gives
-    the stack of the one-mode calls, every piece array bit for bit; the
-    first mode that fails its Wronskian check raises."""
+    the stack of the one-mode calls: each mode's pieces, which differ in
+    number from mode to mode on a linear table, and its ``evaluate`` and
+    ``mode_checks`` columns bit for bit, exactly at every piece start and
+    past the last breakpoint; the first mode that fails its Wronskian
+    check raises."""
     times = [0.0, 10.0, 20.0, 30.0]
     lam0 = np.array([9.0, 5.0, 2.0])
     lams = np.array([[9.0, 4.4, 1.96, 0.39], [0.0, 6.0, 6.0, 0.5], [2.0, 2.0, 2.0, 2.0]])
     for interpolation in ("linear", "previous"):
         stack = integrate_general(lam0, times, lams, interpolation)
-        parts = ModeSolution.stack([
+        singles = [
             integrate_general(li, times, row, interpolation) for li, row in zip(lam0, lams)
-        ])
-        for field in ("lam_initial", "starts", "lams", "slopes", "phis", "first"):
-            assert np.array_equal(getattr(stack, field), getattr(parts, field))
+        ]
+        counts = [sol.starts.size for sol in singles]
+        assert len(set(counts)) == (3 if interpolation == "linear" else 1)
+        _assert_pieces_match(stack, singles)
+        t = np.concatenate([np.unique(stack.starts), np.linspace(0.0, 45.0, 181), [1e3]])
+        _assert_columns_match(stack, singles, t)
     with pytest.raises(ValueError, match="one row"):
         integrate_general(lam0, times, lams[:2])
     with pytest.raises(ValueError, match="one row"):

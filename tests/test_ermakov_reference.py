@@ -9,7 +9,7 @@ mpmath's Ai and Bi, each constant stretch by cos/sin, at 40 digits.
 import mpmath
 import numpy as np
 
-from entchain import ChainSpec, ModeSolution, QuenchSchedule, integrate_general
+from entchain import ChainSpec, QuenchSchedule, integrate_general
 from entchain.chain import quench_modes
 
 # The eight-site periodic ramp of the benchmark's ``ramp`` workload (seed 0).
@@ -69,12 +69,8 @@ def test_ramp_modes_against_airy_reference():
     schedule = QuenchSchedule(*table.T, interpolation="linear")
     times = np.linspace(0.0, 100.0, 97)
     modes = quench_modes(spec)
-    tables = [schedule.omegas**2 + mu * schedule.ks for mu in modes.mu]
-    stack = ModeSolution.stack([
-        integrate_general(lam0, schedule.times, lams)
-        for lam0, lams in zip(modes.lam_pre, tables)
-    ])
-    b, bdot = stack.evaluate(times)
+    tables = schedule.omegas**2 + modes.mu[:, None] * schedule.ks
+    b, bdot = integrate_general(modes.lam_pre, schedule.times, tables).evaluate(times)
     worst_b = worst_bdot = 0.0
     for j, (lam0, lams) in enumerate(zip(modes.lam_pre, tables)):
         b_ref, bdot_ref = _reference(lam0, schedule.times, lams, times)

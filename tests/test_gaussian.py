@@ -10,20 +10,13 @@ import pytest
 
 from entchain import (
     ChainSpec,
-    ModeSolution,
     NumericsError,
     quench_modes,
     solve_sudden,
     symplectic_eigenvalues,
 )
 from entchain.gaussian import mode_covariance, physical_nu
-from entchain.oracles import (
-    GaussianState,
-    assemble_state,
-    mode_matrices,
-    to_covariance,
-)
-from support import symplectic_form
+from support import GaussianState, assemble_state, mode_matrices, symplectic_form, to_covariance
 
 SQRT5 = np.sqrt(5.0)
 
@@ -165,9 +158,7 @@ def test_numerically_singular_covariance_names_its_eigenvalue_range():
     numerically singular, not indefinite."""
     spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.0, k_f=2.5)
     qm = quench_modes(spec)
-    b, bdot = ModeSolution.stack(
-        [solve_sudden(li, lf) for li, lf in zip(qm.lam_pre, qm.lam_post)]
-    ).evaluate(np.array([0.0, 1e9]))
+    b, bdot = solve_sudden(qm.lam_pre, qm.lam_post).evaluate(np.array([0.0, 1e9]))
     sigma = mode_covariance(qm.u[:, :2], qm.lam_pre, b, bdot)
     w = np.linalg.eigvalsh(sigma[1])
     assert w.min() > 0.1 and w.max() / w.min() > 1e18
