@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 configuration error (including bad flags),
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 from . import __version__
@@ -20,6 +22,7 @@ from .config import from_dict
 from .errors import ConfigError, EntchainError
 from .run import (
     FIGURE_NAMES,
+    _make_dirs,
     csv_chunks,
     make_figure,
     run,
@@ -70,8 +73,11 @@ def _apply_time_overrides(raw: dict, args) -> dict:
 def _cmd_simulate(args) -> int:
     raw = _apply_time_overrides(_load_document(args.config), args)
     config = from_dict(raw)
-    table = run(config)
     target = args.output or config.output_path
+    directory = os.path.dirname(target) if target else ""
+    if directory:
+        _make_dirs(directory)  # a bad path fails before the run, not after it
+    table = run(config)
     if target:
         write_csv(table, target)
         print(f"wrote {target}")
@@ -141,6 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Process entry point of the ``entchain`` console script and of
+    ``python -m entchain.cli``: parse ``argv``, run the subcommand and
+    return its exit code, printing configuration and numerical errors to
+    stderr.  It freezes the interpreter's heap before it starts, so it is
+    meant to be called once per process; library callers use ``run``,
+    ``make_figure`` or ``verify_report`` instead."""
+    # Everything alive now (numpy, the package, argparse) lives until the
+    # process exits.  Frozen objects are skipped by every later collection,
+    # the one at interpreter exit included, which otherwise walks this
+    # whole import-time heap once more after the output is written.
+    gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

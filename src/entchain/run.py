@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +98,21 @@ def format_csv(table: ResultTable) -> str:
     return "".join(csv_chunks(table))
 
 
+@contextmanager
+def _cannot_write(path: str):
+    """Turn an ``OSError`` raised in the block into a config error
+    naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _make_dirs(directory: str) -> None:
     """Create ``directory`` and its missing parents; one that cannot be
     made (a parent is a file, no permission) is a config error."""
-    try:
+    with _cannot_write(directory):
         os.makedirs(directory, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {directory}: {exc}") from exc
 
 
 def _write_atomic(path: str, pieces) -> None:
@@ -111,22 +120,25 @@ def _write_atomic(path: str, pieces) -> None:
     and rename it over ``path`` once the last piece is written: a failure
     part-way leaves no partial file, and any earlier file as it was.  A
     path that cannot be written (its directory cannot be made, the file
-    cannot be opened, or ``path`` is a directory) is a config error."""
+    cannot be opened, written or closed, for instance on a full disk, or
+    ``path`` is a directory) is a config error; an error raised by
+    ``pieces`` itself passes through unchanged."""
     directory = os.path.dirname(path)
     if directory:
         _make_dirs(directory)
     temporary = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    try:
+    with _cannot_write(path):
         handle = open(temporary, "w", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
     try:
-        with handle:
-            handle.writelines(pieces)
         try:
+            for piece in pieces:
+                with _cannot_write(path):
+                    handle.write(piece)
+        finally:
+            with _cannot_write(path):
+                handle.close()
+        with _cannot_write(path):
             os.replace(temporary, path)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
     except BaseException:
         os.remove(temporary)
         raise

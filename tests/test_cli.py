@@ -1,5 +1,6 @@
 """Run execution, CSV output, figure pipelines, and the command line."""
 
+import errno
 import importlib
 import json
 import os
@@ -184,6 +185,43 @@ class TestWriteCsv:
             write_csv(table, str(target))
         assert target.read_text() == "old contents\n"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("failing", ["write", "close"])
+    def test_file_error_part_way_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                   failing):
+        """A full disk while the CSV is written or closed exits 1 with
+        ``error: cannot write ...``; the temporary file is removed and the
+        earlier file at the path is left as it was."""
+        # the package binds the function run under the module's name
+        run_module = importlib.import_module("entchain.run")
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                if failing == "write" and self.handle.tell() > 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.handle.write(text)
+
+            def close(self):
+                self.handle.close()
+                if failing == "close":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(run_module, "open", lambda *a, **k: FullDisk(open(*a, **k)),
+                            raising=False)
+        doc = json.loads(json.dumps(QUENCH_DOC))
+        doc["time"] = {"t_max": 300.0, "dt": 0.1}  # 3001 rows, three row chunks
+        config_path = write_config(tmp_path, doc)
+        target = tmp_path / "out.csv"
+        target.write_text("old contents\n")
+        assert main(["simulate", "--config", config_path, "--output", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "No space left on device" in err
+        assert target.read_text() == "old contents\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out.csv"]
 
     def test_rows_come_in_chunks(self):
         # the package binds the function run under the module's name
@@ -421,9 +459,19 @@ class TestMain:
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "figure"])
-    def test_unwritable_output_exits_1(self, tmp_path, capsys, command):
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, monkeypatch, command):
         """An output path under a regular file is a config error: exit 1
         with ``error: cannot write ...`` and no traceback, before any run."""
+        import entchain.cli as cli_module
+
+        # the package binds the function run under the module's name
+        run_module = importlib.import_module("entchain.run")
+
+        def no_run(config):
+            raise AssertionError("ran before checking the output path")
+
+        monkeypatch.setattr(cli_module, "run", no_run)
+        monkeypatch.setattr(run_module, "run", no_run)
         blocker = tmp_path / "afile"
         blocker.write_text("not a directory\n")
         doc = json.loads(json.dumps(QUENCH_DOC))
@@ -656,6 +704,34 @@ class TestMain:
         )
         assert proc.stdout.strip().splitlines()[-1] == "[]"
         assert sorted(os.listdir(tmp_path / "sweep")) == ["omega_f=0.1.csv", "omega_f=0.3.csv"]
+
+    def test_main_freezes_the_heap_and_writes_every_byte(self, tmp_path):
+        """In a real process ``main`` freezes the import-time heap, and
+        the CSV a 3001-row ``simulate`` writes to a pipe (more than a pipe
+        buffer holds) and to ``--output`` is exactly ``format_csv``."""
+        doc = json.loads(json.dumps(QUENCH_DOC))
+        doc["time"] = {"t_max": 300.0, "dt": 0.1}
+        config_path = write_config(tmp_path, doc)
+        expected = format_csv(run(from_dict(doc)))
+        out = tmp_path / "out.csv"
+        code = (
+            "import gc, entchain.cli\n"
+            "before = gc.get_freeze_count()\n"
+            f"entchain.cli.main(['simulate', '--config', {config_path!r},"
+            f" '--output', {str(out)!r}])\n"
+            "print(before, gc.get_freeze_count())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env(),
+            check=True,
+        )
+        before, after = map(int, proc.stdout.splitlines()[-1].split())
+        assert before == 0 < after
+        assert out.read_text() == expected
+        proc = _run_cli(["simulate", "--config", config_path])
+        assert proc.returncode == 0
+        assert len(expected) > 65536
+        assert proc.stdout == expected
 
     def test_version_flag(self, capsys):
         import entchain
