@@ -713,6 +713,7 @@ class TestMain:
         doc["time"] = {"t_max": 300.0, "dt": 0.1}
         config_path = write_config(tmp_path, doc)
         expected = format_csv(run(from_dict(doc)))
+        assert len(expected) > 65536
         out = tmp_path / "out.csv"
         code = (
             "import gc, entchain.cli\n"
@@ -730,7 +731,6 @@ class TestMain:
         assert out.read_text() == expected
         proc = _run_cli(["simulate", "--config", config_path])
         assert proc.returncode == 0
-        assert len(expected) > 65536
         assert proc.stdout == expected
 
     def test_version_flag(self, capsys):
