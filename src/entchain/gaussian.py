@@ -10,10 +10,19 @@ lam_j(0):
 
 Rotating these diagonal blocks back to sites with the columns of the
 mode basis that belong to a set of sites gives that set's covariance
-matrix, ordered (x_1..x_m, p_1..p_m).  Its symplectic eigenvalues
-nu_j >= 1/2 each carry one geometric ladder of the reduced density
-matrix, xi_j = (2 nu_j - 1) / (2 nu_j + 1); all sites together give a
-pure state, every nu_j = 1/2.
+matrix, ordered (x_1..x_m, p_1..p_m): entry (i, j) of each of its xx, xp
+and pp blocks is sum_k w_k u_ki u_kj over the modes k, with w_k the
+mode's <x x>, <x p> or <p p>.  The products u_ki u_kj of the site pairs
+i <= j make a table (modes x m(m+1)/2) that depends only on the sites
+(``pair_table``), so a stack of time points costs one stacked product of
+the per-mode entries with that table, (rows, 3, modes) x (modes,
+m(m+1)/2), and one index expanding the three triangles to the full
+matrix, which is therefore exactly symmetric (``pair_covariance``).
+
+The covariance's symplectic eigenvalues nu_j >= 1/2 each carry one
+geometric ladder of the reduced density matrix,
+xi_j = (2 nu_j - 1) / (2 nu_j + 1); all sites together give a pure
+state, every nu_j = 1/2.
 
 The spectrum comes from a Cholesky factor sigma = L L^T: the real
 antisymmetric matrix A = L^T J L is similar to J sigma, so the nu_j are
@@ -45,6 +54,61 @@ _NU_SLACK = 1e-8
 _NU_PURE_BAND = 1e-11
 
 
+def pair_table(u_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mode-pair table of m sites, built once per set of columns.
+
+    ``u_cols`` holds the mode basis columns of those sites (modes x m).
+    Returns ``(products, index)``: products[k, t] = u_ki u_kj for the
+    t-th site pair i <= j of the upper triangle in row-major order
+    (modes x m(m+1)/2), and the index (2m, 2m) that takes the xx, xp and
+    pp triangles, laid end to end, to the full covariance matrix.
+    """
+    m = u_cols.shape[1]
+    # One site's row of the triangle at a time: no temporary the size of
+    # the table, and no np.triu_indices or np.block, whose first use in a
+    # process costs about 0.06 MB of resident memory.
+    pairs = m * (m + 1) // 2
+    products = np.empty((u_cols.shape[0], pairs))
+    tri = np.empty((m, m), dtype=np.intp)
+    start = 0
+    for i in range(m):
+        stop = start + m - i
+        products[:, start:stop] = u_cols[:, i:i + 1] * u_cols[:, i:]
+        tri[i, i:] = tri[i:, i] = np.arange(start, stop)
+        start = stop
+    index = np.empty((2 * m, 2 * m), dtype=np.intp)
+    index[:m, :m] = tri
+    index[:m, m:] = index[m:, :m] = tri + pairs
+    index[m:, m:] = tri + 2 * pairs
+    return products, index
+
+
+def mode_weights(lam0: np.ndarray, b: np.ndarray, bdot: np.ndarray) -> np.ndarray:
+    """Per-mode covariance entries (rows, 3, modes): <x x>, sym <x p> and
+    <p p> of every mode (see the module docstring), from the pre-quench
+    eigenvalues ``lam0`` (modes) and the scale factors ``b``, ``bdot``
+    (rows x modes)."""
+    sqrt_lam0 = np.sqrt(lam0)
+    weights = np.empty((b.shape[0], 3, b.shape[1]))
+    weights[:, 0] = b**2 / (2.0 * sqrt_lam0)
+    weights[:, 1] = b * bdot / (2.0 * sqrt_lam0)
+    weights[:, 2] = 0.5 * (sqrt_lam0 / b**2 + bdot**2 / sqrt_lam0)
+    return weights
+
+
+def pair_covariance(weights: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Covariance stack (rows, 2m, 2m) from ``mode_weights`` and a
+    ``pair_table``: sum_k w_k u_ki u_kj for every pair i <= j of each
+    block, expanded to the full matrix, so every block is exactly
+    symmetric."""
+    products, index = table
+    # One fixed-shape (3, modes) x (modes, pairs) product per row: a row
+    # gets the same bits whatever rows share the call, which a 2-d
+    # (rows * 3, modes) product does not promise.
+    triangles = (weights @ products).reshape(weights.shape[0], 3 * products.shape[1])
+    return triangles.take(index, axis=1)
+
+
 def mode_covariance(
     u_cols: np.ndarray, lam0: np.ndarray, b: np.ndarray, bdot: np.ndarray
 ) -> np.ndarray:
@@ -52,19 +116,12 @@ def mode_covariance(
 
     ``u_cols`` holds the mode basis columns of those sites (modes x m),
     ``lam0`` the pre-quench eigenvalues (modes), and ``b``, ``bdot`` the
-    scale factors and their derivatives (rows x modes).
+    scale factors and their derivatives (rows x modes).  Builds the
+    ``pair_table`` of ``u_cols`` on each call; a caller with many blocks
+    of rows builds it once and calls ``pair_covariance`` on each block's
+    ``mode_weights``, which gives the same bits.
     """
-    sqrt_lam0 = np.sqrt(lam0)
-    dxx = b**2 / (2.0 * sqrt_lam0)
-    dxp = b * bdot / (2.0 * sqrt_lam0)
-    dpp = 0.5 * (sqrt_lam0 / b**2 + bdot**2 / sqrt_lam0)
-    m = u_cols.shape[1]
-    sigma = np.empty((b.shape[0], 2 * m, 2 * m))
-    sigma[:, :m, :m] = u_cols.T @ (dxx[:, :, None] * u_cols)
-    sigma[:, :m, m:] = u_cols.T @ (dxp[:, :, None] * u_cols)
-    sigma[:, m:, :m] = sigma[:, :m, m:].swapaxes(1, 2)
-    sigma[:, m:, m:] = u_cols.T @ (dpp[:, :, None] * u_cols)
-    return sigma
+    return pair_covariance(mode_weights(lam0, b, bdot), pair_table(u_cols))
 
 
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:

@@ -76,7 +76,9 @@ _CSV_ROWS = 1024
 def csv_chunks(table: ResultTable):
     """Yield a result table's CSV text in pieces: the two header lines,
     then rows ``_CSV_ROWS`` at a time, so a writer holds one piece of text
-    at a time.  Fixed column order, ``\\n`` endings."""
+    at a time.  Fixed column order, ``\\n`` endings.  A piece is one ``%``
+    of the row format repeated per row on that piece's values, stacked
+    row-major from its slice of each column."""
     m = table.xi.shape[1]
     header = ",".join(
         ["t"]
@@ -89,8 +91,8 @@ def csv_chunks(table: ResultTable):
     ]
     row = ",".join([f"%.{table.precision}g"] * len(columns)) + "\n"
     for first in range(0, table.times.size, _CSV_ROWS):
-        values = [c[first:first + _CSV_ROWS].tolist() for c in columns]
-        yield "".join([row % r for r in zip(*values)])
+        piece = np.column_stack([c[first:first + _CSV_ROWS] for c in columns])
+        yield (row * len(piece)) % tuple(piece.ravel().tolist())
 
 
 def format_csv(table: ResultTable) -> str:

@@ -373,14 +373,19 @@ class TestEntropySeries:
         [
             (8, QuenchSchedule(*np.transpose(RAMP_TABLE), interpolation="linear")),
             (6, None),
+            (6, QuenchSchedule(*np.transpose(RAMP_TABLE), interpolation="linear")),
         ],
-        ids=["ramp-table", "sudden-ring"],
+        ids=["ramp-table", "sudden-ring", "ramp-table-unequal-sectors"],
     )
     def test_chunk_edges_match_slices(self, n, schedule):
         # the grid spans four evaluation chunks; the slices start and end
-        # between chunk edges and between block edges
+        # between chunk edges and between block edges.  The 8-site ring
+        # keeps two two-site sectors, the 6-site ring one of two sites and
+        # one of one.
         spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
         part = Partition.second_half(n)
+        widths = [q.shape[1] for q in _mirror_sectors(n, spec.boundary, part.kept)]
+        assert widths == ([2, 2] if n == 8 else [2, 1])
         _, chunk = _grid(spec, part)
         times = 0.01 * np.arange(3 * chunk + 200)
         cuts = [0, chunk - 37, chunk + 1, chunk + 2, 2 * chunk + 301, times.size]
@@ -489,10 +494,11 @@ class TestEntropySeries:
     )
     def test_peak_allocation_is_the_columns_plus_a_fixed_budget(self, n, schedule, times):
         """Beyond the returned xi and entropy columns, one call allocates at
-        most a fixed budget, whatever the grid length and chain size.  With
+        most a fixed budget, whatever the grid length.  With
         1024-row chunks evaluated mode by mode the excess was 1.04 MB
         (ramp) and 0.83 MB (ring); chunks of about 2048 scale factors over
-        all modes take 0.59 MB and 0.62 MB."""
+        all modes take 0.47 MB and 0.78 MB, 0.14 MB of the ring's being its
+        two sectors' pair tables."""
         spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary="periodic")
         part = Partition.second_half(n)
         entropy_series(spec, part, times[:2], alphas=(1, 2), schedule=schedule)  # warm caches

@@ -5,6 +5,8 @@ Frozen two-site width matrices, the explicit two-site phase-curvature
 parameters over random draws, and determinant and purity identities.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from entchain import (
     solve_sudden,
     symplectic_eigenvalues,
 )
-from entchain.gaussian import mode_covariance, physical_nu
+from entchain.gaussian import (
+    mode_covariance,
+    mode_weights,
+    pair_covariance,
+    pair_table,
+    physical_nu,
+)
 from support import GaussianState, assemble_state, mode_matrices, symplectic_form, to_covariance
 
 SQRT5 = np.sqrt(5.0)
@@ -149,24 +157,22 @@ def test_stacked_symplectic_eigenvalues_match_single_calls():
 
 
 def test_numerically_singular_covariance_names_its_eigenvalue_range():
-    """A gapless ring at t = 1e9: ``eigvalsh`` finds every eigenvalue of
-    the kept block's covariance positive, from about 0.4 to 7.5e17, a
-    condition number past 1 / eps, and Cholesky fails.  The smallest
-    eigenvalue lies below the roundoff level 2m eps * 7.5e17 = 666 (50
-    digits put it near -7e-3), so the error gives the largest eigenvalue
-    and that level instead of the smallest, and calls the matrix
-    numerically singular, not indefinite."""
-    spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.0, k_f=2.5)
-    qm = quench_modes(spec)
-    b, bdot = solve_sudden(qm.lam_pre, qm.lam_post).evaluate(np.array([0.0, 1e9]))
-    sigma = mode_covariance(qm.u[:, :2], qm.lam_pre, b, bdot)
-    w = np.linalg.eigvalsh(sigma[1])
-    assert w.min() > 0.1 and w.max() / w.min() > 1e18
+    """A position block rotated by 45 degrees from diag(7.2e17, 0), like a
+    gapless zero mode's <x x> far out in time: h = 3.6e17 = (6e8)**2, so
+    Cholesky's second pivot h - (h / sqrt h)**2 is exactly 0 and the
+    factorization fails whatever order any sum is taken in.  ``eigvalsh``
+    resolves the zero eigenvalue only to the roundoff level
+    2m eps * 7.2e17 = 640, so the error gives the largest eigenvalue and
+    that level instead of the smallest, and calls the matrix numerically
+    singular, not indefinite."""
+    h = 3.6e17
+    sigma = np.array([[h, h, 0.0, 0.0], [h, h, 0.0, 0.0],
+                      [0.0, 0.0, 2.0, -1.0], [0.0, 0.0, -1.0, 2.0]])
     with pytest.raises(NumericsError) as err:
-        symplectic_eigenvalues(sigma)
+        symplectic_eigenvalues(np.stack([np.eye(4), sigma]))
     assert str(err.value) == (
         "covariance matrix is numerically singular:"
-        " eigenvalues from 0 +/- 6.661e+02 (roundoff) to 7.500e+17"
+        " eigenvalues from 0 +/- 6.395e+02 (roundoff) to 7.200e+17"
     )
 
 
@@ -249,3 +255,50 @@ def test_mode_covariance_matches_reference_state(spec):
     sub = mode_covariance(qm.u[:, kept], qm.lam_pre, b, bdot)
     coords = kept + [s + spec.n for s in kept]
     assert np.abs(sub - sigma[:, coords][:, :, coords]).max() <= 1e-14 * np.abs(sigma).max()
+
+
+@pytest.mark.parametrize("m, modes", [(1, 4), (2, 8), (5, 20), (32, 64)])
+def test_mode_covariance_matches_exact_sums(m, modes):
+    """Each entry of every xx, xp and pp block is sum_k w_k u_ki u_kj to
+    within 4 eps ||sigma||_2 of an ``math.fsum`` of the same terms, and
+    every block is exactly symmetric."""
+    rng = np.random.default_rng(m)
+    u_cols = np.linalg.qr(rng.standard_normal((modes, modes)))[0][:, :m]
+    lam0 = rng.uniform(0.1, 10.0, modes)
+    b = rng.uniform(0.2, 5.0, (3, modes))
+    bdot = rng.standard_normal((3, modes))
+    sigma = mode_covariance(u_cols, lam0, b, bdot)
+    assert sigma.shape == (3, 2 * m, 2 * m)
+    assert np.array_equal(sigma, sigma.swapaxes(1, 2))
+    assert np.array_equal(sigma[:, :m, m:], sigma[:, :m, m:].swapaxes(1, 2))
+    weights = mode_weights(lam0, b, bdot)
+    eps = np.finfo(float).eps
+    for row in range(3):
+        want = np.empty((2 * m, 2 * m))
+        for block, (r, c) in enumerate([(0, 0), (0, m), (m, m)]):
+            w = weights[row, block].tolist()
+            for i in range(m):
+                for j in range(m):
+                    terms = [w[k] * float(u_cols[k, i]) * float(u_cols[k, j])
+                             for k in range(modes)]
+                    want[r + i, c + j] = math.fsum(terms)
+        want[m:, :m] = want[:m, m:].T
+        bound = 4 * eps * np.linalg.norm(sigma[row], 2)
+        assert np.abs(sigma[row] - want).max() <= bound
+
+
+def test_cached_table_gives_the_same_bits():
+    """``entropy_series`` builds each sector's pair table once and calls
+    ``pair_covariance`` on each block of rows; that equals, bit for bit,
+    ``mode_covariance`` building its own table for the whole stack."""
+    spec = ChainSpec(n=9, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary="open")
+    qm = quench_modes(spec)
+    b, bdot = solve_sudden(qm.lam_pre, qm.lam_post).evaluate(0.37 * np.arange(50))
+    u_cols = qm.u[:, [0, 2, 3, 7]]
+    whole = mode_covariance(u_cols, qm.lam_pre, b, bdot)
+    table = pair_table(u_cols)
+    weights = mode_weights(qm.lam_pre, b, bdot)
+    for a, z in ((0, 50), (0, 1), (3, 4), (5, 22), (22, 50)):
+        assert np.array_equal(pair_covariance(weights[a:z], table), whole[a:z])
+        assert np.array_equal(pair_covariance(mode_weights(qm.lam_pre, b[a:z], bdot[a:z]), table),
+                              whole[a:z])
