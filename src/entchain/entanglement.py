@@ -29,9 +29,9 @@ import numpy as np
 from .chain import ChainSpec, quench_modes
 from .ermakov import QuenchSchedule, integrate_general, solve_sudden
 from .gaussian import (
-    mode_weights,
-    pair_covariance,
-    pair_table,
+    _covariance,
+    _mode_weights,
+    _site_table,
     physical_nu,
     symplectic_eigenvalues,
 )
@@ -245,8 +245,9 @@ def _sector_columns(spec: ChainSpec, u: np.ndarray, kept) -> list[np.ndarray]:
 def _sector_spectrum(tables, weights: np.ndarray) -> np.ndarray:
     """Symplectic spectrum (rows, m) of the kept block, ascending per row,
     merged from the ascending spectra of its sectors, from each sector's
-    ``pair_table`` (see ``_sector_columns``) and the rows' ``mode_weights``."""
-    nu = [symplectic_eigenvalues(pair_covariance(weights, table)) for table in tables]
+    ``gaussian._site_table`` (see ``_sector_columns``) and the rows'
+    ``gaussian._mode_weights``."""
+    nu = [symplectic_eigenvalues(_covariance(weights, table)) for table in tables]
     if len(nu) == 1:
         return nu[0]
     # Merged without np.sort, whose code costs about 0.15 MB of resident
@@ -276,15 +277,16 @@ def entropy_series(
     points are taken in chunks of about 2048 scale factors, (points) x
     (modes), each a whole number of blocks of ``max(1, 8192 // (2w)**2)``
     points for spectrum sectors of at most w sites, but no more points
-    than a chunk (``_grid_rows``).  Each sector's ``pair_table`` is built
+    than a chunk (``_grid_rows``).  Each sector's site table (its pair
+    table while that is small, see ``gaussian._site_table``) is built
     once per call.  A chunk evaluates b and b' of every mode in one call,
-    their ``mode_weights`` once, and its entropies as sums over the mode
-    axis; a block takes each sector's covariance stack from one
-    ``pair_covariance`` call and its symplectic spectra from one call
-    per sector.  Only the returned columns
-    (times, xi and one series per order) span the whole grid.  Every row
-    is computed the same way whatever chunk and block it falls in, so a
-    grid gives bit for bit the values of its slices.
+    their per-mode covariance entries once, and its entropies as sums
+    over the mode axis; a block builds each sector's covariance stack in
+    one call and takes its symplectic spectra in one call per sector.
+    Only the returned columns (times, xi and one series per order) span
+    the whole grid.  Every row is computed the same way whatever chunk
+    and block it falls in, so a grid gives bit for bit the values of its
+    slices.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)
@@ -298,13 +300,14 @@ def entropy_series(
         solution = integrate_general(modes.lam_pre, schedule.times, lams,
                                      schedule.interpolation, tolerance=tolerance)
 
-    tables = [pair_table(cols) for cols in _sector_columns(spec, modes.u, partition.kept)]
+    sectors = _sector_columns(spec, modes.u, partition.kept)
+    tables = [_site_table(cols) for cols in sectors]
     xi_out = np.empty((times.size, len(partition.kept)))
     ent_out = {a: np.empty(times.size) for a in alphas}
-    rows, chunk = _grid_rows(max(len(index) for _, index in tables) // 2, modes.n)
+    rows, chunk = _grid_rows(max(cols.shape[1] for cols in sectors), modes.n)
     for first in range(0, times.size, chunk):
         span = slice(first, first + chunk)
-        weights = mode_weights(modes.lam_pre, *solution.evaluate(times[span]))
+        weights = _mode_weights(modes.lam_pre, *solution.evaluate(times[span]))
         for start in range(0, weights.shape[0], rows):
             nu = physical_nu(_sector_spectrum(tables, weights[start:start + rows]))
             xi_out[first + start:first + start + rows] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)

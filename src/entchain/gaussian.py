@@ -12,12 +12,16 @@ Rotating these diagonal blocks back to sites with the columns of the
 mode basis that belong to a set of sites gives that set's covariance
 matrix, ordered (x_1..x_m, p_1..p_m): entry (i, j) of each of its xx, xp
 and pp blocks is sum_k w_k u_ki u_kj over the modes k, with w_k the
-mode's <x x>, <x p> or <p p>.  The products u_ki u_kj of the site pairs
-i <= j make a table (modes x m(m+1)/2) that depends only on the sites
-(``pair_table``), so a stack of time points costs one stacked product of
-the per-mode entries with that table, (rows, 3, modes) x (modes,
-m(m+1)/2), and one index expanding the three triangles to the full
-matrix, which is therefore exactly symmetric (``pair_covariance``).
+mode's <x x>, <x p> or <p p>.  For a few sites the products u_ki u_kj
+of the site pairs i <= j make a small table (modes x m(m+1)/2) that
+depends only on the sites, so a stack of time points costs one stacked
+product of the per-mode entries with that table, (rows, 3, modes) x
+(modes, m(m+1)/2), and one index expanding the three triangles to the
+full matrix.  The table grows like m**2 times the modes, so past a fixed
+size each block is u^T diag(w) u from the columns instead, with its
+upper triangle copied down.  Either way every block is exactly
+symmetric, and a row's bits do not depend on the other rows of its
+stack (``mode_covariance``).
 
 The covariance's symplectic eigenvalues nu_j >= 1/2 each carry one
 geometric ladder of the reduced density matrix,
@@ -53,37 +57,53 @@ _NU_SLACK = 1e-8
 # to 1/2 are treated as exactly pure so those states report zero entropy.
 _NU_PURE_BAND = 1e-11
 
+# Most values of a pair table, modes x m(m+1)/2: as many as one block of
+# covariance matrices in ``entropy_series`` holds (8192), so the tables
+# of a run's two sectors add at most 128 kB whatever the chain size.
+# Wider sets of sites build their blocks from the columns instead, as
+# their table would grow like n**3.
+_TABLE_VALUES = 8192
 
-def pair_table(u_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-pair table of m sites, built once per set of columns.
+
+def _site_table(u_cols: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """What ``_covariance`` needs of m sites, built once per set of columns.
 
     ``u_cols`` holds the mode basis columns of those sites (modes x m).
-    Returns ``(products, index)``: products[k, t] = u_ki u_kj for the
-    t-th site pair i <= j of the upper triangle in row-major order
-    (modes x m(m+1)/2), and the index (2m, 2m) that takes the xx, xp and
-    pp triangles, laid end to end, to the full covariance matrix.
+    Returns ``(pairs, u_cols, index)``.  While it holds at most
+    ``_TABLE_VALUES`` values, ``pairs`` is the pair table (modes x
+    m(m+1)/2): pairs[k, t] = u_ki u_kj for the t-th site pair i <= j of
+    the upper triangle in row-major order, and ``index`` (2m, 2m) takes
+    the xx, xp and pp triangles, laid end to end, to the full covariance
+    matrix.  Past that size ``pairs`` is None, and ``index`` takes the
+    full xx, xp and pp blocks, laid end to end, to the covariance matrix,
+    reading every entry from the upper triangle of its block.
     """
-    m = u_cols.shape[1]
-    # One site's row of the triangle at a time: no temporary the size of
-    # the table, and no np.triu_indices or np.block, whose first use in a
-    # process costs about 0.06 MB of resident memory.
-    pairs = m * (m + 1) // 2
-    products = np.empty((u_cols.shape[0], pairs))
+    modes, m = u_cols.shape
+    npairs = m * (m + 1) // 2
     tri = np.empty((m, m), dtype=np.intp)
-    start = 0
-    for i in range(m):
-        stop = start + m - i
-        products[:, start:stop] = u_cols[:, i:i + 1] * u_cols[:, i:]
-        tri[i, i:] = tri[i:, i] = np.arange(start, stop)
-        start = stop
+    if modes * npairs > _TABLE_VALUES:
+        pairs, size = None, m * m
+        for i in range(m):
+            tri[i, i:] = tri[i:, i] = np.arange(i * m + i, i * m + m)
+    else:
+        # One site's row of the triangle at a time: no temporary the size
+        # of the table, and no np.triu_indices or np.block, whose first
+        # use in a process costs about 0.06 MB of resident memory.
+        pairs, size = np.empty((modes, npairs)), npairs
+        start = 0
+        for i in range(m):
+            stop = start + m - i
+            pairs[:, start:stop] = u_cols[:, i:i + 1] * u_cols[:, i:]
+            tri[i, i:] = tri[i:, i] = np.arange(start, stop)
+            start = stop
     index = np.empty((2 * m, 2 * m), dtype=np.intp)
     index[:m, :m] = tri
-    index[:m, m:] = index[m:, :m] = tri + pairs
-    index[m:, m:] = tri + 2 * pairs
-    return products, index
+    index[:m, m:] = index[m:, :m] = tri + size
+    index[m:, m:] = tri + 2 * size
+    return pairs, u_cols, index
 
 
-def mode_weights(lam0: np.ndarray, b: np.ndarray, bdot: np.ndarray) -> np.ndarray:
+def _mode_weights(lam0: np.ndarray, b: np.ndarray, bdot: np.ndarray) -> np.ndarray:
     """Per-mode covariance entries (rows, 3, modes): <x x>, sym <x p> and
     <p p> of every mode (see the module docstring), from the pre-quench
     eigenvalues ``lam0`` (modes) and the scale factors ``b``, ``bdot``
@@ -96,17 +116,24 @@ def mode_weights(lam0: np.ndarray, b: np.ndarray, bdot: np.ndarray) -> np.ndarra
     return weights
 
 
-def pair_covariance(weights: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Covariance stack (rows, 2m, 2m) from ``mode_weights`` and a
-    ``pair_table``: sum_k w_k u_ki u_kj for every pair i <= j of each
-    block, expanded to the full matrix, so every block is exactly
-    symmetric."""
-    products, index = table
-    # One fixed-shape (3, modes) x (modes, pairs) product per row: a row
-    # gets the same bits whatever rows share the call, which a 2-d
-    # (rows * 3, modes) product does not promise.
-    triangles = (weights @ products).reshape(weights.shape[0], 3 * products.shape[1])
-    return triangles.take(index, axis=1)
+def _covariance(weights: np.ndarray, table) -> np.ndarray:
+    """Covariance stack (rows, 2m, 2m) from ``_mode_weights`` and a
+    ``_site_table``: sum_k w_k u_ki u_kj for every pair i <= j of each
+    block, mirrored to i > j, so every block is exactly symmetric.  Each
+    row is one fixed-shape product per table or block, so it gets the
+    same bits whatever rows share the call; a 2-d (rows * 3, modes)
+    product does not promise that."""
+    pairs, u_cols, index = table
+    rows = weights.shape[0]
+    if pairs is not None:
+        # One (3, modes) x (modes, m(m+1)/2) product per row.
+        return (weights @ pairs).reshape(rows, 3 * pairs.shape[1]).take(index, axis=1)
+    # One (m, modes) x (modes, m) product per row and block.
+    m = u_cols.shape[1]
+    blocks = np.empty((rows, 3, m, m))
+    for k in range(3):
+        np.matmul(u_cols.T, weights[:, k, :, None] * u_cols, out=blocks[:, k])
+    return blocks.reshape(rows, 3 * m * m).take(index, axis=1)
 
 
 def mode_covariance(
@@ -116,12 +143,12 @@ def mode_covariance(
 
     ``u_cols`` holds the mode basis columns of those sites (modes x m),
     ``lam0`` the pre-quench eigenvalues (modes), and ``b``, ``bdot`` the
-    scale factors and their derivatives (rows x modes).  Builds the
-    ``pair_table`` of ``u_cols`` on each call; a caller with many blocks
-    of rows builds it once and calls ``pair_covariance`` on each block's
-    ``mode_weights``, which gives the same bits.
+    scale factors and their derivatives (rows x modes).  Every xx, xp and
+    pp block is exactly symmetric.  ``entropy_series`` builds the same
+    site table once per run and reuses it for every block of rows, which
+    gives the same bits.
     """
-    return pair_covariance(mode_weights(lam0, b, bdot), pair_table(u_cols))
+    return _covariance(_mode_weights(lam0, b, bdot), _site_table(u_cols))
 
 
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:

@@ -484,22 +484,27 @@ class TestEntropySeries:
         assert peak < 1.5 * piece_bytes
 
     @pytest.mark.parametrize(
-        "n, schedule, times",
+        "n, boundary, schedule, times",
         [
-            (8, QuenchSchedule(*np.transpose(RAMP_TABLE), interpolation="linear"),
+            (8, "periodic", QuenchSchedule(*np.transpose(RAMP_TABLE), interpolation="linear"),
              0.01 * np.arange(10_001)),
-            (64, None, 0.05 * np.arange(200)),
+            (64, "periodic", None, 0.05 * np.arange(200)),
+            (64, "open", None, 0.05 * np.arange(200)),
         ],
-        ids=["ramp-table", "ring-64"],
+        ids=["ramp-table", "ring-64", "open-64"],
     )
-    def test_peak_allocation_is_the_columns_plus_a_fixed_budget(self, n, schedule, times):
+    def test_peak_allocation_is_the_columns_plus_a_fixed_budget(self, n, boundary, schedule,
+                                                               times):
         """Beyond the returned xi and entropy columns, one call allocates at
-        most a fixed budget, whatever the grid length.  With
+        most a fixed budget, whatever the grid length, and under 0.8 MB
+        on chains of up to 64 sites.  With
         1024-row chunks evaluated mode by mode the excess was 1.04 MB
         (ramp) and 0.83 MB (ring); chunks of about 2048 scale factors over
-        all modes take 0.47 MB and 0.78 MB, 0.14 MB of the ring's being its
-        two sectors' pair tables."""
-        spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary="periodic")
+        all modes take 0.47 MB (ramp), 0.66 MB (ring) and 0.67 MB (open
+        chain, one 32-site sector).  A sector keeps a pair table only
+        while it holds at most ``gaussian._TABLE_VALUES`` values, so the
+        tables add at most 0.13 MB whatever the chain size."""
+        spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary=boundary)
         part = Partition.second_half(n)
         entropy_series(spec, part, times[:2], alphas=(1, 2), schedule=schedule)  # warm caches
         tracemalloc.start()

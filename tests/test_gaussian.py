@@ -17,11 +17,13 @@ from entchain import (
     solve_sudden,
     symplectic_eigenvalues,
 )
+from entchain import gaussian
 from entchain.gaussian import (
+    _TABLE_VALUES,
+    _covariance,
+    _mode_weights,
+    _site_table,
     mode_covariance,
-    mode_weights,
-    pair_covariance,
-    pair_table,
     physical_nu,
 )
 from support import GaussianState, assemble_state, mode_matrices, symplectic_form, to_covariance
@@ -271,7 +273,7 @@ def test_mode_covariance_matches_exact_sums(m, modes):
     assert sigma.shape == (3, 2 * m, 2 * m)
     assert np.array_equal(sigma, sigma.swapaxes(1, 2))
     assert np.array_equal(sigma[:, :m, m:], sigma[:, :m, m:].swapaxes(1, 2))
-    weights = mode_weights(lam0, b, bdot)
+    weights = _mode_weights(lam0, b, bdot)
     eps = np.finfo(float).eps
     for row in range(3):
         want = np.empty((2 * m, 2 * m))
@@ -287,18 +289,58 @@ def test_mode_covariance_matches_exact_sums(m, modes):
         assert np.abs(sigma[row] - want).max() <= bound
 
 
-def test_cached_table_gives_the_same_bits():
-    """``entropy_series`` builds each sector's pair table once and calls
-    ``pair_covariance`` on each block of rows; that equals, bit for bit,
-    ``mode_covariance`` building its own table for the whole stack."""
-    spec = ChainSpec(n=9, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary="open")
+def _widest_tabled_sector(modes):
+    """The most sites whose pair table of ``modes`` modes fits the budget."""
+    m = 1
+    while modes * (m + 1) * (m + 2) // 2 <= _TABLE_VALUES:
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("n, boundary, wider", [(9, "open", 0), (64, "periodic", 0),
+                                                 (64, "periodic", 1), (64, "open", 10)])
+def test_cached_table_gives_the_same_bits(n, boundary, wider):
+    """``entropy_series`` builds each sector's site table once and builds
+    each block of rows from it; that equals, bit for bit,
+    ``mode_covariance`` building its own table for the whole stack, on
+    both sides of the size where the pair table gives way to the
+    columns, and every block is exactly symmetric."""
+    spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary=boundary)
     qm = quench_modes(spec)
     b, bdot = solve_sudden(qm.lam_pre, qm.lam_post).evaluate(0.37 * np.arange(50))
-    u_cols = qm.u[:, [0, 2, 3, 7]]
+    if n == 9:
+        u_cols = qm.u[:, [0, 2, 3, 7]]
+    else:
+        u_cols = qm.u[:, :_widest_tabled_sector(n) + wider]
+    m = u_cols.shape[1]
+    table = _site_table(u_cols)
+    assert (table[0] is None) == (wider > 0)
     whole = mode_covariance(u_cols, qm.lam_pre, b, bdot)
-    table = pair_table(u_cols)
-    weights = mode_weights(qm.lam_pre, b, bdot)
+    assert np.array_equal(whole, whole.swapaxes(1, 2))
+    assert np.array_equal(whole[:, :m, m:], whole[:, :m, m:].swapaxes(1, 2))
+    weights = _mode_weights(qm.lam_pre, b, bdot)
     for a, z in ((0, 50), (0, 1), (3, 4), (5, 22), (22, 50)):
-        assert np.array_equal(pair_covariance(weights[a:z], table), whole[a:z])
-        assert np.array_equal(pair_covariance(mode_weights(qm.lam_pre, b[a:z], bdot[a:z]), table),
+        assert np.array_equal(_covariance(weights[a:z], table), whole[a:z])
+        assert np.array_equal(_covariance(_mode_weights(qm.lam_pre, b[a:z], bdot[a:z]), table),
                               whole[a:z])
+
+
+def test_pair_table_and_columns_agree_at_the_cutoff(monkeypatch):
+    """The widest set of sites that keeps a pair table takes the table
+    route and one site more the columns; built both ways, the widest
+    tabled set's covariances agree to 4 eps ||sigma||_2."""
+    modes = 64
+    m = _widest_tabled_sector(modes)
+    assert modes * m * (m + 1) // 2 <= _TABLE_VALUES < modes * (m + 1) * (m + 2) // 2
+    rng = np.random.default_rng(7)
+    u_cols = np.linalg.qr(rng.standard_normal((modes, modes)))[0][:, :m + 1]
+    assert _site_table(u_cols)[0] is None
+    table = _site_table(u_cols[:, :m])
+    assert table[0].shape == (modes, m * (m + 1) // 2)
+    weights = _mode_weights(rng.uniform(0.1, 10.0, modes), rng.uniform(0.2, 5.0, (4, modes)),
+                            rng.standard_normal((4, modes)))
+    tabled = _covariance(weights, table)
+    monkeypatch.setattr(gaussian, "_TABLE_VALUES", 0)
+    columns = _covariance(weights, _site_table(u_cols[:, :m]))
+    bound = 4 * np.finfo(float).eps * np.linalg.norm(tabled, 2, axis=(1, 2))
+    assert np.all(np.abs(tabled - columns).max(axis=(1, 2)) <= bound)

@@ -34,7 +34,7 @@ from entchain import (
 )
 from entchain.chain import bond_laplacian
 from entchain.entanglement import _grid_rows, _sector_columns, _sector_spectrum
-from entchain.gaussian import mode_covariance, mode_weights, pair_table
+from entchain.gaussian import _mode_weights, _site_table, mode_covariance
 from entchain.oracles import (
     KernelGrid,
     SymplecticPropagator,
@@ -287,8 +287,8 @@ def test_spectrum_routes_match_50_digit_reference(case):
     routes = [
         entchain.entanglement.symplectic_eigenvalues(stack),
         entchain.oracles.symplectic_eigenvalues(stack),
-        _sector_spectrum([pair_table(cols) for cols in _sector_columns(spec, modes.u, kept)],
-                         mode_weights(modes.lam_pre, b, bdot)),
+        _sector_spectrum([_site_table(cols) for cols in _sector_columns(spec, modes.u, kept)],
+                         _mode_weights(modes.lam_pre, b, bdot)),
     ]
     for row, sigma in enumerate(stack):
         reference = _mp_symplectic_eigenvalues(sigma)
@@ -465,8 +465,8 @@ def test_sector_route_matches_unsplit_spectrum(data):
     assert sum(cols.shape[1] for cols in sectors) == len(kept)
     sigma = mode_covariance(modes.u[:, [s - 1 for s in kept]], modes.lam_pre, b, bdot)
     whole = symplectic_eigenvalues(sigma)
-    split = _sector_spectrum([pair_table(cols) for cols in sectors],
-                             mode_weights(modes.lam_pre, b, bdot))
+    split = _sector_spectrum([_site_table(cols) for cols in sectors],
+                             _mode_weights(modes.lam_pre, b, bdot))
     bound = _SPECTRUM_C * np.finfo(float).eps * np.linalg.norm(sigma, 2, axis=(1, 2))
     assert split.shape == whole.shape
     assert np.all(np.abs(split - whole) <= bound[:, None])
