@@ -41,7 +41,6 @@ class RunConfig:
     """Validated run parameters plus the canonical document they came from."""
 
     chain: ChainSpec
-    bose_hubbard: BoseHubbardSpec | None
     schedule: QuenchSchedule | None  # None means a sudden quench
     tolerance: float
     partition: Partition
@@ -147,6 +146,9 @@ def _choice(block: dict, key: str, path: str, options, default=None) -> str:
 
 
 def _parse_model(raw: dict):
+    """Validate the ``model`` and ``quench`` blocks.  Returns the chain, the
+    schedule (None for a sudden quench), the tolerance, and the ``model``
+    and ``quench`` sections of the echo, built from the validated values."""
     model = _as_block(raw, "model")
     if not raw.get("model"):
         raise ConfigError("model: required block is missing")
@@ -155,7 +157,6 @@ def _parse_model(raw: dict):
     _reject_unknown(quench, {"kind", "table", "interpolation", "tolerance"}, "quench")
     kind = _choice(quench, "kind", "quench", {"sudden", "general"}, default="sudden")
 
-    schedule = None
     tolerance = _number(quench, "tolerance", "quench", default=DEFAULT_TOLERANCE,
                         minimum=0.0, exclusive=True)
     if kind == "sudden" and ("table" in quench or "interpolation" in quench):
@@ -170,11 +171,12 @@ def _parse_model(raw: dict):
         omega_bh_f = _number(model, "omega_bh_f", "model", minimum=0.0)
         hop = _number(model, "hop", "model", minimum=0.0)
         try:
-            bh = BoseHubbardSpec(omega_bh_i=omega_bh_i, omega_bh_f=omega_bh_f, hop=hop)
-            chain = bh.chain_spec()
+            chain = BoseHubbardSpec(omega_bh_i, omega_bh_f, hop).chain_spec()
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
-        return chain, bh, schedule, tolerance
+        model_echo = {"mode": mode, "omega_bh_i": omega_bh_i, "omega_bh_f": omega_bh_f,
+                      "hop": hop}
+        return chain, None, tolerance, model_echo, {"kind": kind}
 
     allowed = {"mode", "n", "boundary", "omega_i", "k_i"}
     if kind == "sudden":
@@ -186,11 +188,16 @@ def _parse_model(raw: dict):
             "post-quench values come from the quench.table when quench.kind = general",
         )
     _reject_unknown(model, allowed, "model")
-    n = _integer(model, "n", "model", minimum=2, maximum=MAX_SITES)
-    boundary = _choice(model, "boundary", "model", {"periodic", "open"}, default="periodic")
-    omega_i = _number(model, "omega_i", "model", minimum=0.0, exclusive=True)
-    k_i = _number(model, "k_i", "model", minimum=0.0)
+    model_echo = {
+        "mode": mode,
+        "n": _integer(model, "n", "model", minimum=2, maximum=MAX_SITES),
+        "boundary": _choice(model, "boundary", "model", {"periodic", "open"},
+                            default="periodic"),
+        "omega_i": _number(model, "omega_i", "model", minimum=0.0, exclusive=True),
+        "k_i": _number(model, "k_i", "model", minimum=0.0),
+    }
 
+    schedule = None
     if kind == "general":
         table = quench.get("table")
         if not isinstance(table, list) or not table:
@@ -215,17 +222,21 @@ def _parse_model(raw: dict):
         except ValueError as exc:
             raise ConfigError(f"quench.table: {exc}") from exc
         omega_f, k_f = schedule.final_params
+        quench_echo = {"kind": kind, "table": rows, "interpolation": interpolation,
+                       "tolerance": tolerance}
     else:
-        omega_f = _number(model, "omega_f", "model", minimum=0.0)
-        k_f = _number(model, "k_f", "model", minimum=0.0)
+        omega_f = model_echo["omega_f"] = _number(model, "omega_f", "model", minimum=0.0)
+        k_f = model_echo["k_f"] = _number(model, "k_f", "model", minimum=0.0)
+        quench_echo = {"kind": kind}
 
     try:
         chain = ChainSpec(
-            n=n, omega_i=omega_i, k_i=k_i, omega_f=omega_f, k_f=k_f, boundary=boundary
+            n=model_echo["n"], omega_i=model_echo["omega_i"], k_i=model_echo["k_i"],
+            omega_f=omega_f, k_f=k_f, boundary=model_echo["boundary"],
         )
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    return chain, None, schedule, tolerance
+    return chain, schedule, tolerance, model_echo, quench_echo
 
 
 def _parse_partition(raw: dict, n: int) -> Partition:
@@ -254,7 +265,7 @@ def from_dict(raw: dict) -> RunConfig:
     if "version" in raw and not isinstance(raw["version"], str):
         raise ConfigError("version: expected a string")
 
-    chain, bh, schedule, tolerance = _parse_model(raw)
+    chain, schedule, tolerance, model_echo, quench_echo = _parse_model(raw)
     partition = _parse_partition(raw, chain.n)
 
     time_block = _as_block(raw, "time")
@@ -290,36 +301,6 @@ def from_dict(raw: dict) -> RunConfig:
     precision = _integer(output, "precision", "output", default=DEFAULT_PRECISION, minimum=1,
                          maximum=17)
 
-    if bh is not None:
-        model_echo = {
-            "mode": "bose_hubbard",
-            "omega_bh_i": bh.omega_bh_i,
-            "omega_bh_f": bh.omega_bh_f,
-            "hop": bh.hop,
-        }
-        quench_echo: dict = {"kind": "sudden"}
-    else:
-        model_echo = {
-            "mode": "oscillator",
-            "n": chain.n,
-            "boundary": chain.boundary,
-            "omega_i": chain.omega_i,
-            "k_i": chain.k_i,
-        }
-        if schedule is None:
-            model_echo["omega_f"] = chain.omega_f
-            model_echo["k_f"] = chain.k_f
-            quench_echo = {"kind": "sudden"}
-        else:
-            quench_echo = {
-                "kind": "general",
-                "table": [
-                    [float(t), float(w), float(k)]
-                    for t, w, k in zip(schedule.times, schedule.omegas, schedule.ks)
-                ],
-                "interpolation": schedule.interpolation,
-                "tolerance": tolerance,
-            }
     echo = {
         "version": __version__,
         "model": model_echo,
@@ -332,7 +313,6 @@ def from_dict(raw: dict) -> RunConfig:
 
     return RunConfig(
         chain=chain,
-        bose_hubbard=bh,
         schedule=schedule,
         tolerance=tolerance,
         partition=partition,

@@ -272,21 +272,13 @@ def make_figure(name: str, out_dir: str) -> list[str]:
     return paths + [script_path]
 
 
-def verify_parameter_sets() -> list[tuple[str, RunConfig]]:
-    """The eleven figure configurations the oracle-equivalence check runs."""
-    sets = []
-    for name in ("fig1", "fig2", "fig3"):
-        for label, doc in figure_documents(name):
-            sets.append((f"{name} {label}", from_dict(doc)))
-    return sets
-
-
 def verify_report() -> tuple[str, bool]:
-    """Cross-validate the scale-factor pipeline against the covariance
-    oracle on every figure configuration, check the static entropy anchor,
-    and check the full-state purity of the product's mode covariances with
-    the oracle's reference spectrum.  Each line shows the measured value
-    next to its gate.  Returns (report text, all passed)."""
+    """Check each figure configuration once: its scale-factor pipeline
+    against the covariance oracle, its scale factors' residual and
+    invariant, the static entropy anchor, and, on each figure's first
+    configuration, the full-state purity with the oracle's reference
+    spectrum.  Each line shows the measured value next to its gate.
+    Returns (report text, all passed)."""
     lines = []
     ok = True
 
@@ -297,48 +289,40 @@ def verify_report() -> tuple[str, bool]:
         lines.append(f"[{'ok' if passed else 'FAIL'}] {text} = {value:.3e} (gate {gate:g})")
 
     times = np.linspace(0.0, 100.0, 1000)
+    sweep_times = np.linspace(0.0, 200.0, 2001)
     anchor_values = []
-    for label, config in verify_parameter_sets():
-        series = entropy_series(config.chain, config.partition, times, alphas=(1, 2))
-        oracle = covariance_series(config.chain, config.partition, times, alphas=(1, 2))
-        deviation = max(
-            float(np.abs(series.entropies[a] - oracle.entropies[a]).max()) for a in (1, 2)
-        )
-        record(deviation, 1e-8, f"oracle match {label}: max |dS|")
-        if label.startswith("fig1"):
-            anchor_values.append(float(series.s1[0]))
+    purity_dev = residual_dev = invariant_dev = 0.0
+    for name in ("fig1", "fig2", "fig3"):
+        for index, (label, doc) in enumerate(figure_documents(name)):
+            config = from_dict(doc)
+            series = entropy_series(config.chain, config.partition, times, alphas=(1, 2))
+            oracle = covariance_series(config.chain, config.partition, times, alphas=(1, 2))
+            deviation = max(
+                float(np.abs(series.entropies[a] - oracle.entropies[a]).max()) for a in (1, 2)
+            )
+            record(deviation, 1e-8, f"oracle match {name} {label}: max |dS|")
+            if name == "fig1":
+                anchor_values.append(float(series.s1[0]))
+            modes = quench_modes(config.chain)
+            solution = solve_sudden(modes.lam_pre, modes.lam_post)
+            if index == 0:
+                b, bdot = solution.evaluate(np.array([0.0, 37.7, 83.1]))
+                nu = symplectic_eigenvalues(mode_covariance(modes.u, modes.lam_pre, b, bdot))
+                purity_dev = max(purity_dev, float(np.abs(nu - 0.5).max()))
+            conserved = modes.lam_pre + modes.lam_post
+            # entropy_series's chunk size: 2001 times by every mode at once
+            # raised the peak resident memory of verify by 5 MB
+            rows = _chunk_rows(1, modes.n)
+            for first in range(0, sweep_times.size, rows):
+                residual, invariant = mode_checks(solution, sweep_times[first:first + rows])
+                residual_dev = max(residual_dev, float(residual.max()))
+                invariant_dev = max(invariant_dev, float(np.abs(invariant - conserved).max()))
 
     anchor_dev = max(abs(v - 0.48653) for v in anchor_values)
     record(anchor_dev, 1e-4, "static entropy anchor across fig1 targets: max |S_1(0) - 0.48653|")
     anchor_split = max(anchor_values) - min(anchor_values)
     record(anchor_split, 1e-12, "S_1(0) identical across fig1 quench targets: spread")
-
-    purity_dev = 0.0
-    for name in ("fig1", "fig2", "fig3"):
-        label, doc = figure_documents(name)[0]
-        config = from_dict(doc)
-        modes = quench_modes(config.chain)
-        solution = solve_sudden(modes.lam_pre, modes.lam_post)
-        b, bdot = solution.evaluate(np.array([0.0, 37.7, 83.1]))
-        sigma = mode_covariance(modes.u, modes.lam_pre, b, bdot)
-        nu = symplectic_eigenvalues(sigma)
-        purity_dev = max(purity_dev, float(np.abs(nu - 0.5).max()))
     record(purity_dev, 1e-9, "full-state purity: max |nu - 1/2|")
-
-    residual_dev = 0.0
-    invariant_dev = 0.0
-    sweep_times = np.linspace(0.0, 200.0, 2001)
-    for _, config in verify_parameter_sets():
-        modes = quench_modes(config.chain)
-        solution = solve_sudden(modes.lam_pre, modes.lam_post)
-        conserved = modes.lam_pre + modes.lam_post
-        # entropy_series's chunk size: 2001 times by every mode at once
-        # raised the peak resident memory of verify by 5 MB
-        rows = _chunk_rows(1, modes.n)
-        for first in range(0, sweep_times.size, rows):
-            residual, invariant = mode_checks(solution, sweep_times[first:first + rows])
-            residual_dev = max(residual_dev, float(residual.max()))
-            invariant_dev = max(invariant_dev, float(np.abs(invariant - conserved).max()))
     record(residual_dev, 1e-9, "scale-factor residual: max")
     record(invariant_dev, 1e-9, "conserved combination drift: max")
 

@@ -27,7 +27,6 @@ class TestDefaults:
         assert isinstance(cfg, RunConfig)
         assert cfg.chain.n == 4
         assert cfg.chain.boundary == "periodic"
-        assert cfg.bose_hubbard is None
         assert cfg.schedule is None
         assert cfg.partition.traced == (3, 4)
         assert cfg.partition.kept == (1, 2)
