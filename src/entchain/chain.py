@@ -15,6 +15,7 @@ and after the quench; :func:`quench_modes` exposes that shared basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -36,7 +37,9 @@ class ChainSpec:
 
     Frequencies and couplings are in natural units (hbar = 1, unit masses).
     ``omega_i`` must be positive so the pre-quench ground state exists;
-    ``omega_f`` may be zero (gapless post-quench chain).
+    ``omega_f`` may be zero (gapless post-quench chain).  In each phase
+    the largest coupling eigenvalue, at most omega**2 + 4 k (bond-Laplacian
+    eigenvalues lie in [0, 4]), must be finite.
     """
 
     n: int
@@ -55,6 +58,13 @@ class ChainSpec:
             raise ValueError("pre-quench on-site frequency must be positive")
         if self.omega_f < 0 or self.k_i < 0 or self.k_f < 0:
             raise ValueError("omega_f, k_i, k_f must be non-negative")
+        for phase in ("pre", "post"):
+            omega, k = (float(v) for v in self.params(phase))
+            if not math.isfinite(omega * omega + 4.0 * k):
+                raise ValueError(
+                    f"the largest {phase}-quench coupling eigenvalue, omega**2 + 4 k, "
+                    "is not finite"
+                )
 
     def params(self, phase: Phase) -> tuple[float, float]:
         if phase == "pre":

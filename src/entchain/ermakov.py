@@ -51,7 +51,8 @@ class QuenchSchedule:
 
     Projection onto a mode with bond-Laplacian eigenvalue mu gives the
     per-mode eigenvalue samples ``omega**2 + mu * k``, interpolated in
-    eigenvalue space with the schedule's rule.
+    eigenvalue space with the schedule's rule.  Every row's largest,
+    ``omega**2 + 4 k``, must be finite.
     """
 
     times: np.ndarray
@@ -64,6 +65,13 @@ class QuenchSchedule:
         object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
         object.__setattr__(self, "ks", np.asarray(self.ks, dtype=float))
         _check_table(self.times, (self.omegas, self.ks), self.interpolation)
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(self.omegas * self.omegas + 4.0 * self.ks)
+        if not finite.all():
+            raise ValueError(
+                f"row {int(np.argmin(finite))}: the largest coupling eigenvalue, "
+                "omega**2 + 4 k, is not finite"
+            )
 
     @property
     def final_params(self) -> tuple[float, float]:
@@ -100,6 +108,13 @@ def _check_table(times: np.ndarray, columns, interpolation) -> None:
 # 4**4 / 4! ~ 11, about doubles the error in b and triples it in b'.
 _PIECE_PHASE = 2.0
 _TAYLOR_TERMS = 28
+
+# Taylor pieces one integrate_general call may cut its table into, over
+# all modes: 1,048,576, past the 996,288 of a 64-site ring ramped
+# from omega 30 to 1 over t = 1000.  Counted before anything is allocated.
+# Set-up peaks at about 682 bytes per piece of the mode with the most:
+# 715 MB when one mode has them all.
+_MAX_PIECES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,10 +321,10 @@ def mode_checks(solution: ModeSolution, times) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "linear",
-                      tolerance: float = 1e-10) -> ModeSolution:
-    """Scale factor, valid for all t >= 0, for lam(t) sampled as ``lams``
-    at ``times`` (from 0, strictly increasing) and interpolated piecewise
-    linearly (``"linear"``) or held from the previous sample
+                      tolerance: float = 1e-10, until: float = np.inf) -> ModeSolution:
+    """Scale factor, valid for 0 <= t <= ``until``, for lam(t) sampled as
+    ``lams`` at ``times`` (from 0, strictly increasing) and interpolated
+    piecewise linearly (``"linear"``) or held from the previous sample
     (``"previous"``), the final value past the last sample.  The mode
     starts in the ground state of ``lam_initial``.
 
@@ -326,12 +341,20 @@ def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "
     the table alone, so the stack's arrays are allocated once at their
     final size and filled mode by mode: set-up never holds a mode's pieces
     twice.  The first mode to fail its Wronskian check raises.
+
+    Pieces that would start past ``until`` are not made, so the solution
+    holds for 0 <= t <= ``until`` only, where it gives the uncut solution's
+    values bit for bit.  The pieces made are counted before anything is
+    allocated: more than ``_MAX_PIECES`` of them over all modes, or an
+    infinite count, raise :class:`NumericsError`.
     """
     lam0 = np.asarray(lam_initial, dtype=float)
     if lam0.ndim > 1 or not np.all(lam0 > 0):
         raise ValueError("lam_initial must be positive (ground state before the quench)")
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
+    if not until >= 0:
+        raise ValueError("until must be non-negative")
     times = np.asarray(times, dtype=float)
     table = np.asarray(lams, dtype=float)
     if lam0.ndim == 0:
@@ -347,15 +370,27 @@ def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "
     lengths = np.append(np.diff(times), 0.0)
     rises = np.diff(table, append=table[:, -1:])
     rate = np.sqrt(np.maximum(table, table + rises)) + np.abs(slopes) ** (1.0 / 3.0)
-    counts = np.where(slopes != 0.0, np.ceil(rate * lengths / _PIECE_PHASE), 1.0).astype(int)
-    sizes = counts.sum(axis=1)
+    # Piece k of a segment starts a fraction k / count into it; those
+    # starting past `until` are not made, bar one spare for roundoff.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        counts = np.where(slopes != 0.0, np.ceil(rate * lengths / _PIECE_PHASE), 1.0)
+        reach = np.floor((until - times) / lengths * counts) + 2.0
+    made = np.where(times <= until, np.fmin(counts, reach), 0.0)
+    total = made.sum()
+    if not total <= _MAX_PIECES:  # an infinite count too
+        raise NumericsError(
+            f"the lam table needs {total:.6g} Taylor pieces up to t = {until:g}, "
+            f"more than {_MAX_PIECES}"
+        )
+    made = made.astype(int)
+    sizes = made.sum(axis=1)
     first = np.cumsum(sizes) - sizes
     starts, piece_lams, piece_slopes = (np.empty(sizes.sum()) for _ in range(3))
     phis = np.empty((sizes.sum(), 2, 2))
     for j, lo in enumerate(first):
         out = slice(lo, lo + sizes[j])
-        segment = np.repeat(np.arange(times.size), counts[j])
-        offset = np.repeat(np.cumsum(counts[j]) - counts[j], counts[j])
+        segment = np.repeat(np.arange(times.size), made[j])
+        offset = np.repeat(np.cumsum(made[j]) - made[j], made[j])
         frac = (np.arange(segment.size) - offset) / counts[j, segment]
         starts[out] = times[segment] + frac * lengths[segment]
         piece_lams[out] = table[j, segment] + frac * rises[j, segment]

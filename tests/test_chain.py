@@ -32,6 +32,12 @@ def test_spec_validation():
         ChainSpec(n=2, omega_i=1.0, k_i=-0.5, omega_f=1.0, k_f=0.0)
     with pytest.raises(ValueError, match="boundary"):
         ChainSpec(n=2, omega_i=1.0, k_i=0.0, omega_f=1.0, k_f=0.0, boundary="twisted")
+    # the largest coupling eigenvalue, omega**2 + 4 k, must be finite
+    for params, phase in (((1e200, 0.0, 1.0, 0.0), "pre"), ((1.0, 1e308, 1.0, 0.0), "pre"),
+                          ((1.0, 0.0, 1.0, 1e308), "post"), ((1.0, 0.0, 1.5e154, 0.0), "post")):
+        with pytest.raises(ValueError, match=f"largest {phase}-quench coupling eigenvalue"):
+            ChainSpec(2, *params)
+    ChainSpec(2, 1e154, 1e307, 1.0, 0.0)  # 1e308 + 4e307 is still finite
 
 
 def test_bond_laplacian_shapes():

@@ -676,6 +676,91 @@ class TestMain:
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc, time_value",
+        [
+            ({"model": {"n": 4, "omega_i": 1e100, "k_i": 1, "omega_f": 1, "k_f": 1},
+              "time": {"t_max": 1, "dt": 0.5}}, "0.5"),
+            ({"model": {"n": 2, "omega_i": 1, "k_i": 1, "omega_f": 0, "k_f": 1},
+              "partition": {"traced": [2]}, "time": {"t_max": 1e17, "dt": 1e16}}, "2e+16"),
+        ],
+        ids=["stiff-start", "gapless-dimer"],
+    )
+    def test_xi_rounding_to_one_exits_2(self, tmp_path, doc, time_value):
+        """A symplectic eigenvalue so large that xi rounds to 1 is a
+        numerical failure naming the first such time, not a traceback."""
+        proc = _run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: xi = (2 nu - 1) / (2 nu + 1) rounds to 1 at t = "
+                                      f"{time_value}:")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "model, quench, message",
+        [
+            ({"omega_i": 1e200, "omega_f": 1, "k_f": 1}, None,
+             "model: the largest pre-quench coupling eigenvalue"),
+            ({"omega_i": 1, "omega_f": 1e200, "k_f": 1}, None,
+             "model: the largest post-quench coupling eigenvalue"),
+            ({"omega_i": 1, "k_i": 1e308, "omega_f": 1, "k_f": 1}, None,
+             "model: the largest pre-quench coupling eigenvalue"),
+            ({"omega_i": 1}, [[0, 1, 1], [1, 1e200, 1]],
+             "quench.table: row 1: the largest coupling eigenvalue"),
+            ({"omega_i": 1}, [[0, 1, 1], [1, 1, 1e308]],
+             "quench.table: row 1: the largest coupling eigenvalue"),
+        ],
+        ids=["omega_i", "omega_f", "k_i", "table-omega", "table-k"],
+    )
+    def test_oversized_parameters_exit_1(self, tmp_path, model, quench, message):
+        """A phase or table row whose largest coupling eigenvalue,
+        omega**2 + 4 k, overflows is a config error."""
+        doc = {"model": {"n": 4, "k_i": 1, **model}, "time": {"t_max": 1, "dt": 0.5}}
+        if quench is not None:
+            doc["quench"] = {"kind": "general", "table": quench}
+        proc = _run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {message}, omega**2 + 4 k, is not finite")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "table, t_max, dt",
+        [
+            ([[0, 1, 1], [1e6, 100, 1]], 1, 0.5),
+            ([[0, 1, 1], [1, 2, 1], [1e300, 3, 1]], 2, 0.5),
+        ],
+        ids=["long-ramp", "far-row"],
+    )
+    def test_general_table_is_cut_at_the_last_time(self, tmp_path, capsys, table, t_max, dt):
+        """A table reaching far past t_max is integrated only up to t_max,
+        and its echo keeps the whole table."""
+        doc = {"model": {"n": 4, "omega_i": 1, "k_i": 1},
+               "quench": {"kind": "general", "table": table},
+               "time": {"t_max": t_max, "dt": dt}}
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 + round(t_max / dt) + 1
+        assert json.loads(lines[0][len("# config: "):])["quench"]["table"] == table
+
+    def test_too_many_table_pieces_fail_fast(self, tmp_path, capsys):
+        """The same long ramp run to t = 1e6 would need 2e8 Taylor pieces:
+        the count is refused before any of them is allocated."""
+        doc = {"model": {"n": 4, "omega_i": 1, "k_i": 1},
+               "quench": {"kind": "general", "table": [[0, 1, 1], [1e6, 100, 1]]},
+               "time": {"t_max": 1e6, "dt": 1e3}}
+        config_path = write_config(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", config_path]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        err = capsys.readouterr().err
+        assert err.startswith("error: the lam table needs 2.00451e+08 Taylor pieces up to "
+                              "t = 1e+06, more than ")
+        assert err.count("\n") == 1
+
     def test_figure_command_dispatch(self, capsys, monkeypatch):
         import entchain.cli as cli_module
 

@@ -14,12 +14,14 @@ import pytest
 
 from entchain import (
     IntegrationError,
+    NumericsError,
     QuenchSchedule,
     integrate_general,
     mode_checks,
     solve_sudden,
 )
-from entchain.ermakov import _PIECE_PHASE, _propagator
+from entchain import ermakov
+from entchain.ermakov import _MAX_PIECES, _PIECE_PHASE, _propagator
 
 FIG1_MODE_PAIRS = [
     # (lam_initial, lam_final) of the two-site quench targets
@@ -169,6 +171,10 @@ def test_schedule_mode_protocol():
                         [[0.0, 1.0], [1.0, 1.0], [bad, 0.0]]):
             with pytest.raises(ValueError, match="finite"):
                 QuenchSchedule(*samples)
+    # every row's largest coupling eigenvalue, omega**2 + 4 k, must be finite
+    for omegas, ks in (([1.0, 1e200], [0.0, 0.0]), ([1.0, 1.0], [0.0, 1e308])):
+        with pytest.raises(ValueError, match="row 1: the largest coupling eigenvalue"):
+            QuenchSchedule([0.0, 1.0], omegas, ks)
 
 
 def test_integrate_constant_protocol():
@@ -257,6 +263,42 @@ def test_integrate_validation():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="tolerance"):
             integrate_general(1.0, [0.0], [2.0], tolerance=bad)
+
+
+def test_piece_count_is_capped_before_allocation(monkeypatch):
+    """Pieces are counted from the table before any is allocated: more
+    than ``_MAX_PIECES`` over all modes, or an infinite count, is a
+    numerical failure that names both numbers."""
+    monkeypatch.setattr(ermakov, "_MAX_PIECES", 50)
+    times, lams = [0.0, 50.0], [1.0, 0.0]  # 32 pieces, rate * length / _PIECE_PHASE = 31.8
+    assert integrate_general(1.0, times, lams).starts.size == 33  # and the last one
+    with pytest.raises(NumericsError, match="needs 66 Taylor pieces up to t = inf, more than 50$"):
+        integrate_general([1.0, 1.0], times, [lams, lams])
+    monkeypatch.undo()
+    assert _MAX_PIECES >= 996_288  # a 64-site ring ramped from omega 30 to 1 over t = 1000
+    with pytest.raises(NumericsError, match=f"needs inf Taylor pieces up to t = 1, more than "
+                                            f"{_MAX_PIECES}"):
+        integrate_general(1.0, [0.0, 1e300], [1.0, 1e300], until=1.0)
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "previous"])
+def test_pieces_past_until_are_not_made(interpolation):
+    """Cut at ``until``, a table keeps only the pieces that start up to it
+    (one spare), and gives the uncut solution's values bit for bit there."""
+    times, lams = [0.0, 10.0, 20.0], [[9.0, 4.0, 1.0], [13.0, 6.0, 1.5]]
+    full = integrate_general([9.0, 13.0], times, lams, interpolation)
+    t = np.linspace(0.0, 12.3, 500)
+    for until in (12.3, 10.0, 0.0):
+        cut = integrate_general([9.0, 13.0], times, lams, interpolation, until=until)
+        assert np.all(cut.starts <= until + 1.0) and cut.starts.size < full.starts.size
+        shown = t[t <= until]
+        assert all(np.array_equal(c, f) for c, f in zip(cut.evaluate(shown), full.evaluate(shown)))
+    # a far row costs nothing before it is reached
+    far = integrate_general(1.0, [0.0, 1.0, 1e300], [1.0, 4.0, 9.0], interpolation, until=2.0)
+    assert far.starts.size < 10
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="until"):
+            integrate_general(1.0, [0.0], [1.0], until=bad)
 
 
 def test_second_derivative_closed_only():
