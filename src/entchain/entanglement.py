@@ -270,11 +270,10 @@ def entropy_series(
     With ``schedule=None`` the quench is sudden (spec's pre -> post
     parameters); otherwise each mode follows the schedule up to the last
     time, with the Wronskian of its scale factor checked against
-    ``tolerance``.  Time
-    points are taken in chunks of about 2048 scale factors, (points) x
-    (modes), each a whole number of blocks of ``max(1, 8192 // (2w)**2)``
-    points for spectrum sectors of at most w sites, but no more points
-    than a chunk (``_grid_rows``).  Each sector's site table (its pair
+    ``tolerance``.  Time points are taken in chunks of about 2048 scale
+    factors, (points) x (modes), each a whole number of blocks of
+    ``max(1, 8192 // (2w)**2)`` points for spectrum sectors of at most w
+    sites, but no more points than a chunk (``_grid_rows``).  Each sector's site table (its pair
     table while that is small, see ``gaussian._site_table``) is built
     once per call.  A chunk evaluates b and b' of every mode in one call,
     their per-mode covariance entries once, and its entropies as sums
