@@ -30,6 +30,11 @@ Phase = Literal["pre", "post"]
 # The periodic chain has an exact zero mode that eigh returns as O(1e-16).
 _MU_SNAP = 1e-13
 
+# Bond-Laplacian eigenvalues closer than this (relative) gap are one value.
+# A ring's exact pairs mu_k = mu_(n-k) come out of eigh up to 1.6e-14 apart
+# at n = 2048, where distinct values are at least 9.4e-6 apart.
+_MU_MERGE = 1e-10
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -128,7 +133,10 @@ def quench_modes(spec: ChainSpec) -> QuenchModes:
 
     The basis rows are the ``eigh`` eigenvectors of the bond Laplacian,
     which both coupling matrices are affine functions of; this keeps
-    degenerate pairs consistently paired across the quench.  Raises
+    degenerate pairs consistently paired across the quench.  ``mu`` is
+    ascending, and eigenvalues within a relative 1e-10 of their neighbour
+    share the value of the smallest of them, so each degenerate pair of a
+    ring has one exact ``mu`` and one scale factor.  Raises
     :class:`NumericsError` if ``eigh`` fails, if any pre-quench eigenvalue
     is not positive, or if the basis fails to decouple either matrix.
     """
@@ -137,7 +145,10 @@ def quench_modes(spec: ChainSpec) -> QuenchModes:
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed: {exc}") from exc
     u = np.ascontiguousarray(vecs.T)
-    mu[np.abs(mu) <= _MU_SNAP * max(1.0, np.abs(mu).max())] = 0.0
+    top = max(1.0, np.abs(mu).max())
+    mu[np.abs(mu) <= _MU_SNAP * top] = 0.0
+    new = np.diff(mu, prepend=-np.inf) > _MU_MERGE * top
+    mu = mu[new][np.cumsum(new) - 1]
     lam_pre = spec.omega_i**2 + spec.k_i * mu
     lam_post = spec.omega_f**2 + spec.k_f * mu
     if lam_pre.min() <= 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, quench_modes
-from .ermakov import QuenchSchedule, integrate_general, solve_sudden
+from .ermakov import ModeSolution, QuenchSchedule, integrate_general, solve_sudden
 from .errors import NumericsError
 from .gaussian import (
     _covariance,
@@ -41,7 +41,8 @@ from .gaussian import (
 # (see _block_rows).
 _BLOCK_ELEMENTS = 8192
 
-# Scale factors, (time points) x (modes), evaluated at once (see _chunk_rows).
+# Scale factors, (time points) x (distinct modes), evaluated at once (see
+# _chunk_rows and _chunk_width).
 _CHUNK_VALUES = 2048
 
 
@@ -172,22 +173,30 @@ def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_ELEMENTS // dim**2)
 
 
-def _chunk_rows(block: int, modes: int) -> int:
+def _chunk_width(solution: ModeSolution) -> int:
+    """Scale factors per time point that size a chunk: one per distinct
+    mode of ``solution``, but at least half its modes, so that a chunk's
+    per-mode arrays hold at most about 2 * _CHUNK_VALUES values where
+    many modes share one (an uncoupled chain's all do)."""
+    return max(np.size(solution.first), np.size(solution.column) // 2)
+
+
+def _chunk_rows(block: int, per_row: int) -> int:
     """Time points per evaluation chunk: a whole number of ``block``-row
     spectrum blocks, at least one, holding about _CHUNK_VALUES scale
-    factors of ``modes`` modes, so that the chunk's temporaries keep one
-    size whatever the chain size."""
-    return block * max(1, _CHUNK_VALUES // (block * modes))
+    factors at ``per_row`` per point (``_chunk_width``), so that the
+    chunk's temporaries keep one size whatever the chain size."""
+    return block * max(1, _CHUNK_VALUES // (block * per_row))
 
 
-def _grid_rows(width: int, modes: int) -> tuple[int, int]:
+def _grid_rows(width: int, per_row: int) -> tuple[int, int]:
     """(block, chunk) time points of ``entropy_series`` for spectrum
     sectors of at most ``width`` sites: a block holds about 8192 elements
     per stacked (2 width, 2 width) array but no more points than a chunk
     of about _CHUNK_VALUES scale factors, so that small sectors do not
     grow the chunk."""
-    block = min(_block_rows(2 * width), _chunk_rows(1, modes))
-    return block, _chunk_rows(block, modes)
+    block = min(_block_rows(2 * width), _chunk_rows(1, per_row))
+    return block, _chunk_rows(block, per_row)
 
 
 def _mirror_sectors(n: int, boundary: str, kept) -> list[np.ndarray]:
@@ -271,14 +280,17 @@ def entropy_series(
     parameters); otherwise each mode follows the schedule up to the last
     time, with the Wronskian of its scale factor checked against
     ``tolerance``.  Time points are taken in chunks of about 2048 scale
-    factors, (points) x (modes), each a whole number of blocks of
+    factors, (points) x (distinct modes, at least half the modes;
+    ``_chunk_width``), each a whole number of blocks of
     ``max(1, 8192 // (2w)**2)`` points for spectrum sectors of at most w
-    sites, but no more points than a chunk (``_grid_rows``).  Each sector's site table (its pair
-    table while that is small, see ``gaussian._site_table``) is built
-    once per call.  A chunk evaluates b and b' of every mode in one call,
-    their per-mode covariance entries once, and its entropies as sums
-    over the mode axis; a block builds each sector's covariance stack in
-    one call and takes its symplectic spectra in one call per sector.
+    sites, but no more points than a chunk (``_grid_rows``).  Each
+    sector's site table (its pair table while that is small, see
+    ``gaussian._site_table``) is built once per call.  A chunk evaluates
+    b and b' of every mode in one call that computes each distinct mode
+    once (``ModeSolution``), their per-mode covariance entries once, and
+    its entropies as sums over the mode axis; a block builds each
+    sector's covariance stack in one call and takes its symplectic
+    spectra in one call per sector.
     Only the returned columns (times, xi and one series per order) span
     the whole grid.  Every row is computed the same way whatever chunk
     and block it falls in, so a grid gives bit for bit the values of its
@@ -303,7 +315,7 @@ def entropy_series(
     tables = [_site_table(cols) for cols in sectors]
     xi_out = np.empty((times.size, len(partition.kept)))
     ent_out = {a: np.empty(times.size) for a in alphas}
-    rows, chunk = _grid_rows(max(cols.shape[1] for cols in sectors), modes.n)
+    rows, chunk = _grid_rows(max(cols.shape[1] for cols in sectors), _chunk_width(solution))
     for first in range(0, times.size, chunk):
         span = slice(first, first + chunk)
         weights = _mode_weights(modes.lam_pre, *solution.evaluate(times[span]))

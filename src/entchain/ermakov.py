@@ -110,11 +110,16 @@ _PIECE_PHASE = 2.0
 _TAYLOR_TERMS = 28
 
 # Taylor pieces one integrate_general call may cut its table into, over
-# all modes: 1,048,576, past the 996,288 of a 64-site ring ramped
+# its distinct modes: 1,048,576, past the 513,711 of a 64-site ring ramped
 # from omega 30 to 1 over t = 1000.  Counted before anything is allocated.
-# Set-up peaks at about 682 bytes per piece of the mode with the most:
-# 715 MB when one mode has them all.
 _MAX_PIECES = 2**20
+
+# Taylor pieces whose propagators are set up at once.  Besides the 56
+# bytes a piece keeps, set-up takes about 130 bytes per piece of the mode
+# and 540 per piece of the chunk (Taylor coefficients and Horner
+# temporaries): 0.3 MB for 512.  Chunks of 8192 set up long tables about
+# 1.5 times faster, but take 4.4 MB.
+_SETUP_PIECES = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,14 +128,18 @@ class ModeSolution:
     and ``integrate_general`` on arrays).  ``evaluate`` returns (b, b') for
     any t >= 0.
 
-    The piece arrays list each mode's pieces in turn: mode j owns pieces
-    ``first[j]`` up to the next mode's first (or the end), and its first
-    piece starts at 0.  On piece k, lam(t) is
-    ``lams[k] + slopes[k] * (t - starts[k])`` from ``starts[k]`` on, and a
-    mode's last piece never ends.  ``phis[k]`` is the fundamental matrix
-    [[u1, u2], [u1', u2']] of u'' + lam(t) u = 0 at ``starts[k]``.  One
-    mode has a float ``lam_initial`` and ``first = 0``; a stack has one
-    entry of each per mode.
+    A stack solves each distinct (lam_initial, lam(t)) once, as one
+    column, and mode j takes column ``column[j]``: the two modes of a
+    ring's degenerate pair share one.  The piece arrays list each
+    column's pieces in turn: column c owns pieces ``first[c]`` up to the
+    next column's first (or the end), and its first piece starts at 0.
+    On piece k, lam(t) is ``lams[k] + slopes[k] * (t - starts[k])`` from
+    ``starts[k]`` on, and a column's last piece never ends.  ``phis[k]``
+    is the fundamental matrix [[u1, u2], [u1', u2']] of
+    u'' + lam(t) u = 0 at ``starts[k]``.  One mode has a float
+    ``lam_initial``, ``first = 0`` and ``column = 0``; a stack has one
+    entry of ``lam_initial`` and ``first`` per column and one of
+    ``column`` per mode.
     """
 
     lam_initial: float | np.ndarray
@@ -139,28 +148,38 @@ class ModeSolution:
     slopes: np.ndarray
     phis: np.ndarray
     first: int | np.ndarray = 0
+    column: int | np.ndarray = 0
 
     def evaluate(self, t):
         """(b(t), b'(t)) for scalar or array t >= 0, each of shape
-        ``np.shape(t) + np.shape(lam_initial)``: (times, modes) for a stack,
+        ``np.shape(t) + np.shape(column)``: (times, modes) for a stack,
         floats for one mode at one time."""
         b, bdot = self._derivatives(t, second=False)
         if b.ndim == 0:
             return float(b), float(bdot)
         return b, bdot
 
+    def _derivatives(self, t, second: bool = True):
+        """b, b' and, with ``second``, b'' and lam(t), shaped as
+        ``evaluate``'s results."""
+        return self._per_mode(np.shape(t), *self._columns(t, second))
+
+    def _per_mode(self, shape, *values):
+        """Each mode's column of (times, columns) arrays, shaped as
+        ``evaluate``'s results for times of ``shape``."""
+        return tuple(v[:, self.column].reshape(shape + np.shape(self.column)) for v in values)
+
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index of each mode's first piece, and one past its last."""
+        """Index of each column's first piece, and one past its last."""
         first = np.atleast_1d(self.first)
         return first, np.append(first[1:], self.starts.size)
 
     # Past about t = 1e154 (gapless modes) b**2 overflows; the inf and nan
     # that follow are reported once, at the end, with the first such time.
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def _derivatives(self, t, second: bool = True):
-        """b, b' and, with ``second``, b'' and lam(t), shaped as
-        ``evaluate``'s results."""
-        shape = np.shape(t) + np.shape(self.lam_initial)
+    def _columns(self, t, second: bool):
+        """``_derivatives`` of each column once: arrays (times, columns)
+        over the flattened t."""
         t = np.asarray(t, dtype=float).ravel()
         if np.any(t < 0):
             raise ValueError("scale factor is defined for t >= 0 only")
@@ -216,10 +235,9 @@ class ModeSolution:
             bad = ~finite.all(axis=1)
             raise NumericsError(f"scale factor b(t) is not finite at t = {t[bad].min():g}")
         if not second:
-            return b.reshape(shape), bdot.reshape(shape)
+            return b, bdot
         lam = lam + slope * tau
-        bdd = (dsq - lam * bsq - bdot**2) / b
-        return b.reshape(shape), bdot.reshape(shape), bdd.reshape(shape), lam.reshape(shape)
+        return b, bdot, (dsq - lam * bsq - bdot**2) / b, lam
 
 
 def _form(g, p0, p1, q0, q1):
@@ -240,18 +258,21 @@ def _propagator(lam, slope, tau):
     """Entries (P00, P01, P10, P11) of the propagator of
     u'' + (lam + slope t) u = 0 from t = 0 to t = tau (arrays broadcast):
     cos/sin where slope = 0, else the Taylor series in x = rate * tau, for
-    rate * tau up to _PIECE_PHASE."""
+    rate * tau up to _PIECE_PHASE, _SETUP_PIECES pieces at a time."""
     lam, slope, tau = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lam, slope, tau)))
-    out = np.empty((4,) + lam.shape)
+    shape = lam.shape
+    lam, slope, tau = lam.ravel(), slope.ravel(), tau.ravel()
+    out = np.empty((4, lam.size))
     flat = slope == 0.0
     if flat.any():
         cos, sinw = _harmonic(lam[flat], tau[flat])
         out[:, flat] = cos, sinw, -lam[flat] * sinw, cos
-    if not flat.all():
-        ramp = ~flat
-        out[:, ramp] = _taylor_propagator(lam[ramp], slope[ramp], tau[ramp],
-                                          np.arange(np.count_nonzero(ramp)))
-    return out
+    ramp = np.flatnonzero(~flat)
+    for lo in range(0, ramp.size, _SETUP_PIECES):
+        part = ramp[lo:lo + _SETUP_PIECES]
+        out[:, part] = _taylor_propagator(lam[part], slope[part], tau[part],
+                                          np.arange(part.size))
+    return out.reshape((4,) + shape)
 
 
 def _taylor_propagator(lam, slope, tau, piece):
@@ -281,10 +302,20 @@ def _taylor_propagator(lam, slope, tau, piece):
     return u[0], u[1] / rate, du[0] * rate, du[1]
 
 
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first of each distinct row of a 2-d array, ascending,
+    and the position among those of each row's first."""
+    seen = {}
+    firsts = [seen.setdefault(row.tobytes(), i) for i, row in enumerate(rows)]
+    distinct = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
+    return distinct, np.searchsorted(distinct, firsts)
+
+
 def solve_sudden(lam_initial, lam_final) -> ModeSolution:
     """Closed-form scale factor for a sudden jump lam_initial -> lam_final:
     one mode for floats, or the stack of one mode per entry for 1-d arrays
-    of one length, each mode bit for bit as its own call gives it."""
+    of one length, one column per distinct pair, each mode bit for bit as
+    its own call gives it."""
     lam0 = np.array(lam_initial, dtype=float)
     lams = np.array(lam_final, dtype=float)
     if lam0.ndim > 1 or lams.shape != lam0.shape:
@@ -294,30 +325,34 @@ def solve_sudden(lam_initial, lam_final) -> ModeSolution:
     if np.any(lams < 0):
         raise ValueError(f"lam_final must be non-negative, got {lams.min():g}")
     one = lam0.ndim == 0
+    distinct, column = _distinct(np.column_stack([lam0.ravel(), lams.ravel()]))
     return ModeSolution(
-        lam_initial=float(lam0) if one else lam0,
-        starts=np.zeros(lam0.size),
-        lams=lams.ravel(),
-        slopes=np.zeros(lam0.size),
-        phis=np.tile(np.eye(2), (lam0.size, 1, 1)),
-        first=0 if one else np.arange(lam0.size),
+        lam_initial=float(lam0) if one else lam0[distinct],
+        starts=np.zeros(distinct.size),
+        lams=lams.ravel()[distinct],
+        slopes=np.zeros(distinct.size),
+        phis=np.tile(np.eye(2), (distinct.size, 1, 1)),
+        first=0 if one else np.arange(distinct.size),
+        column=0 if one else column,
     )
 
 
 def mode_checks(solution: ModeSolution, times) -> tuple[np.ndarray, np.ndarray]:
     """|b'' + lam(t) b - lam(0)/b**3| and b'**2 + lam_f b**2 + lam(0)/b**2
     on a grid, shaped as ``solution.evaluate(times)``: one evaluation of
-    the mode, or of every mode of a stack.
+    the mode, or of each column of a stack, its values given to every
+    mode of the column.
 
     b'' comes from the fundamental solutions, not from the equation, so by
     Lagrange's identity the residual is lam(0) |W**2 - 1| / b**3 for the
     computed Wronskian W.  A sudden quench to lam_f conserves the second
     array at lam(0) + lam_f.
     """
-    b, bdot, bdd, lam = solution._derivatives(times)
+    b, bdot, bdd, lam = solution._columns(times, second=True)
     w = solution.lam_initial
-    lam_final = solution.lams[solution._bounds()[1] - 1].reshape(np.shape(w))
-    return np.abs(bdd + lam * b - w / b**3), bdot**2 + lam_final * b**2 + w / b**2
+    lam_final = solution.lams[solution._bounds()[1] - 1]
+    return solution._per_mode(np.shape(times), np.abs(bdd + lam * b - w / b**3),
+                              bdot**2 + lam_final * b**2 + w / b**2)
 
 
 def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "linear",
@@ -336,16 +371,17 @@ def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "
     failing time, which can be a piece boundary inside a table segment.
 
     An array ``lam_initial`` of several modes, with one row of ``lams``
-    per mode, gives their stack, each mode bit for bit as its own call
-    gives it.  The piece counts follow from
-    the table alone, so the stack's arrays are allocated once at their
-    final size and filled mode by mode: set-up never holds a mode's pieces
-    twice.  The first mode to fail its Wronskian check raises.
+    per mode, gives their stack, one column per distinct pair of
+    ``lam_initial`` and row, each mode bit for bit as its own call gives
+    it.  The piece counts follow from the table alone, so the stack's
+    arrays are allocated once at their final size and filled column by
+    column: set-up never holds a column's pieces twice.  The first mode to
+    fail its Wronskian check raises.
 
     Pieces that would start past ``until`` are not made, so the solution
     holds for 0 <= t <= ``until`` only, where it gives the uncut solution's
     values bit for bit.  The pieces made are counted before anything is
-    allocated: more than ``_MAX_PIECES`` of them over all modes, or an
+    allocated: more than ``_MAX_PIECES`` of them over all columns, or an
     infinite count, raise :class:`NumericsError`.
     """
     lam0 = np.asarray(lam_initial, dtype=float)
@@ -362,6 +398,8 @@ def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "
     if table.ndim != 2 or table.shape[0] != lam0.size:
         raise ValueError("lams needs one row of samples per lam_initial")
     _check_table(times, tuple(table), interpolation)
+    distinct, column = _distinct(np.column_stack([lam0.ravel(), table]))
+    table = table[distinct]
     slopes = np.zeros(table.shape)
     if interpolation == "linear":
         slopes[:, :-1] = np.diff(table) / np.diff(times)
@@ -399,8 +437,8 @@ def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "
     if lam0.ndim == 0:
         return ModeSolution(lam_initial=float(lam0), starts=starts, lams=piece_lams,
                             slopes=piece_slopes, phis=phis)
-    return ModeSolution(lam_initial=lam0, starts=starts, lams=piece_lams,
-                        slopes=piece_slopes, phis=phis, first=first)
+    return ModeSolution(lam_initial=lam0[distinct], starts=starts, lams=piece_lams,
+                        slopes=piece_slopes, phis=phis, first=first, column=column)
 
 
 def _chain(times, lams, slopes, tolerance):

@@ -258,17 +258,6 @@ def _linear_kept(spec, schedule, times, sites, rows, tolerance) -> np.ndarray:
     )
 
 
-def reduce_covariance(sigma: np.ndarray, partition: Partition) -> np.ndarray:
-    """Kept-block covariance (positions then momenta of the kept sites) of
-    one covariance matrix or of a stack (..., 2n, 2n)."""
-    n = sigma.shape[-1] // 2
-    if partition.n != n:
-        raise ValueError(f"partition covers {partition.n} sites but sigma has {n}")
-    kp = [s - 1 for s in partition.kept]
-    sel = kp + [s + n for s in kp]
-    return sigma[..., sel, :][..., sel]
-
-
 def covariance_entropy(nu, alphas=(1,)) -> dict[int, float | np.ndarray]:
     """Entropies of a Gaussian state from its symplectic eigenvalues.
 

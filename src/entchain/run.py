@@ -23,7 +23,7 @@ import numpy as np
 
 from .chain import quench_modes
 from .config import RunConfig, canonical_echo, expand_sweep, from_dict
-from .entanglement import EntropySeries, _chunk_rows, entropy_series
+from .entanglement import EntropySeries, _chunk_rows, _chunk_width, entropy_series
 from .ermakov import mode_checks, solve_sudden
 from .errors import ConfigError, NumericsError
 from .gaussian import mode_covariance
@@ -312,7 +312,7 @@ def verify_report() -> tuple[str, bool]:
             conserved = modes.lam_pre + modes.lam_post
             # entropy_series's chunk size: 2001 times by every mode at once
             # raised the peak resident memory of verify by 5 MB
-            rows = _chunk_rows(1, modes.n)
+            rows = _chunk_rows(1, _chunk_width(solution))
             for first in range(0, sweep_times.size, rows):
                 residual, invariant = mode_checks(solution, sweep_times[first:first + rows])
                 residual_dev = max(residual_dev, float(residual.max()))

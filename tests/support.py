@@ -297,6 +297,17 @@ def to_covariance(state: GaussianState) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
+def reduce_covariance(sigma: np.ndarray, partition: Partition) -> np.ndarray:
+    """Kept-block covariance (positions then momenta of the kept sites) of
+    one covariance matrix or of a stack (..., 2n, 2n)."""
+    n = sigma.shape[-1] // 2
+    if partition.n != n:
+        raise ValueError(f"partition covers {partition.n} sites but sigma has {n}")
+    kp = [s - 1 for s in partition.kept]
+    sel = kp + [s + n for s in kp]
+    return sigma[..., sel, :][..., sel]
+
+
 @dataclass(frozen=True)
 class ReducedState:
     """Gaussian kernel of the reduced density matrix on the kept block.

@@ -19,8 +19,8 @@ from entchain import (
     solve_sudden,
 )
 from entchain.gaussian import symplectic_eigenvalues
-from entchain.oracles import covariance_entropy, reduce_covariance
-from support import assemble_state, periodic_eigenvalues, to_covariance
+from entchain.oracles import covariance_entropy
+from support import assemble_state, periodic_eigenvalues, reduce_covariance, to_covariance
 
 
 def test_spec_validation():
@@ -152,6 +152,21 @@ def test_trace_identity():
             assert np.trace(coupling) == pytest.approx(
                 4 * omega**2 + 2 * bonds * k, rel=0, abs=1e-14
             )
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 127, 128, 255, 256, 511, 512])
+def test_ring_pairs_share_one_mu(n):
+    """A ring's bond-Laplacian eigenvalues 2 - 2 cos(2 pi k / n) come in
+    pairs k, n - k, each pair one value to the bit, with mu = 0 and, for
+    even n, mu = 4 single; an open chain keeps n distinct values."""
+    ring = quench_modes(ChainSpec(n, 1.0, 1.0, 1.0, 1.0, "periodic")).mu
+    values, counts = np.unique(ring, return_counts=True)
+    assert values.size == n // 2 + 1
+    assert np.array_equal(np.bincount(counts, minlength=3), [0, 2 - n % 2, (n - 1) // 2])
+    exact = np.sort(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    assert np.abs(ring - exact).max() < 1e-13
+    open_chain = quench_modes(ChainSpec(n, 1.0, 1.0, 1.0, 1.0, "open")).mu
+    assert np.unique(open_chain).size == n
 
 
 def test_quench_modes_shared_basis():

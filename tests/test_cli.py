@@ -743,8 +743,9 @@ class TestMain:
         assert json.loads(lines[0][len("# config: "):])["quench"]["table"] == table
 
     def test_too_many_table_pieces_fail_fast(self, tmp_path, capsys):
-        """The same long ramp run to t = 1e6 would need 2e8 Taylor pieces:
-        the count is refused before any of them is allocated."""
+        """The same long ramp run to t = 1e6 would need 1.5e8 Taylor pieces
+        over the ring's three distinct modes (mu = 0, 2, 4): the count is
+        refused before any of them is allocated."""
         doc = {"model": {"n": 4, "omega_i": 1, "k_i": 1},
                "quench": {"kind": "general", "table": [[0, 1, 1], [1e6, 100, 1]]},
                "time": {"t_max": 1e6, "dt": 1e3}}
@@ -757,7 +758,7 @@ class TestMain:
             tracemalloc.stop()
         assert peak < 2e6
         err = capsys.readouterr().err
-        assert err.startswith("error: the lam table needs 2.00451e+08 Taylor pieces up to "
+        assert err.startswith("error: the lam table needs 1.50338e+08 Taylor pieces up to "
                               "t = 1e+06, more than ")
         assert err.count("\n") == 1
 

@@ -23,13 +23,12 @@ from entchain import (
     von_neumann_entropy,
 )
 from entchain.chain import bond_laplacian
-from entchain.entanglement import _grid_rows, _mirror_sectors, _sector_columns
+from entchain.entanglement import _chunk_width, _grid_rows, _mirror_sectors, _sector_columns
 from entchain.ermakov import QuenchSchedule, integrate_general
 from entchain.gaussian import mode_covariance, physical_nu
 from entchain.oracles import (
     covariance_entropy,
     covariance_series,
-    reduce_covariance,
     two_site_reduced,
 )
 from support import (
@@ -38,6 +37,7 @@ from support import (
     assemble_state,
     mode_matrices,
     partial_trace,
+    reduce_covariance,
     reduced_covariance,
     reduced_spectrum,
     to_covariance,
@@ -49,9 +49,12 @@ XI_STATIC = 2.0 / (7.0 + 3.0 * np.sqrt(5.0))  # 0.14589803375031546
 
 
 def _grid(spec, part):
-    """(block, chunk) rows that entropy_series takes for this partition."""
-    sectors = _sector_columns(spec, quench_modes(spec).u, part.kept)
-    return _grid_rows(max(cols.shape[1] for cols in sectors), spec.n)
+    """(block, chunk) rows that entropy_series takes for this partition,
+    sudden or on a schedule whose k makes distinct modes distinct."""
+    modes = quench_modes(spec)
+    sectors = _sector_columns(spec, modes.u, part.kept)
+    return _grid_rows(max(cols.shape[1] for cols in sectors),
+                      _chunk_width(solve_sudden(modes.lam_pre, modes.lam_post)))
 
 
 def _state(spec, t):
@@ -351,9 +354,9 @@ class TestEntropySeries:
 
     def test_block_boundaries_match_slices_and_points(self):
         # n = 20 keeps 10 sites, two mirror sectors of 5: blocks of
-        # min(8192 // 10**2, 2048 // 20) = 81 rows, so 3 blocks + 10 points
-        # span four blocks; slices and single points start blocks at other
-        # rows.
+        # min(8192 // 10**2, 2048 // 11) = 81 rows (11 distinct modes), so
+        # 3 blocks + 10 points span four blocks; slices and single points
+        # start blocks at other rows.
         spec = ChainSpec(n=20, omega_i=3.0, k_i=2.0, omega_f=0.01, k_f=2.5)
         part = Partition.second_half(20)
         rows, _ = _grid(spec, part)
@@ -372,6 +375,21 @@ class TestEntropySeries:
             assert np.array_equal(whole.xi[i:i + 1], point.xi)
             assert whole.s1[i] == point.s1[0]
             assert whole.entropies[2][i] == point.entropies[2][0]
+
+    def test_chunk_width_counts_distinct_modes(self):
+        """A chunk is sized by the scale factors it computes, one per
+        distinct mode: 5 of an 8-site ring's 8 modes (409 points, not 256),
+        all 8 of an open chain's; where more modes share one, as in an
+        uncoupled chain, it counts half the modes, so the per-mode arrays
+        stay within twice the budget."""
+        for spec, width, rows in (
+            (ChainSpec(8, 3.0, 2.0, 0.3, 2.5), 5, 409),
+            (ChainSpec(8, 3.0, 2.0, 0.3, 2.5, "open"), 8, 256),
+            (ChainSpec(8, 1.0, 0.0, 2.0, 0.0), 4, 512),
+        ):
+            modes = quench_modes(spec)
+            assert _chunk_width(solve_sudden(modes.lam_pre, modes.lam_post)) == width
+            assert _grid(spec, Partition.second_half(8))[1] == rows
 
     @pytest.mark.parametrize(
         "n, schedule",
@@ -496,14 +514,17 @@ class TestEntropySeries:
     def test_table_pieces_are_held_once(self):
         """A linear table's Taylor pieces are stored once during set-up:
         a 3-point run to the table's end on a 32-site ring with about 1,600
-        pieces per mode peaks below 1.5 times their bytes.  Stacking the
-        one-mode solutions held them twice and peaked at 2.0 times."""
+        pieces for each of its 17 distinct modes peaks below 1.5 times
+        their bytes.  Stacking the one-mode solutions held them twice and
+        peaked at 2.0 times."""
         schedule = QuenchSchedule([0.0, 100.0], [30.0, 1.0], [5.0, 5.0], interpolation="linear")
         spec = ChainSpec(n=32, omega_i=30.0, k_i=5.0, omega_f=1.0, k_f=5.0)
         part = Partition.second_half(32)
         modes = quench_modes(spec)
         piece_bytes = 0
-        for mu, li in zip(modes.mu, modes.lam_pre):
+        distinct = dict(zip(modes.mu, modes.lam_pre))
+        assert len(distinct) == 17
+        for mu, li in distinct.items():
             sol = integrate_general(li, schedule.times, schedule.omegas**2 + mu * schedule.ks)
             piece_bytes += sum(a.nbytes for a in (sol.starts, sol.lams, sol.slopes, sol.phis))
         del sol
@@ -514,7 +535,7 @@ class TestEntropySeries:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert piece_bytes > 2_500_000
+        assert piece_bytes > 1_300_000
         assert peak < 1.5 * piece_bytes
 
     @pytest.mark.parametrize(
@@ -534,8 +555,9 @@ class TestEntropySeries:
         on chains of up to 64 sites.  With
         1024-row chunks evaluated mode by mode the excess was 1.04 MB
         (ramp) and 0.83 MB (ring); chunks of about 2048 scale factors over
-        all modes take 0.47 MB (ramp), 0.66 MB (ring) and 0.67 MB (open
-        chain, one 32-site sector).  A sector keeps a pair table only
+        all modes took 0.47 MB (ramp), 0.66 MB (ring) and 0.67 MB (open
+        chain, one 32-site sector), and over the distinct modes 0.50 MB,
+        0.69 MB and 0.67 MB.  A sector keeps a pair table only
         while it holds at most ``gaussian._TABLE_VALUES`` values, so the
         tables add at most 0.13 MB whatever the chain size."""
         spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary=boundary)

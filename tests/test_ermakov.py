@@ -9,19 +9,23 @@ pieces of linear segments are checked against midpoint products here and
 against a 40-digit Airy reference in test_ermakov_reference.py.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from entchain import (
+    ChainSpec,
     IntegrationError,
     NumericsError,
     QuenchSchedule,
     integrate_general,
     mode_checks,
+    quench_modes,
     solve_sudden,
 )
 from entchain import ermakov
-from entchain.ermakov import _MAX_PIECES, _PIECE_PHASE, _propagator
+from entchain.ermakov import _MAX_PIECES, _PIECE_PHASE, _SETUP_PIECES, _propagator
 
 FIG1_MODE_PAIRS = [
     # (lam_initial, lam_final) of the two-site quench targets
@@ -259,23 +263,70 @@ def test_integrate_refinement_exhaustion():
     assert err.value.time > 0.0
 
 
+def test_degenerate_modes_share_one_column():
+    """A 32-site ring has 17 distinct modes: its stacks, ramped or sudden,
+    hold 17 columns (the ramp's pieces once each), and both modes of each
+    degenerate pair get, bit for bit, what their own one-mode call gives."""
+    spec = ChainSpec(n=32, omega_i=30.0, k_i=5.0, omega_f=1.0, k_f=5.0)
+    modes = quench_modes(spec)
+    times = [0.0, 100.0]
+    lams = np.array([30.0, 1.0])**2 + modes.mu[:, None] * 5.0
+    t = np.concatenate([np.linspace(0.0, 110.0, 221), [1e3]])
+    pairs = np.flatnonzero(np.diff(modes.mu) == 0.0)
+    assert pairs.size == 15
+    for stack, singles in (
+        (integrate_general(modes.lam_pre, times, lams),
+         [integrate_general(li, times, row) for li, row in zip(modes.lam_pre, lams)]),
+        (solve_sudden(modes.lam_pre, modes.lam_post),
+         [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]),
+    ):
+        assert stack.first.size == stack.lam_initial.size == 17
+        assert stack.starts.size == sum(singles[j].starts.size for j in range(32)
+                                        if j == 0 or j - 1 not in pairs)
+        assert np.array_equal(stack.column[pairs], stack.column[pairs + 1])
+        _assert_pieces_match(stack, singles)
+        _assert_columns_match(stack, singles, t)
+
+
 def test_integrate_validation():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="tolerance"):
             integrate_general(1.0, [0.0], [2.0], tolerance=bad)
 
 
+def test_long_table_sets_up_in_chunks(monkeypatch):
+    """A mode's Taylor propagators are set up ``_SETUP_PIECES`` at a time:
+    one mode ramped over 303,557 pieces peaks below 200 bytes per piece
+    (56 of them kept), where setting them up at once peaked at 682, and
+    the chunks give the bits of all pieces at once."""
+    tracemalloc.start()
+    try:
+        sol = integrate_general(900.0, [0.0, 20000.0], [900.0, 1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.starts.size == 303_557
+    assert peak < 200 * sol.starts.size
+    span = slice(0, 5 * _SETUP_PIECES // 2)
+    pieces = sol.lams[span], sol.slopes[span], np.diff(sol.starts)[span]
+    chunked = _propagator(*pieces)
+    monkeypatch.setattr(ermakov, "_SETUP_PIECES", sol.starts.size)
+    assert np.array_equal(_propagator(*pieces), chunked)
+
+
 def test_piece_count_is_capped_before_allocation(monkeypatch):
     """Pieces are counted from the table before any is allocated: more
-    than ``_MAX_PIECES`` over all modes, or an infinite count, is a
-    numerical failure that names both numbers."""
+    than ``_MAX_PIECES`` over all distinct modes, or an infinite count, is
+    a numerical failure that names both numbers.  A repeated mode makes
+    no pieces of its own."""
     monkeypatch.setattr(ermakov, "_MAX_PIECES", 50)
     times, lams = [0.0, 50.0], [1.0, 0.0]  # 32 pieces, rate * length / _PIECE_PHASE = 31.8
     assert integrate_general(1.0, times, lams).starts.size == 33  # and the last one
+    assert integrate_general([1.0, 1.0], times, [lams, lams]).starts.size == 33
     with pytest.raises(NumericsError, match="needs 66 Taylor pieces up to t = inf, more than 50$"):
-        integrate_general([1.0, 1.0], times, [lams, lams])
+        integrate_general([1.0, 2.0], times, [lams, lams])
     monkeypatch.undo()
-    assert _MAX_PIECES >= 996_288  # a 64-site ring ramped from omega 30 to 1 over t = 1000
+    assert _MAX_PIECES >= 513_711  # a 64-site ring ramped from omega 30 to 1 over t = 1000
     with pytest.raises(NumericsError, match=f"needs inf Taylor pieces up to t = 1, more than "
                                             f"{_MAX_PIECES}"):
         integrate_general(1.0, [0.0, 1e300], [1.0, 1e300], until=1.0)
@@ -415,12 +466,13 @@ def _assert_columns_match(stack, singles, t):
 
 
 def _assert_pieces_match(stack, singles):
-    """Mode j of a stack owns pieces ``first[j]`` up to the next mode's
-    first, and they equal the one-mode solution's pieces bit for bit."""
+    """Mode j of a stack takes column c = ``column[j]``, which owns pieces
+    ``first[c]`` up to the next column's first, and they equal the
+    one-mode solution's pieces bit for bit."""
     ends = np.append(stack.first[1:], stack.starts.size)
-    for j, sol in enumerate(singles):
-        assert stack.lam_initial[j] == sol.lam_initial
-        owned = slice(stack.first[j], ends[j])
+    for c, sol in zip(stack.column, singles):
+        assert stack.lam_initial[c] == sol.lam_initial
+        owned = slice(stack.first[c], ends[c])
         for field in ("starts", "lams", "slopes", "phis"):
             assert np.array_equal(getattr(stack, field)[owned], getattr(sol, field))
 

@@ -33,18 +33,17 @@ from entchain import (
     symplectic_eigenvalues,
 )
 from entchain.chain import bond_laplacian
-from entchain.entanglement import _grid_rows, _sector_columns, _sector_spectrum
+from entchain.entanglement import _chunk_width, _grid_rows, _sector_columns, _sector_spectrum
 from entchain.gaussian import _mode_weights, _site_table, mode_covariance
 from entchain.oracles import (
     KernelGrid,
     SymplecticPropagator,
     covariance_entropy,
     ground_state_covariance,
-    reduce_covariance,
     two_site_reduced,
 )
 from entchain.run import figure_documents
-from support import symplectic_form
+from support import reduce_covariance, symplectic_form
 
 XI_STATIC = 2.0 / (7.0 + 3.0 * np.sqrt(5.0))
 
@@ -603,8 +602,10 @@ def test_random_tables_agree_across_paths(data):
                      omega_f=omegas[-1], k_f=ks[-1], boundary=boundary)
     schedule = QuenchSchedule(np.cumsum([0.0] + gaps), omegas, ks, interpolation)
     part = Partition.from_traced(traced, n)
-    sectors = _sector_columns(spec, quench_modes(spec).u, part.kept)
-    _, chunk = _grid_rows(max(cols.shape[1] for cols in sectors), n)
+    modes = quench_modes(spec)
+    sectors = _sector_columns(spec, modes.u, part.kept)
+    _, chunk = _grid_rows(max(cols.shape[1] for cols in sectors),
+                          _chunk_width(solve_sudden(modes.lam_pre, modes.lam_post)))
     size = chunk + 1 + data.draw(st.integers(0, chunk // 4), label="extra rows")
     step = data.draw(st.one_of(st.floats(0.02, 0.15), st.floats(0.4, 2.0)), label="step")
     times = min(step, 30.0 / size) * np.arange(size)
