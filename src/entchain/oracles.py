@@ -11,9 +11,10 @@ No product run (``simulate``, ``sweep``, ``figure``) calls this module;
   into fourth-order commutator-free Magnus pieces.  No scale factor is
   evaluated.  Entropies come from the symplectic eigenvalues nu_j of
   the kept block, taken by this module's own ``symplectic_eigenvalues``
-  (the positive spectrum of i F^T J F for the eigen-factor
-  F = V diag(sqrt(w)) of sigma's ``eigh``; the product path uses a
-  Cholesky factor instead), through a formula of their own:
+  (the positive spectrum of i F^T J F for a block factor F of sigma
+  built from two half-size ``eigh`` calls, on the position block and on
+  its Schur complement; the product path uses a Cholesky factor
+  instead), through a formula of their own:
 
       S_1 = sum_j (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2),
 
@@ -48,33 +49,56 @@ from .gaussian import physical_nu
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, ascending (reference).
 
-    Takes sigma = V diag(w) V^T from ``eigh`` and the eigen-factor
-    F = V diag(sqrt(w)), so sigma = F F^T.  The real antisymmetric matrix
-    F^T J F = D (Vx^T Vp - Vp^T Vx) D, with D = diag(sqrt(w)) and Vx, Vp
-    the position and momentum rows of V, is orthogonally similar to
-    sigma^(1/2) J sigma^(1/2) and so to J sigma: the nu_j are the positive
-    eigenvalues of the Hermitian matrix i F^T J F.  A pure state gives all
-    values 1/2.  The product path factors sigma by Cholesky instead.
+    Factors sigma = [[X, Y], [Y^T, P]] block by block from two half-size
+    ``eigh`` calls: X = V diag(x) V^T for the position block, then
+    M = Y^T V diag(x^-1/2) and the Schur complement S = P - M M^T =
+    W diag(s) W^T.  With F1 = V diag(sqrt(x)) and F2 = W diag(sqrt(s)),
+    F = [[F1, 0], [M, F2]] satisfies F F^T = sigma, and the real
+    antisymmetric matrix
+
+        F^T J F = [[F1^T M - M^T F1, F1^T F2], [-(F1^T F2)^T, 0]]
+
+    is orthogonally similar to sigma^(1/2) J sigma^(1/2) and so to
+    J sigma: the nu_j are the positive eigenvalues of the Hermitian
+    matrix i F^T J F.  A pure state gives all values 1/2.  The product
+    path factors sigma by Cholesky instead.
 
     ``sigma`` may be one (2m, 2m) matrix or a stack (..., 2m, 2m); the
     result has shape (..., m), and each matrix of a stack gets the same
     values as a call on that matrix alone.  One matrix that is not finite
-    or not positive-definite fails the whole call.
+    or not positive-definite fails the whole call; sigma is
+    positive-definite exactly when X and S are, and the message names
+    the block that is not and its smallest eigenvalue over the stack.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim < 2 or sigma.shape[-1] != sigma.shape[-2] or sigma.shape[-1] % 2:
         raise ValueError("covariance matrix must be square with even dimension")
     if not np.isfinite(sigma).all():
         raise NumericsError("covariance matrix has non-finite entries")
-    n = sigma.shape[-1] // 2
-    w, vecs = np.linalg.eigh(0.5 * (sigma + sigma.swapaxes(-1, -2)))
-    if w.size and w.min() <= 0:
+    m = sigma.shape[-1] // 2
+    sigma = 0.5 * (sigma + sigma.swapaxes(-1, -2))
+    x, v = np.linalg.eigh(sigma[..., :m, :m])
+    _require_positive(x, "its position block")
+    low = sigma[..., m:, :m] @ (v / np.sqrt(x)[..., None, :])
+    schur = sigma[..., m:, m:] - low @ low.swapaxes(-1, -2)
+    s, w = np.linalg.eigh(0.5 * (schur + schur.swapaxes(-1, -2)))
+    _require_positive(s, "the Schur complement of its position block")
+    f1 = v * np.sqrt(x)[..., None, :]
+    cross = f1.swapaxes(-1, -2) @ (w * np.sqrt(s)[..., None, :])
+    g = f1.swapaxes(-1, -2) @ low
+    a = np.zeros(sigma.shape)
+    a[..., :m, :m] = g - g.swapaxes(-1, -2)
+    a[..., :m, m:] = cross
+    a[..., m:, :m] = -cross.swapaxes(-1, -2)
+    return np.linalg.eigvalsh(1j * a)[..., m:]
+
+
+def _require_positive(eigenvalues: np.ndarray, block: str) -> None:
+    if eigenvalues.size and eigenvalues.min() <= 0:
         raise NumericsError(
-            f"covariance matrix must be positive-definite, got eigenvalue {w.min():.3e}"
+            f"covariance matrix must be positive-definite, but {block} has "
+            f"smallest eigenvalue {eigenvalues.min():.3e}"
         )
-    factor = vecs * np.sqrt(w)[..., None, :]
-    g = factor[..., :n, :].swapaxes(-1, -2) @ factor[..., n:, :]
-    return np.linalg.eigvalsh(1j * (g - g.swapaxes(-1, -2)))[..., n:]
 
 
 def ground_state_covariance(coupling: np.ndarray) -> np.ndarray:
@@ -102,7 +126,9 @@ class SymplecticPropagator:
     """Exact phase-space flow of a fixed coupling matrix, or of a stack.
 
     ``matrix(t)`` maps (x, p) at time 0 to time t; zero eigenvalues (free
-    modes) are handled through the t * sinc form of sin(w t) / w.
+    modes) take sin(w t) / w = t.  The sine and cosine take one rounded
+    angle w t, so each mode's 2 x 2 flow keeps determinant 1 to eps even
+    where w t is large.
     """
 
     vecs: np.ndarray
@@ -137,14 +163,16 @@ class SymplecticPropagator:
     def _flow(self, t, sites, cosine) -> np.ndarray:
         t = np.asarray(t, dtype=float)[..., None]
         root = np.sqrt(self.lam)
-        sin_over = t * np.sinc(root * t / np.pi)
+        angle = root * t
+        moving = root > 0
+        sin_over = np.where(moving, np.sin(angle) / np.where(moving, root, 1.0), t)
         vecs = self.vecs
         cols = vecs.swapaxes(-1, -2)
         rows = vecs if sites is None else vecs[..., np.asarray(sites, dtype=int), :]
         k, n = rows.shape[-2:]
         flow = np.empty(np.broadcast_shapes(t.shape[:-1], vecs.shape[:-2]) + (2 * k, 2 * n))
         cos_block = flow[..., :k, :n]
-        np.matmul(rows * cosine(root * t)[..., None, :], cols, out=cos_block)
+        np.matmul(rows * cosine(angle)[..., None, :], cols, out=cos_block)
         np.matmul(rows * sin_over[..., None, :], cols, out=flow[..., :k, n:])
         np.matmul(rows * (-self.lam * sin_over)[..., None, :], cols, out=flow[..., k:, :n])
         flow[..., k:, n:] = cos_block
