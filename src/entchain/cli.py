@@ -5,8 +5,17 @@ product over list-valued model parameters), ``figure`` (canned parameter
 sets, one CSV per curve plus a plot script), ``verify`` (oracle
 equivalence and invariant checks).
 
-Exit codes: 0 success, 1 configuration error (including bad flags),
-2 numerical failure or failed verification.
+``simulate``, ``sweep`` and ``figure`` compute and write each CSV one
+``entropy_series`` chunk at a time (``entchain.run._run_csv``), so a
+run's memory does not grow with its time grid.  A CSV written to a file
+is all or nothing: it goes to a temporary file renamed over the target at
+the end.  On stdout, a numerical failure in the first chunk prints
+nothing, but one in a later chunk comes after the rows of the chunks
+before it.
+
+Exit codes: 0 success, 1 configuration error (including bad flags) or a
+standard output closed by its reader, 2 numerical failure or failed
+verification.
 """
 
 from __future__ import annotations
@@ -23,12 +32,11 @@ from .errors import ConfigError, EntchainError
 from .run import (
     FIGURE_NAMES,
     _make_dirs,
-    csv_chunks,
+    _run_csv,
+    _write_atomic,
     make_figure,
-    run,
     run_sweep,
     verify_report,
-    write_csv,
 )
 
 
@@ -77,12 +85,12 @@ def _cmd_simulate(args) -> int:
     directory = os.path.dirname(target) if target else ""
     if directory:
         _make_dirs(directory)  # a bad path fails before the run, not after it
-    table = run(config)
+    pieces = _run_csv(config)
     if target:
-        write_csv(table, target)
+        _write_atomic(target, pieces)
         print(f"wrote {target}")
     else:
-        sys.stdout.writelines(csv_chunks(table))
+        sys.stdout.writelines(pieces)
     return 0
 
 
@@ -161,7 +169,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (``| head``).  Point it at
+        # devnull, so that the interpreter's last flush of what is still
+        # buffered raises nothing, and stop without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bosehubbard import BoseHubbardSpec
 from .chain import ChainSpec
-from .entanglement import Partition
+from .entanglement import Partition, UniformGrid
 from .ermakov import QuenchSchedule
 from .errors import ConfigError
 
@@ -55,6 +55,11 @@ class RunConfig:
     def times(self) -> np.ndarray:
         return time_grid(self.t_max, self.dt)
 
+    @property
+    def grid(self) -> UniformGrid:
+        """The same time grid as ``times``, as its step and size."""
+        return _uniform_grid(self.t_max, self.dt)
+
 
 def _grid_points(t_max: float, dt: float) -> float:
     """floor(t_max/dt) + 1 as a float, infinite when t_max/dt overflows; the
@@ -66,6 +71,11 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
     """Uniform grid 0, dt, ..., with floor(t_max/dt) + 1 points.  Raises
     ``ValueError`` unless t_max and dt are finite, dt > 0, t_max >= 0 and
     the grid has at most ``MAX_TIME_POINTS`` points."""
+    return _uniform_grid(t_max, dt)[:]
+
+
+def _uniform_grid(t_max: float, dt: float) -> UniformGrid:
+    """``time_grid`` as its step and size, checked the same way."""
     if not (np.isfinite(t_max) and np.isfinite(dt) and dt > 0 and t_max >= 0):
         raise ValueError(
             f"time grid needs finite dt > 0 and t_max >= 0, got t_max={t_max!r}, dt={dt!r}"
@@ -73,7 +83,7 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
     points = _grid_points(t_max, dt)
     if points > MAX_TIME_POINTS:
         raise ValueError(f"t_max / dt gives {points:.0f} grid points, more than {MAX_TIME_POINTS}")
-    return dt * np.arange(int(points))
+    return UniformGrid(dt, int(points))
 
 
 def _fail(path: str, message: str) -> ConfigError:

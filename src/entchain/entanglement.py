@@ -22,6 +22,7 @@ kept block with no such reflection is one sector, the whole block.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,27 @@ class EntropySeries:
         return self.entropies[1]
 
 
+@dataclass(frozen=True)
+class UniformGrid:
+    """The time grid dt * k for k = 0 .. size - 1, held as its step and
+    size.  Indexing makes only the values asked for: a slice
+    ``[first:stop]`` is ``dt * np.arange(first, stop)``, bit for bit the
+    same slice of ``dt * np.arange(size)``."""
+
+    dt: float
+    size: int
+
+    def __post_init__(self):
+        if not (np.isfinite(self.dt) and self.dt > 0 and self.size >= 1):
+            raise ValueError(f"a uniform grid needs a finite dt > 0 and at least one point, "
+                             f"got dt={self.dt!r}, size={self.size!r}")
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.dt * np.arange(*index.indices(self.size))
+        return self.dt * range(self.size)[index]
+
+
 def _validate_xi(xi) -> np.ndarray:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.size and xi.min() < -1e-12:
@@ -142,7 +164,9 @@ def von_neumann_entropy(xi) -> float | np.ndarray:
     return _mode_sum(-np.log1p(-xi) - np.where(positive, xi / (1.0 - xi) * np.log(safe), 0.0))
 
 
-def _validate_times(times) -> np.ndarray:
+def _validate_times(times):
+    if isinstance(times, UniformGrid):
+        return times
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
@@ -272,9 +296,11 @@ def entropy_series(
     alphas=(1,),
     schedule: QuenchSchedule | None = None,
     tolerance: float = 1e-10,
-) -> EntropySeries:
+    *,
+    chunks: bool = False,
+) -> EntropySeries | Iterator[EntropySeries]:
     """Entanglement entropies of the kept block at non-negative, strictly
-    increasing times.
+    increasing times: an array, or a ``UniformGrid``.
 
     With ``schedule=None`` the quench is sudden (spec's pre -> post
     parameters); otherwise each mode follows the schedule up to the last
@@ -291,12 +317,17 @@ def entropy_series(
     its entropies as sums over the mode axis; a block builds each
     sector's covariance stack in one call and takes its symplectic
     spectra in one call per sector.
-    Only the returned columns (times, xi and one series per order) span
-    the whole grid.  Every row is computed the same way whatever chunk
-    and block it falls in, so a grid gives bit for bit the values of its
-    slices.  A symplectic eigenvalue so large that its xi rounds to 1
-    raises ``NumericsError`` naming the first such time, before the
-    entropies of its chunk are formed.
+
+    This chunk loop is the one source of rows.  By default its chunks are
+    collected into whole columns (times, xi and one series per order).
+    With ``chunks=True`` the call solves the modes and returns an
+    iterator of one ``EntropySeries`` per chunk, each computed when it is
+    asked for; on a ``UniformGrid`` nothing it holds then spans the grid.
+    Every row is computed the same way whatever chunk and block it falls
+    in, so a grid gives bit for bit the values of its slices.  A
+    symplectic eigenvalue so large that its xi rounds to 1 raises
+    ``NumericsError`` naming the first such time, before the entropies of
+    its chunk are formed.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)
@@ -313,23 +344,38 @@ def entropy_series(
 
     sectors = _sector_columns(spec, modes.u, partition.kept)
     tables = [_site_table(cols) for cols in sectors]
-    xi_out = np.empty((times.size, len(partition.kept)))
-    ent_out = {a: np.empty(times.size) for a in alphas}
     rows, chunk = _grid_rows(max(cols.shape[1] for cols in sectors), _chunk_width(solution))
-    for first in range(0, times.size, chunk):
+    m = len(partition.kept)
+    series = _series_chunks(times, chunk, rows, m, modes.lam_pre, solution, tables, alphas)
+    if chunks:
+        return series
+    xi_out = np.empty((times.size, m))
+    ent_out = {a: np.empty(times.size) for a in alphas}
+    for first, part in zip(range(0, times.size, chunk), series):
         span = slice(first, first + chunk)
-        weights = _mode_weights(modes.lam_pre, *solution.evaluate(times[span]))
-        for start in range(0, weights.shape[0], rows):
+        xi_out[span] = part.xi
+        for a in alphas:
+            ent_out[a][span] = part.entropies[a]
+    return EntropySeries(times=times[:], xi=xi_out, entropies=ent_out)
+
+
+def _series_chunks(times, chunk: int, rows: int, m: int, lam_pre: np.ndarray,
+                   solution: ModeSolution, tables, alphas: list[int]):
+    """``entropy_series``'s rows, ``chunk`` time points at a time, each
+    chunk's spectra ``rows`` points at a time, for ``m`` kept sites."""
+    for first in range(0, times.size, chunk):
+        t = times[first:first + chunk]
+        weights = _mode_weights(lam_pre, *solution.evaluate(t))
+        xi = np.empty((t.size, m))
+        for start in range(0, t.size, rows):
             nu = physical_nu(_sector_spectrum(tables, weights[start:start + rows]))
-            xi_out[first + start:first + start + rows] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
-        xi = xi_out[span]
+            xi[start:start + rows] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
         saturated = (xi >= 1.0).any(axis=1)
         if saturated.any():
             raise NumericsError(
-                f"xi = (2 nu - 1) / (2 nu + 1) rounds to 1 at t = {times[span][saturated][0]:g}: "
+                f"xi = (2 nu - 1) / (2 nu + 1) rounds to 1 at t = {t[saturated][0]:g}: "
                 "a symplectic eigenvalue nu is too large for the entropy formulas"
             )
-        for a in alphas:
-            ent_out[a][span] = von_neumann_entropy(xi) if a == 1 else renyi_entropy(xi, a)
-
-    return EntropySeries(times=times, xi=xi_out, entropies=ent_out)
+        yield EntropySeries(times=t, xi=xi, entropies={
+            a: von_neumann_entropy(xi) if a == 1 else renyi_entropy(xi, a) for a in alphas
+        })

@@ -44,55 +44,91 @@ class ResultTable:
     def __post_init__(self):
         if self.xi.shape != (self.times.size, self.xi.shape[1]):
             raise ValueError("xi must have one row per time point")
-        values = [self.xi] + [self.entropies[a] for a in self.alphas]
-        if not all(np.all(np.isfinite(v)) for v in values):
-            raise NumericsError("result table contains non-finite values")
+        finite = np.isfinite(self.xi).all(axis=1)
+        for a in self.alphas:
+            finite &= np.isfinite(self.entropies[a])
+        if not finite.all():
+            raise NumericsError(
+                f"result table contains non-finite values at t = {self.times[~finite][0]:g}"
+            )
 
 
-def run(config: RunConfig) -> ResultTable:
-    """Execute one configured run."""
-    series = entropy_series(
+def _series(config: RunConfig, chunks: bool = False):
+    """``entropy_series`` of a configured run on its ``UniformGrid``."""
+    return entropy_series(
         config.chain,
         config.partition,
-        config.times,
+        config.grid,
         alphas=config.alphas,
         schedule=config.schedule,
         tolerance=config.tolerance,
+        chunks=chunks,
     )
+
+
+def _table(config: RunConfig, series: EntropySeries, echo_line: str) -> ResultTable:
+    """A configured run's result table over ``series``: all of its rows,
+    or one chunk of them."""
     return ResultTable(
         times=series.times,
         xi=series.xi,
         entropies=series.entropies,
         alphas=config.alphas,
-        echo_line=canonical_echo(config),
+        echo_line=echo_line,
         precision=config.precision,
     )
 
 
+def run(config: RunConfig) -> ResultTable:
+    """Execute one configured run: whole columns over its time grid."""
+    return _table(config, _series(config), canonical_echo(config))
+
+
 # Rows formatted into one piece of CSV text (see csv_chunks).
-_CSV_ROWS = 1024
+_CSV_ROWS = 256
 
 
-def csv_chunks(table: ResultTable):
-    """Yield a result table's CSV text in pieces: the two header lines,
-    then rows ``_CSV_ROWS`` at a time, so a writer holds one piece of text
-    at a time.  Fixed column order, ``\\n`` endings.  A piece is one ``%``
-    of the row format repeated per row on that piece's values, stacked
-    row-major from its slice of each column."""
+def _csv_header(table: ResultTable) -> str:
+    """The CSV's two header lines: the config echo and the column names."""
     m = table.xi.shape[1]
-    header = ",".join(
-        ["t"]
-        + [f"xi_{j}" for j in range(1, m + 1)]
-        + [f"S_{a}" for a in table.alphas]
-    )
-    yield f"# config: {table.echo_line}\n{header}\n"
-    columns = [table.times] + [table.xi[:, j] for j in range(m)] + [
+    names = ["t"] + [f"xi_{j}" for j in range(1, m + 1)] + [f"S_{a}" for a in table.alphas]
+    return f"# config: {table.echo_line}\n{','.join(names)}\n"
+
+
+def _csv_rows(table: ResultTable):
+    """Yield a table's rows as CSV text, ``_CSV_ROWS`` rows a piece.  A
+    piece is one ``%`` of the row format repeated per row on that piece's
+    values, stacked row-major from its slice of each column."""
+    columns = [table.times] + [table.xi[:, j] for j in range(table.xi.shape[1])] + [
         table.entropies[a] for a in table.alphas
     ]
     row = ",".join([f"%.{table.precision}g"] * len(columns)) + "\n"
     for first in range(0, table.times.size, _CSV_ROWS):
         piece = np.column_stack([c[first:first + _CSV_ROWS] for c in columns])
         yield (row * len(piece)) % tuple(piece.ravel().tolist())
+
+
+def csv_chunks(table: ResultTable):
+    """Yield a result table's CSV text in pieces: the two header lines,
+    then rows ``_CSV_ROWS`` at a time, so a writer holds one piece of text
+    at a time.  Fixed column order, ``\\n`` endings."""
+    yield _csv_header(table)
+    yield from _csv_rows(table)
+
+
+def _run_csv(config: RunConfig):
+    """Run a config and yield the text of ``csv_chunks(run(config))`` in
+    pieces, computing and formatting one ``entropy_series`` chunk at a
+    time, so that no times, values or text span the grid.  The header
+    comes once the first chunk is computed: a run that fails there yields
+    nothing, and one that fails later raises after the rows of the chunks
+    before."""
+    echo_line = canonical_echo(config)
+    for index, series in enumerate(_series(config, chunks=True)):
+        table = _table(config, series, echo_line)
+        if index == 0:
+            yield _csv_header(table)
+        yield from _csv_rows(table)
 
 
 def format_csv(table: ResultTable) -> str:
@@ -152,15 +188,15 @@ def write_csv(table: ResultTable, path: str) -> None:
 
 
 def _write_runs(runs, out_dir: str) -> list[str]:
-    """Create ``out_dir``, then run each (file name, config) pair in turn
-    and write its CSV there as soon as it finishes, so only one table is
-    held at a time and a failing run leaves the CSVs of those before it.
+    """Create ``out_dir``, then run each (file name, config) pair in turn,
+    writing its CSV there chunk by chunk (``_run_csv``), atomically, so a
+    failing run leaves the CSVs of those before it and no file of its own.
     Returns the paths written."""
     _make_dirs(out_dir)
     paths = []
     for fname, config in runs:
         path = os.path.join(out_dir, fname)
-        write_csv(run(config), path)
+        _write_atomic(path, _run_csv(config))
         paths.append(path)
     return paths
 
@@ -290,33 +326,49 @@ def verify_report() -> tuple[str, bool]:
 
     times = np.linspace(0.0, 100.0, 1000)
     sweep_times = np.linspace(0.0, 200.0, 2001)
+
+    def check(config: RunConfig):
+        """(oracle deviation, S_1(0), modes, solution, largest residual,
+        largest invariant drift) of one chain and partition."""
+        series = entropy_series(config.chain, config.partition, times, alphas=(1, 2))
+        oracle = covariance_series(config.chain, config.partition, times, alphas=(1, 2))
+        deviation = max(
+            float(np.abs(series.entropies[a] - oracle.entropies[a]).max()) for a in (1, 2)
+        )
+        modes = quench_modes(config.chain)
+        solution = solve_sudden(modes.lam_pre, modes.lam_post)
+        conserved = modes.lam_pre + modes.lam_post
+        residual_max = invariant_max = 0.0
+        # entropy_series's chunk size: 2001 times by every mode at once
+        # raised the peak resident memory of verify by 5 MB
+        rows = _chunk_rows(1, _chunk_width(solution))
+        for first in range(0, sweep_times.size, rows):
+            residual, invariant = mode_checks(solution, sweep_times[first:first + rows])
+            residual_max = max(residual_max, float(residual.max()))
+            invariant_max = max(invariant_max, float(np.abs(invariant - conserved).max()))
+        return deviation, float(series.s1[0]), modes, solution, residual_max, invariant_max
+
+    # Curves of different figures can share a chain and partition (fig2's
+    # omega_f = 0.01 is fig3's n = 4): each is checked once.
+    checked = {}
     anchor_values = []
     purity_dev = residual_dev = invariant_dev = 0.0
     for name in ("fig1", "fig2", "fig3"):
         for index, (label, doc) in enumerate(figure_documents(name)):
             config = from_dict(doc)
-            series = entropy_series(config.chain, config.partition, times, alphas=(1, 2))
-            oracle = covariance_series(config.chain, config.partition, times, alphas=(1, 2))
-            deviation = max(
-                float(np.abs(series.entropies[a] - oracle.entropies[a]).max()) for a in (1, 2)
-            )
+            key = (config.chain, config.partition)
+            if key not in checked:
+                checked[key] = check(config)
+            deviation, s1_start, modes, solution, residual_max, invariant_max = checked[key]
             record(deviation, 1e-8, f"oracle match {name} {label}: max |dS|")
             if name == "fig1":
-                anchor_values.append(float(series.s1[0]))
-            modes = quench_modes(config.chain)
-            solution = solve_sudden(modes.lam_pre, modes.lam_post)
+                anchor_values.append(s1_start)
             if index == 0:
                 b, bdot = solution.evaluate(np.array([0.0, 37.7, 83.1]))
                 nu = symplectic_eigenvalues(mode_covariance(modes.u, modes.lam_pre, b, bdot))
                 purity_dev = max(purity_dev, float(np.abs(nu - 0.5).max()))
-            conserved = modes.lam_pre + modes.lam_post
-            # entropy_series's chunk size: 2001 times by every mode at once
-            # raised the peak resident memory of verify by 5 MB
-            rows = _chunk_rows(1, _chunk_width(solution))
-            for first in range(0, sweep_times.size, rows):
-                residual, invariant = mode_checks(solution, sweep_times[first:first + rows])
-                residual_dev = max(residual_dev, float(residual.max()))
-                invariant_dev = max(invariant_dev, float(np.abs(invariant - conserved).max()))
+            residual_dev = max(residual_dev, residual_max)
+            invariant_dev = max(invariant_dev, invariant_max)
 
     anchor_dev = max(abs(v - 0.48653) for v in anchor_values)
     record(anchor_dev, 1e-4, "static entropy anchor across fig1 targets: max |S_1(0) - 0.48653|")

@@ -23,7 +23,13 @@ from entchain import (
     von_neumann_entropy,
 )
 from entchain.chain import bond_laplacian
-from entchain.entanglement import _chunk_width, _grid_rows, _mirror_sectors, _sector_columns
+from entchain.entanglement import (
+    UniformGrid,
+    _chunk_width,
+    _grid_rows,
+    _mirror_sectors,
+    _sector_columns,
+)
 from entchain.ermakov import QuenchSchedule, integrate_general
 from entchain.gaussian import mode_covariance, physical_nu
 from entchain.oracles import (
@@ -421,6 +427,55 @@ class TestEntropySeries:
         for a in (1, 2):
             joined = np.concatenate([p.entropies[a] for p in pieces])
             assert np.array_equal(whole.entropies[a], joined)
+
+    @pytest.mark.parametrize("schedule", [None, QuenchSchedule(*np.transpose(RAMP_TABLE),
+                                                               interpolation="linear")],
+                             ids=["sudden", "ramp-table"])
+    def test_chunk_iterator_gives_the_columns(self, schedule):
+        """With ``chunks=True`` the call returns one series per chunk, on a
+        ``UniformGrid`` or on its array alike, and together they are the
+        whole columns bit for bit."""
+        spec = ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+        part = Partition.second_half(8)
+        _, chunk = _grid(spec, part)
+        grid = UniformGrid(0.01, 3 * chunk + 200)
+        whole = entropy_series(spec, part, grid[:], alphas=(1, 2), schedule=schedule)
+        for times in (grid, grid[:]):
+            parts = list(entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule,
+                                        chunks=True))
+            assert [p.times.size for p in parts] == [chunk] * 3 + [200]
+            assert np.array_equal(np.concatenate([p.times for p in parts]), whole.times)
+            assert np.array_equal(np.concatenate([p.xi for p in parts]), whole.xi)
+            for a in (1, 2):
+                joined = np.concatenate([p.entropies[a] for p in parts])
+                assert np.array_equal(joined, whole.entropies[a])
+        assert np.array_equal(entropy_series(spec, part, grid, alphas=(1, 2),
+                                             schedule=schedule).xi, whole.xi)
+
+    def test_chunks_are_computed_when_asked_for(self):
+        """A chunk is computed when the iterator reaches it: on the gapless
+        dimer, whose xi first rounds to 1 at t = 1.217e16 (row 1217, the
+        second 1024-row chunk), the first chunk comes out whole before the
+        second raises."""
+        spec = ChainSpec(n=2, omega_i=1.0, k_i=1.0, omega_f=0.0, k_f=1.0)
+        part = Partition.from_traced((2,), 2)
+        chunks = entropy_series(spec, part, UniformGrid(1e13, 10_001), chunks=True)
+        first = next(chunks)
+        assert first.times.size == 1024 and np.all(np.isfinite(first.s1))
+        with pytest.raises(NumericsError, match=r"rounds to 1 at t = 1\.217e\+16:"):
+            next(chunks)
+
+    def test_uniform_grid_slices_are_those_of_the_array(self):
+        grid = UniformGrid(0.01, 10_001)
+        whole = 0.01 * np.arange(10_001)
+        for first, stop in ((0, 409), (409, 818), (9_999, 20_000), (5, 5)):
+            assert np.array_equal(grid[first:stop], whole[first:stop])
+        assert grid[-1] == whole[-1] and grid[3] == whole[3]
+        with pytest.raises(IndexError):
+            grid[10_001]
+        for dt, size in ((0.0, 5), (np.inf, 5), (-1.0, 5), (0.1, 0)):
+            with pytest.raises(ValueError, match="uniform grid"):
+                UniformGrid(dt, size)
 
     @pytest.mark.parametrize(
         "spec, traced, times, xi_window",
