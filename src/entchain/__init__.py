@@ -37,7 +37,7 @@ from .errors import (
 )
 from .gaussian import symplectic_eigenvalues
 from .oracles import covariance_series, kernel_spectrum
-from .run import ResultTable, format_csv, make_figure, run, run_sweep, verify_report, write_csv
+from .run import format_csv, make_figure, run, run_sweep, verify_report
 
 __all__ = [
     "__version__",
@@ -53,7 +53,6 @@ __all__ = [
     "Partition",
     "QuenchModes",
     "QuenchSchedule",
-    "ResultTable",
     "RunConfig",
     "bond_laplacian",
     "build_coupling_matrix",
@@ -76,5 +75,4 @@ __all__ = [
     "to_oscillator",
     "verify_report",
     "von_neumann_entropy",
-    "write_csv",
 ]

@@ -52,19 +52,10 @@ class RunConfig:
     echo: dict
 
     @property
-    def times(self) -> np.ndarray:
-        return time_grid(self.t_max, self.dt)
-
-    @property
     def grid(self) -> UniformGrid:
-        """The same time grid as ``times``, as its step and size."""
+        """The run's time grid, ``time_grid(t_max, dt)``, as its step and
+        size."""
         return _uniform_grid(self.t_max, self.dt)
-
-
-def _grid_points(t_max: float, dt: float) -> float:
-    """floor(t_max/dt) + 1 as a float, infinite when t_max/dt overflows; the
-    small slack absorbs roundoff in t_max/dt for non-representable steps."""
-    return float(np.floor(t_max / dt + 1e-9)) + 1.0
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -80,7 +71,9 @@ def _uniform_grid(t_max: float, dt: float) -> UniformGrid:
         raise ValueError(
             f"time grid needs finite dt > 0 and t_max >= 0, got t_max={t_max!r}, dt={dt!r}"
         )
-    points = _grid_points(t_max, dt)
+    # floor(t_max/dt) + 1 as a float, infinite when t_max/dt overflows; the
+    # small slack absorbs roundoff in t_max/dt for non-representable steps
+    points = float(np.floor(t_max / dt + 1e-9)) + 1.0
     if points > MAX_TIME_POINTS:
         raise ValueError(f"t_max / dt gives {points:.0f} grid points, more than {MAX_TIME_POINTS}")
     return UniformGrid(dt, int(points))
@@ -285,12 +278,10 @@ def from_dict(raw: dict) -> RunConfig:
                     exclusive=True)
     if t_max < dt:
         raise _fail("time.t_max", f"must be at least dt = {dt:g}, got {t_max:g}")
-    points = _grid_points(t_max, dt)
-    if points > MAX_TIME_POINTS:
-        raise _fail(
-            "time.t_max",
-            f"t_max / dt gives {points:.0f} grid points, more than {MAX_TIME_POINTS}",
-        )
+    try:
+        _uniform_grid(t_max, dt)
+    except ValueError as exc:
+        raise _fail("time.t_max", str(exc)) from exc
 
     entropy = _as_block(raw, "entropy")
     _reject_unknown(entropy, {"alphas"}, "entropy")

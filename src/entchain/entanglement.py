@@ -56,9 +56,14 @@ class Partition:
 
     def __post_init__(self):
         if not self.traced or not self.kept:
-            raise ValueError("both blocks of the partition must be non-empty")
-        if set(self.traced) & set(self.kept):
-            raise ValueError("traced and kept blocks must be disjoint")
+            raise ValueError("both blocks of the partition must be non-empty: "
+                             "it cannot trace out every site, nor none")
+        sites = sorted((*self.traced, *self.kept))
+        if sites != list(range(1, len(sites) + 1)):
+            raise ValueError(
+                "the partition's sites must be unique, its blocks disjoint, and together "
+                f"they must be the sites 1..N; got traced {self.traced}, kept {self.kept}"
+            )
 
     @property
     def n(self) -> int:
@@ -66,18 +71,11 @@ class Partition:
 
     @classmethod
     def from_traced(cls, traced_sites, n: int) -> "Partition":
-        sites = tuple(int(s) for s in traced_sites)
-        traced = tuple(sorted(set(sites)))
-        if len(traced) != len(sites):
-            raise ValueError("traced sites must be unique")
-        if not traced:
-            raise ValueError("traced block must be non-empty")
-        if traced[0] < 1 or traced[-1] > n:
+        """Trace out ``traced_sites`` of sites 1..n and keep the rest."""
+        traced = tuple(sorted(int(s) for s in traced_sites))
+        if traced and not 1 <= traced[0] <= traced[-1] <= n:
             raise ValueError(f"traced sites must lie in 1..{n}, got {traced}")
-        kept = tuple(s for s in range(1, n + 1) if s not in traced)
-        if not kept:
-            raise ValueError("cannot trace out every site")
-        return cls(traced=traced, kept=kept)
+        return cls(traced=traced, kept=tuple(s for s in range(1, n + 1) if s not in traced))
 
     @classmethod
     def second_half(cls, n: int) -> "Partition":
@@ -327,7 +325,8 @@ def entropy_series(
     in, so a grid gives bit for bit the values of its slices.  A
     symplectic eigenvalue so large that its xi rounds to 1 raises
     ``NumericsError`` naming the first such time, before the entropies of
-    its chunk are formed.
+    its chunk are formed, and so does a row whose xi or entropies are not
+    all finite.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)
@@ -376,6 +375,12 @@ def _series_chunks(times, chunk: int, rows: int, m: int, lam_pre: np.ndarray,
                 f"xi = (2 nu - 1) / (2 nu + 1) rounds to 1 at t = {t[saturated][0]:g}: "
                 "a symplectic eigenvalue nu is too large for the entropy formulas"
             )
-        yield EntropySeries(times=t, xi=xi, entropies={
+        entropies = {
             a: von_neumann_entropy(xi) if a == 1 else renyi_entropy(xi, a) for a in alphas
-        })
+        }
+        finite = np.isfinite(xi).all(axis=1)
+        for values in entropies.values():
+            finite &= np.isfinite(values)
+        if not finite.all():
+            raise NumericsError(f"xi or entropies hold non-finite values at t = {t[~finite][0]:g}")
+        yield EntropySeries(times=t, xi=xi, entropies=entropies)

@@ -1,7 +1,12 @@
-"""Run execution and output: result tables, CSV emission, figure and
-verification pipelines.
+"""Run execution and output: CSV emission, figure and verification
+pipelines.
 
-CSV layout (deterministic to the byte for a given config):
+``run(config)`` returns a configured run's ``EntropySeries``.  Every CSV
+is the text of one generator, ``_csv``, which formats a run's rows 256 at
+a time from its whole series (``format_csv``) or from its
+``entropy_series`` chunks as they are computed (``_run_csv``, which
+``simulate``, ``sweep`` and ``figure`` write).  The layout is
+deterministic to the byte for a given config:
 
     # config: {...canonical one-line JSON echo...}
     t,xi_1,...,xi_m,S_1,...
@@ -17,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,32 +29,9 @@ from .chain import quench_modes
 from .config import RunConfig, canonical_echo, expand_sweep, from_dict
 from .entanglement import EntropySeries, _chunk_rows, _chunk_width, entropy_series
 from .ermakov import mode_checks, solve_sudden
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError
 from .gaussian import mode_covariance
 from .oracles import covariance_series, symplectic_eigenvalues
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    """One run's output: times, per-mode xi columns, entropy columns."""
-
-    times: np.ndarray
-    xi: np.ndarray
-    entropies: dict[int, np.ndarray]
-    alphas: tuple[int, ...]
-    echo_line: str
-    precision: int
-
-    def __post_init__(self):
-        if self.xi.shape != (self.times.size, self.xi.shape[1]):
-            raise ValueError("xi must have one row per time point")
-        finite = np.isfinite(self.xi).all(axis=1)
-        for a in self.alphas:
-            finite &= np.isfinite(self.entropies[a])
-        if not finite.all():
-            raise NumericsError(
-                f"result table contains non-finite values at t = {self.times[~finite][0]:g}"
-            )
 
 
 def _series(config: RunConfig, chunks: bool = False):
@@ -66,74 +47,54 @@ def _series(config: RunConfig, chunks: bool = False):
     )
 
 
-def _table(config: RunConfig, series: EntropySeries, echo_line: str) -> ResultTable:
-    """A configured run's result table over ``series``: all of its rows,
-    or one chunk of them."""
-    return ResultTable(
-        times=series.times,
-        xi=series.xi,
-        entropies=series.entropies,
-        alphas=config.alphas,
-        echo_line=echo_line,
-        precision=config.precision,
-    )
-
-
-def run(config: RunConfig) -> ResultTable:
+def run(config: RunConfig) -> EntropySeries:
     """Execute one configured run: whole columns over its time grid."""
-    return _table(config, _series(config), canonical_echo(config))
+    return _series(config)
 
 
-# Rows formatted into one piece of CSV text (see csv_chunks).
+# Rows formatted into one piece of CSV text (see _csv).
 _CSV_ROWS = 256
 
 
-def _csv_header(table: ResultTable) -> str:
-    """The CSV's two header lines: the config echo and the column names."""
-    m = table.xi.shape[1]
-    names = ["t"] + [f"xi_{j}" for j in range(1, m + 1)] + [f"S_{a}" for a in table.alphas]
-    return f"# config: {table.echo_line}\n{','.join(names)}\n"
-
-
-def _csv_rows(table: ResultTable):
-    """Yield a table's rows as CSV text, ``_CSV_ROWS`` rows a piece.  A
-    piece is one ``%`` of the row format repeated per row on that piece's
-    values, stacked row-major from its slice of each column."""
-    columns = [table.times] + [table.xi[:, j] for j in range(table.xi.shape[1])] + [
-        table.entropies[a] for a in table.alphas
-    ]
-    row = ",".join([f"%.{table.precision}g"] * len(columns)) + "\n"
-    for first in range(0, table.times.size, _CSV_ROWS):
-        piece = np.column_stack([c[first:first + _CSV_ROWS] for c in columns])
-        yield (row * len(piece)) % tuple(piece.ravel().tolist())
-
-
-def csv_chunks(table: ResultTable):
-    """Yield a result table's CSV text in pieces: the two header lines,
-    then rows ``_CSV_ROWS`` at a time, so a writer holds one piece of text
-    at a time.  Fixed column order, ``\\n`` endings."""
-    yield _csv_header(table)
-    yield from _csv_rows(table)
+def _csv(config: RunConfig, parts):
+    """Yield the CSV text of a configured run's rows in pieces, from
+    ``parts``: its ``EntropySeries`` whole, or one per chunk.  The two
+    header lines, the config echo and the column names, come once the
+    first part exists; then each part's rows come ``_CSV_ROWS`` at a time,
+    so a writer holds one piece of text at a time.  A piece is one ``%``
+    of the row format repeated per row on that piece's values, stacked
+    row-major from its slice of each column.  Fixed column order, ``\\n``
+    endings."""
+    for index, series in enumerate(parts):
+        m = series.xi.shape[1]
+        columns = [series.times] + [series.xi[:, j] for j in range(m)] + [
+            series.entropies[a] for a in config.alphas
+        ]
+        if index == 0:
+            names = ["t"] + [f"xi_{j}" for j in range(1, m + 1)] + [
+                f"S_{a}" for a in config.alphas
+            ]
+            yield f"# config: {canonical_echo(config)}\n{','.join(names)}\n"
+            row = ",".join([f"%.{config.precision}g"] * len(columns)) + "\n"
+        for first in range(0, series.times.size, _CSV_ROWS):
+            piece = np.column_stack([c[first:first + _CSV_ROWS] for c in columns])
+            yield (row * len(piece)) % tuple(piece.ravel().tolist())
 
 
 def _run_csv(config: RunConfig):
-    """Run a config and yield the text of ``csv_chunks(run(config))`` in
-    pieces, computing and formatting one ``entropy_series`` chunk at a
-    time, so that no times, values or text span the grid.  The header
-    comes once the first chunk is computed: a run that fails there yields
+    """Run a config and yield its CSV text in pieces (``_csv``), computing
+    and formatting one ``entropy_series`` chunk at a time, so that no
+    times, values or text span the grid.  Nothing runs before the first
+    piece is asked for.  A run that fails in its first chunk yields
     nothing, and one that fails later raises after the rows of the chunks
     before."""
-    echo_line = canonical_echo(config)
-    for index, series in enumerate(_series(config, chunks=True)):
-        table = _table(config, series, echo_line)
-        if index == 0:
-            yield _csv_header(table)
-        yield from _csv_rows(table)
+    yield from _csv(config, _series(config, chunks=True))
 
 
-def format_csv(table: ResultTable) -> str:
-    """Render a result table as one string (the pieces of ``csv_chunks``)."""
-    return "".join(csv_chunks(table))
+def format_csv(config: RunConfig, series: EntropySeries) -> str:
+    """A configured run's CSV over ``series`` (``run(config)``) as one
+    string, byte for byte the text its ``simulate`` writes."""
+    return "".join(_csv(config, [series]))
 
 
 @contextmanager
@@ -180,11 +141,6 @@ def _write_atomic(path: str, pieces) -> None:
     except BaseException:
         os.remove(temporary)
         raise
-
-
-def write_csv(table: ResultTable, path: str) -> None:
-    """Write a result table's CSV to ``path`` piece by piece, atomically."""
-    _write_atomic(path, csv_chunks(table))
 
 
 def _write_runs(runs, out_dir: str) -> list[str]:

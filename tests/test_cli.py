@@ -14,15 +14,14 @@ import numpy as np
 import pytest
 
 from entchain import (
+    EntropySeries,
     NumericsError,
-    ResultTable,
     format_csv,
     from_dict,
     make_figure,
     run,
     run_sweep,
     verify_report,
-    write_csv,
 )
 from entchain.cli import main
 from entchain.config import canonical_echo
@@ -53,6 +52,16 @@ QUENCH_DOC = {
 }
 
 
+def csv_config(alphas, precision):
+    """A run config whose CSV has two xi columns and the given entropy
+    orders and precision: the header and row format of a series with
+    those columns."""
+    doc = json.loads(json.dumps(QUENCH_DOC))
+    doc["entropy"] = {"alphas": list(alphas)}
+    doc["output"] = {"precision": precision}
+    return from_dict(doc)
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -74,55 +83,26 @@ def _run_cli(args) -> subprocess.CompletedProcess:
 
 
 class TestRun:
-    def test_returns_result_table(self):
+    def test_returns_entropy_series(self):
         config = from_dict(QUENCH_DOC)
-        table = run(config)
-        assert isinstance(table, ResultTable)
-        assert table.times.shape == (3,)
-        assert table.xi.shape == (3, 2)
-        assert set(table.entropies) == {1, 2}
-        assert table.alphas == (1, 2)
-        assert table.echo_line == canonical_echo(config)
-        assert table.precision == 12
+        series = run(config)
+        assert isinstance(series, EntropySeries)
+        assert series.times.shape == (3,)
+        assert series.xi.shape == (3, 2)
+        assert set(series.entropies) == {1, 2}
+        assert config.alphas == (1, 2)
+        assert config.precision == 12
 
     def test_static_run_is_flat_at_anchor(self):
-        table = run(from_dict(STATIC_DOC))
-        np.testing.assert_allclose(table.entropies[1], 0.48653, rtol=0, atol=1e-4)
-        assert np.ptp(table.entropies[1]) < 1e-12
-
-    def test_non_finite_table_rejected(self):
-        times = np.array([0.0, 1.0])
-        with pytest.raises(NumericsError, match="non-finite"):
-            ResultTable(
-                times=times,
-                xi=np.array([[0.1], [np.nan]]),
-                entropies={1: np.zeros(2)},
-                alphas=(1,),
-                echo_line="{}",
-                precision=12,
-            )
-
-
-    def test_non_finite_table_names_its_first_time(self):
-        """The message names the time of the first row holding a
-        non-finite xi or entropy."""
-        times = np.array([0.0, 0.5, 1.0, 1.5])
-        xi = np.full((4, 2), 0.1)
-        xi[2, 1] = np.inf
-        entropies = {1: np.zeros(4), 2: np.array([0.0, 0.0, 0.0, np.nan])}
-        with pytest.raises(NumericsError, match=r"non-finite values at t = 1$"):
-            ResultTable(times=times, xi=xi, entropies=entropies, alphas=(1, 2),
-                        echo_line="{}", precision=12)
-        entropies[1][1] = -np.inf
-        with pytest.raises(NumericsError, match=r"non-finite values at t = 0\.5$"):
-            ResultTable(times=times, xi=xi, entropies=entropies, alphas=(1, 2),
-                        echo_line="{}", precision=12)
+        series = run(from_dict(STATIC_DOC))
+        np.testing.assert_allclose(series.entropies[1], 0.48653, rtol=0, atol=1e-4)
+        assert np.ptp(series.entropies[1]) < 1e-12
 
 
 class TestFormatCsv:
     def test_layout(self):
         config = from_dict(QUENCH_DOC)
-        text = format_csv(run(config))
+        text = format_csv(config, run(config))
         lines = text.split("\n")
         assert lines[0] == f"# config: {canonical_echo(config)}"
         assert lines[1] == "t,xi_1,xi_2,S_1,S_2"
@@ -134,14 +114,15 @@ class TestFormatCsv:
     def test_precision_controls_cells(self):
         doc = dict(QUENCH_DOC)
         doc["output"] = {"precision": 3}
-        table = run(from_dict(doc))
-        row = format_csv(table).split("\n")[2].split(",")
+        config = from_dict(doc)
+        series = run(config)
+        row = format_csv(config, series).split("\n")[2].split(",")
         expected = [
-            f"{table.times[0]:.3g}",
-            f"{table.xi[0, 0]:.3g}",
-            f"{table.xi[0, 1]:.3g}",
-            f"{table.entropies[1][0]:.3g}",
-            f"{table.entropies[2][0]:.3g}",
+            f"{series.times[0]:.3g}",
+            f"{series.xi[0, 0]:.3g}",
+            f"{series.xi[0, 1]:.3g}",
+            f"{series.entropies[1][0]:.3g}",
+            f"{series.entropies[2][0]:.3g}",
         ]
         assert row == expected
 
@@ -149,19 +130,12 @@ class TestFormatCsv:
     def test_cells_match_per_value_format(self, precision):
         values = np.array([0.0, -0.0, 5e-324, 1e16, 0.48653, -1.25e-7, 123456.789, np.pi])
         xi = np.column_stack([values[::-1], np.sqrt(np.abs(values))])
-        table = ResultTable(
-            times=values,
-            xi=xi,
-            entropies={1: 3.0 * values, 3: values**2},
-            alphas=(1, 3),
-            echo_line="{}",
-            precision=precision,
-        )
+        series = EntropySeries(times=values, xi=xi, entropies={1: 3.0 * values, 3: values**2})
         columns = [values, xi[:, 0], xi[:, 1], 3.0 * values, values**2]
         want = [
             ",".join("{:.{p}g}".format(v, p=precision) for v in row) for row in zip(*columns)
         ]
-        assert format_csv(table).split("\n")[2:-1] == want
+        assert format_csv(csv_config((1, 3), precision), series).split("\n")[2:-1] == want
 
     @pytest.mark.parametrize("alphas", [(1,), (1, 2, 3)], ids=["S1", "S123"])
     @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
@@ -176,60 +150,58 @@ class TestFormatCsv:
         values = rng.standard_normal((rows, 3 + len(alphas))) * 10.0 ** rng.integers(
             -300, 300, (rows, 3 + len(alphas)))
         values[:len(special)] = np.array(special)[:rows, None]
-        table = ResultTable(
+        series = EntropySeries(
             times=values[:, 0],
             xi=values[:, 1:3],
             entropies={a: values[:, 3 + i] for i, a in enumerate(alphas)},
-            alphas=alphas,
-            echo_line="{}",
-            precision=precision,
         )
+        config = csv_config(alphas, precision)
         row = ",".join([f"%.{precision}g"] * values.shape[1]) + "\n"
         header = ",".join(["t", "xi_1", "xi_2"] + [f"S_{a}" for a in alphas])
-        want = f"# config: {{}}\n{header}\n" + "".join(
+        want = f"# config: {canonical_echo(config)}\n{header}\n" + "".join(
             row % tuple(r) for r in values.tolist())
+        # the package binds the function run under the module's name
         run_module = importlib.import_module("entchain.run")
-        pieces = list(run_module.csv_chunks(table))
+        pieces = list(run_module._csv(config, [series]))
         assert len(pieces) == 1 + -(-rows // run_module._CSV_ROWS)
         assert "".join(pieces) == want
 
     def test_echo_in_header_reparses_to_same_run(self):
         config = from_dict(STATIC_DOC)
-        header = format_csv(run(config)).split("\n")[0]
+        header = format_csv(config, run(config)).split("\n")[0]
         echo = json.loads(header[len("# config: "):])
         assert canonical_echo(from_dict(echo)) == canonical_echo(config)
 
     def test_repeat_runs_byte_identical(self):
         config = from_dict(QUENCH_DOC)
-        assert format_csv(run(config)) == format_csv(run(config))
+        assert format_csv(config, run(config)) == format_csv(config, run(config))
 
 
 class TestWriteCsv:
     def test_creates_parent_directories(self, tmp_path):
-        table = run(from_dict(STATIC_DOC))
+        # the package binds the function run under the module's name
+        run_module = importlib.import_module("entchain.run")
+        config = from_dict(STATIC_DOC)
         target = tmp_path / "nested" / "deeper" / "out.csv"
-        write_csv(table, str(target))
-        assert target.read_text() == format_csv(table)
+        run_module._write_atomic(str(target), run_module._run_csv(config))
+        assert target.read_text() == format_csv(config, run(config))
 
-    def test_failure_mid_write_keeps_old_file(self, tmp_path, monkeypatch):
+    def test_failure_mid_write_keeps_old_file(self, tmp_path):
         # the package binds the function run under the module's name
         run_module = importlib.import_module("entchain.run")
         doc = json.loads(json.dumps(QUENCH_DOC))
         doc["time"] = {"t_max": 300.0, "dt": 0.1}  # 3001 rows, three row chunks
-        table = run(from_dict(doc))
-        chunks = run_module.csv_chunks
 
-        def failing_chunks(table):
-            pieces = chunks(table)
+        def failing_pieces():
+            pieces = run_module._run_csv(from_dict(doc))
             yield next(pieces)  # header lines
             yield next(pieces)  # first chunk of rows
             raise OSError("disk full")
 
         target = tmp_path / "out.csv"
         target.write_text("old contents\n")
-        monkeypatch.setattr(run_module, "csv_chunks", failing_chunks)
         with pytest.raises(OSError, match="disk full"):
-            write_csv(table, str(target))
+            run_module._write_atomic(str(target), failing_pieces())
         assert target.read_text() == "old contents\n"
         assert os.listdir(tmp_path) == ["out.csv"]
 
@@ -275,30 +247,31 @@ class TestWriteCsv:
         run_module = importlib.import_module("entchain.run")
         doc = json.loads(json.dumps(QUENCH_DOC))
         doc["time"] = {"t_max": 300.0, "dt": 0.1}
-        table = run(from_dict(doc))
-        pieces = list(run_module.csv_chunks(table))
+        config = from_dict(doc)
+        series = run(config)
+        pieces = list(run_module._csv(config, [series]))
         rows, piece = 3001, run_module._CSV_ROWS
         assert [p.count("\n") for p in pieces] == [2] + [piece] * (rows // piece) + [rows % piece]
-        assert "".join(pieces) == format_csv(table)
+        assert "".join(pieces) == format_csv(config, series)
 
     def test_writing_holds_one_piece_at_a_time(self, tmp_path):
-        """Writing a 200,001-row table allocates about one
+        """Writing a 200,001-row series allocates about one
         ``_CSV_ROWS``-row piece of values and text at a time (by
-        ``tracemalloc``), far below the 6.4 MB of the table's values or
+        ``tracemalloc``), far below the 6.4 MB of the series' values or
         the 10 MB of its text."""
+        # the package binds the function run under the module's name
+        run_module = importlib.import_module("entchain.run")
         times = 0.01 * np.arange(200_001)
-        table = ResultTable(
+        series = EntropySeries(
             times=times,
             xi=np.column_stack([np.sin(times) ** 2, np.cos(times) ** 2]) / 3.0,
             entropies={1: np.sqrt(times)},
-            alphas=(1,),
-            echo_line="{}",
-            precision=12,
         )
+        config = csv_config((1,), 12)
         target = tmp_path / "out.csv"
         tracemalloc.start()
         try:
-            write_csv(table, str(target))
+            run_module._write_atomic(str(target), run_module._csv(config, [series]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -316,7 +289,8 @@ class TestSweep:
         for path, omega_f in zip(paths, [0.1, 0.3]):
             single = json.loads(json.dumps(QUENCH_DOC))
             single["model"]["omega_f"] = omega_f
-            expected = format_csv(run(from_dict(single)))
+            config = from_dict(single)
+            expected = format_csv(config, run(config))
             with open(path) as handle:
                 assert handle.read() == expected
 
@@ -330,7 +304,7 @@ class TestSweep:
         CSVs complete, no temporary file, and exit 2."""
         # the package binds the function run under the module's name
         run_module = importlib.import_module("entchain.run")
-        real_run, real_run_csv = run_module.run, run_module._run_csv
+        real_run_csv = run_module._run_csv
         doc = json.loads(json.dumps(QUENCH_DOC))
         doc["model"]["omega_f"] = [0.3, 0.1, 0.05]
         out_dir = tmp_path / "sweep"
@@ -352,7 +326,8 @@ class TestSweep:
         for name, omega_f in zip(done, [0.05, 0.1]):
             single = json.loads(json.dumps(QUENCH_DOC))
             single["model"]["omega_f"] = omega_f
-            assert (out_dir / name).read_text() == format_csv(real_run(from_dict(single)))
+            config = from_dict(single)
+            assert (out_dir / name).read_text() == format_csv(config, run(config))
 
 
 class TestFigures:
@@ -439,13 +414,15 @@ class TestMain:
         assert main(["simulate", "--config", config_path, "--output", out_path]) == 0
         assert f"wrote {out_path}" in capsys.readouterr().out
         with open(out_path) as handle:
-            assert handle.read() == format_csv(run(from_dict(STATIC_DOC)))
+            config = from_dict(STATIC_DOC)
+            assert handle.read() == format_csv(config, run(config))
 
     def test_simulate_stdout_fallback(self, tmp_path, capsys):
         config_path = write_config(tmp_path, STATIC_DOC)
         assert main(["simulate", "--config", config_path]) == 0
         out = capsys.readouterr().out
-        assert out == format_csv(run(from_dict(STATIC_DOC)))
+        config = from_dict(STATIC_DOC)
+        assert out == format_csv(config, run(config))
 
     def test_simulate_uses_config_output_path(self, tmp_path, capsys):
         doc = json.loads(json.dumps(STATIC_DOC))
@@ -962,7 +939,8 @@ class TestMain:
         doc = json.loads(json.dumps(QUENCH_DOC))
         doc["time"] = {"t_max": 300.0, "dt": 0.1}
         config_path = write_config(tmp_path, doc)
-        expected = format_csv(run(from_dict(doc)))
+        config = from_dict(doc)
+        expected = format_csv(config, run(config))
         assert len(expected) > 65536
         out = tmp_path / "out.csv"
         code = (

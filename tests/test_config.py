@@ -87,7 +87,7 @@ class TestTimeGrid:
         doc = minimal_doc()
         doc["time"] = {"t_max": 2.0, "dt": 0.5}
         cfg = from_dict(doc)
-        np.testing.assert_allclose(cfg.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+        np.testing.assert_allclose(cfg.grid[:], [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_t_max_below_dt_rejected(self):
         doc = minimal_doc()
@@ -268,7 +268,7 @@ class TestValidation:
         doc["time"] = {"t_max": (MAX_TIME_POINTS - 1) * 0.5, "dt": 0.5}
         cfg = from_dict(doc)
         assert cfg.chain.n == MAX_SITES
-        assert cfg.times.size == MAX_TIME_POINTS
+        assert cfg.grid.size == MAX_TIME_POINTS
         doc["model"]["n"] = MAX_SITES + 1
         with pytest.raises(ConfigError, match="model.n: must be at most 4096"):
             from_dict(doc)

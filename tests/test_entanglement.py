@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import entchain.entanglement as entanglement
 from entchain import (
     ChainSpec,
     NumericsError,
@@ -103,6 +104,16 @@ class TestPartition:
             Partition.from_traced((), 3)
         with pytest.raises(ValueError, match="disjoint"):
             Partition(traced=(1, 2), kept=(2, 3))
+
+    @pytest.mark.parametrize("traced, kept", [((1, 2), (0,)), ((1, 3), (2, 7)), ((1, 3), (2, 2))])
+    def test_blocks_are_the_sites_once_each(self, traced, kept):
+        """Blocks that are not together the sites 1..N, each once, are a
+        ``ValueError``.  Unchecked, kept site 0 of a 3-site chain wrapped
+        round to site 3 on the primary path and the covariance oracle
+        alike, and site 7 or a repeated site 2 of a 4-site chain raised an
+        ``IndexError``."""
+        with pytest.raises(ValueError, match=r"the sites 1\.\.N"):
+            Partition(traced=traced, kept=kept)
 
 
 class TestStaticAnchor:
@@ -506,6 +517,39 @@ class TestEntropySeries:
         assert np.abs(series.s1 - s1).max() <= 1e-12
         assert np.abs(series.entropies[2] - s2).max() <= 1e-12
         assert xi_window[0] <= series.xi.min() and series.xi.max() < xi_window[1]
+
+    @staticmethod
+    def _spoil(monkeypatch, name, index, value):
+        """Make ``entanglement.<name>`` return its values with ``[index]``
+        set to ``value``."""
+        func = getattr(entanglement, name)
+
+        def spoiled(*args):
+            out = np.array(func(*args), dtype=float)
+            out[index] = value
+            return out
+
+        monkeypatch.setattr(entanglement, name, spoiled)
+
+    def test_non_finite_rows_rejected(self, monkeypatch):
+        spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+        self._spoil(monkeypatch, "physical_nu", (1, 0), np.nan)
+        with pytest.raises(NumericsError, match="non-finite"):
+            entropy_series(spec, Partition.second_half(4), np.array([0.0, 1.0]))
+
+    def test_non_finite_rows_name_their_first_time(self, monkeypatch):
+        """The message names the time of the first row holding a
+        non-finite xi or entropy."""
+        spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+        part = Partition.second_half(4)
+        times = np.array([0.0, 0.5, 1.0, 1.5])
+        self._spoil(monkeypatch, "physical_nu", (2, 1), np.nan)
+        self._spoil(monkeypatch, "renyi_entropy", 3, np.nan)
+        with pytest.raises(NumericsError, match=r"non-finite values at t = 1$"):
+            entropy_series(spec, part, times, alphas=(1, 2))
+        self._spoil(monkeypatch, "von_neumann_entropy", 1, -np.inf)
+        with pytest.raises(NumericsError, match=r"non-finite values at t = 0\.5$"):
+            entropy_series(spec, part, times, alphas=(1, 2))
 
     def test_input_validation(self):
         spec = ChainSpec(n=4, omega_i=1.0, k_i=1.0, omega_f=1.0, k_f=1.0)
