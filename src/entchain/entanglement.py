@@ -31,6 +31,7 @@ from .chain import ChainSpec, quench_modes
 from .ermakov import ModeSolution, QuenchSchedule, integrate_general, solve_sudden
 from .errors import NumericsError
 from .gaussian import (
+    _NU_SLACK,
     _covariance,
     _mode_weights,
     _site_table,
@@ -38,12 +39,10 @@ from .gaussian import (
     symplectic_eigenvalues,
 )
 
-# Matrix elements per stacked array when a time grid is taken in blocks
-# (see _block_rows).
+# Matrix elements per stacked covariance array of a spectrum block.
 _BLOCK_ELEMENTS = 8192
 
-# Scale factors, (time points) x (distinct modes), evaluated at once (see
-# _chunk_rows and _chunk_width).
+# Scale factors per evaluation chunk, whatever the chain and the block size.
 _CHUNK_VALUES = 2048
 
 
@@ -189,36 +188,18 @@ def _validate_alphas(alphas) -> list[int]:
 
 
 def _block_rows(dim: int) -> int:
-    """Time points per block when each point carries a (dim, dim) matrix:
-    about 8192 matrix elements per stacked array, which keeps a block's
-    temporaries in cache and off the peak memory."""
+    """Time points per spectrum block of (dim, dim) matrices, at least one:
+    about _BLOCK_ELEMENTS elements per stacked array, which stays in cache."""
     return max(1, _BLOCK_ELEMENTS // dim**2)
 
 
-def _chunk_width(solution: ModeSolution) -> int:
-    """Scale factors per time point that size a chunk: one per distinct
-    mode of ``solution``, but at least half its modes, so that a chunk's
-    per-mode arrays hold at most about 2 * _CHUNK_VALUES values where
-    many modes share one (an uncoupled chain's all do)."""
-    return max(np.size(solution.first), np.size(solution.column) // 2)
-
-
-def _chunk_rows(block: int, per_row: int) -> int:
-    """Time points per evaluation chunk: a whole number of ``block``-row
-    spectrum blocks, at least one, holding about _CHUNK_VALUES scale
-    factors at ``per_row`` per point (``_chunk_width``), so that the
-    chunk's temporaries keep one size whatever the chain size."""
-    return block * max(1, _CHUNK_VALUES // (block * per_row))
-
-
-def _grid_rows(width: int, per_row: int) -> tuple[int, int]:
-    """(block, chunk) time points of ``entropy_series`` for spectrum
-    sectors of at most ``width`` sites: a block holds about 8192 elements
-    per stacked (2 width, 2 width) array but no more points than a chunk
-    of about _CHUNK_VALUES scale factors, so that small sectors do not
-    grow the chunk."""
-    block = min(_block_rows(2 * width), _chunk_rows(1, per_row))
-    return block, _chunk_rows(block, per_row)
+def _chunk_rows(solution: ModeSolution) -> int:
+    """Time points per evaluation chunk: about _CHUNK_VALUES scale factors,
+    one per distinct mode of ``solution`` but at least half its modes, so
+    that a chunk's per-mode arrays hold at most about 2 * _CHUNK_VALUES
+    values where many modes share one (an uncoupled chain's all do)."""
+    width = max(np.size(solution.first), np.size(solution.column) // 2)
+    return max(1, _CHUNK_VALUES // width)
 
 
 def _mirror_sectors(n: int, boundary: str, kept) -> list[np.ndarray]:
@@ -303,18 +284,13 @@ def entropy_series(
     With ``schedule=None`` the quench is sudden (spec's pre -> post
     parameters); otherwise each mode follows the schedule up to the last
     time, with the Wronskian of its scale factor checked against
-    ``tolerance``.  Time points are taken in chunks of about 2048 scale
-    factors, (points) x (distinct modes, at least half the modes;
-    ``_chunk_width``), each a whole number of blocks of
-    ``max(1, 8192 // (2w)**2)`` points for spectrum sectors of at most w
-    sites, but no more points than a chunk (``_grid_rows``).  Each
-    sector's site table (its pair table while that is small, see
-    ``gaussian._site_table``) is built once per call.  A chunk evaluates
-    b and b' of every mode in one call that computes each distinct mode
-    once (``ModeSolution``), their per-mode covariance entries once, and
-    its entropies as sums over the mode axis; a block builds each
-    sector's covariance stack in one call and takes its symplectic
-    spectra in one call per sector.
+    ``tolerance``.  Rows are taken in two independent budgets.  A chunk of
+    about 2048 scale factors (``_chunk_rows``) evaluates b and b' of every
+    mode and their per-mode covariance entries in one call each, and its
+    entropies as sums over the mode axis.  Inside it, a block of
+    ``_block_rows(2w)`` rows for spectrum sectors of at most w sites
+    builds each sector's covariance stack in one call, from a site table
+    built once per call, and takes its spectra in one call per sector.
 
     This chunk loop is the one source of rows.  By default its chunks are
     collected into whole columns (times, xi and one series per order).
@@ -323,10 +299,10 @@ def entropy_series(
     asked for; on a ``UniformGrid`` nothing it holds then spans the grid.
     Every row is computed the same way whatever chunk and block it falls
     in, so a grid gives bit for bit the values of its slices.  A
-    symplectic eigenvalue so large that its xi rounds to 1 raises
-    ``NumericsError`` naming the first such time, before the entropies of
-    its chunk are formed, and so does a row whose xi or entropies are not
-    all finite.
+    ``NumericsError`` names the first time where nu falls below 1/2 or xi
+    rounds to 1 (before the chunk's entropies are formed) or xi or the
+    entropies are not all finite, or the first and last time of a block
+    whose covariance is not finite or fails to factor.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)
@@ -343,7 +319,8 @@ def entropy_series(
 
     sectors = _sector_columns(spec, modes.u, partition.kept)
     tables = [_site_table(cols) for cols in sectors]
-    rows, chunk = _grid_rows(max(cols.shape[1] for cols in sectors), _chunk_width(solution))
+    rows = _block_rows(2 * max(cols.shape[1] for cols in sectors))
+    chunk = _chunk_rows(solution)
     m = len(partition.kept)
     series = _series_chunks(times, chunk, rows, m, modes.lam_pre, solution, tables, alphas)
     if chunks:
@@ -367,8 +344,17 @@ def _series_chunks(times, chunk: int, rows: int, m: int, lam_pre: np.ndarray,
         weights = _mode_weights(lam_pre, *solution.evaluate(t))
         xi = np.empty((t.size, m))
         for start in range(0, t.size, rows):
-            nu = physical_nu(_sector_spectrum(tables, weights[start:start + rows]))
-            xi[start:start + rows] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
+            block, when = slice(start, start + rows), t[start:start + rows]
+            try:
+                nu = _sector_spectrum(tables, weights[block])
+            except NumericsError as error:
+                raise NumericsError(f"{error}, from t = {when[0]:g} to t = {when[-1]:g}") from None
+            try:
+                nu = physical_nu(nu)
+            except NumericsError as error:
+                low = when[nu.min(axis=1) < 0.5 - _NU_SLACK][0]
+                raise NumericsError(f"{error}; the first row below it is t = {low:g}") from None
+            xi[block] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
         saturated = (xi >= 1.0).any(axis=1)
         if saturated.any():
             raise NumericsError(

@@ -318,17 +318,17 @@ def covariance_series(
 ) -> EntropySeries:
     """Entropy series computed purely from covariance dynamics.
 
-    Same call shape and output type as the scale-factor pipeline, but the
-    dynamics is the symplectic flow of the full coupling matrix K(t), so
-    the two are independent up to shared linear-algebra primitives.  A
-    sudden quench is one piece of constant K and a ``previous`` schedule
-    one per row, both exact; a ``linear`` schedule doubles its Magnus
-    pieces until two levels agree within ``tolerance``, or raises
-    ``IntegrationError``.  Only the 2m kept rows of each output flow are
-    built.  Time points are taken in blocks of ``max(1, 8192 // (2m)**2)``
-    (``_block_rows``), one stacked spectrum call each.
+    Same call shape and output type as the scale-factor pipeline (a
+    ``UniformGrid`` becomes its values once), but the dynamics is the
+    symplectic flow of the full coupling matrix K(t), so the two are
+    independent up to shared linear-algebra primitives.  A sudden quench
+    is one piece of constant K and a ``previous`` schedule one per row,
+    both exact; a ``linear`` schedule doubles its Magnus pieces until two
+    levels agree within ``tolerance``, or raises ``IntegrationError``.
+    Only the 2m kept rows of each output flow are built.  Time points are
+    taken in blocks of ``_block_rows(2m)``, one stacked spectrum call each.
     """
-    times = _validate_times(times)
+    times = _validate_times(times)[:]
     alphas = _validate_alphas(alphas)
     if partition.n != spec.n:
         raise ValueError(f"partition covers {partition.n} sites but the chain has {spec.n}")
@@ -370,7 +370,6 @@ def kernel_spectrum(
     z: float = 0.0,
     count: int = 8,
     grid: KernelGrid | None = None,
-    include_phase: bool = True,
 ) -> np.ndarray:
     """Leading eigenvalues of a one-oscillator reduced density matrix,
     found by sampling its position-space kernel
@@ -379,8 +378,8 @@ def kernel_spectrum(
                      * exp[i z (x^2 - x'^2) - gamma (x^2 + x'^2) / 2 + beta x x']
 
     on a uniform grid and diagonalizing.  The kernel is Hermitian, so the
-    phase factor never changes the spectrum; keeping it exercises the full
-    expression.  Descending eigenvalues, length ``count``.
+    phase factor never changes the spectrum; ``z = 0`` leaves it out.
+    Descending eigenvalues, length ``count``.
     """
     gamma = float(gamma)
     beta = float(beta)
@@ -407,7 +406,7 @@ def kernel_spectrum(
     sq = x**2
     log_mag = -0.5 * gamma * (sq[:, None] + sq[None, :]) + beta * np.outer(x, x)
     kernel = np.sqrt((gamma - beta) / np.pi) * np.exp(log_mag)
-    if include_phase and z != 0.0:
+    if z != 0.0:
         kernel = kernel * np.exp(1j * z * (sq[:, None] - sq[None, :]))
     weighted = kernel * dx
     trace = float(np.trace(weighted).real)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .chain import quench_modes
 from .config import RunConfig, canonical_echo, expand_sweep, from_dict
-from .entanglement import EntropySeries, _chunk_rows, _chunk_width, entropy_series
+from .entanglement import EntropySeries, _chunk_rows, entropy_series
 from .ermakov import mode_checks, solve_sudden
 from .errors import ConfigError
 from .gaussian import mode_covariance
@@ -297,7 +297,7 @@ def verify_report() -> tuple[str, bool]:
         residual_max = invariant_max = 0.0
         # entropy_series's chunk size: 2001 times by every mode at once
         # raised the peak resident memory of verify by 5 MB
-        rows = _chunk_rows(1, _chunk_width(solution))
+        rows = _chunk_rows(solution)
         for first in range(0, sweep_times.size, rows):
             residual, invariant = mode_checks(solution, sweep_times[first:first + rows])
             residual_max = max(residual_max, float(residual.max()))

@@ -581,11 +581,25 @@ class TestMain:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: covariance matrix is numerically singular")
         assert "eigenvalues from" in proc.stderr and "Traceback" not in proc.stderr
+        assert "t = 1e+09" in proc.stderr
         ring_path = write_config(tmp_path, {"model": model, "time": time}, name="ring.json")
         proc = _run_cli(["simulate", "--config", ring_path])
         assert proc.returncode == 0
         s1 = float(proc.stdout.splitlines()[-1].split(",")[-1])
         assert abs(s1 - 21.3409311148951) < 1e-6
+
+    def test_spectrum_below_the_floor_names_its_time(self, tmp_path):
+        """An open dimer quenched to omega_f = 1e8 gives a symplectic
+        eigenvalue below the physical floor 1/2 first at t = 0.02, and its
+        lowest, 0.4747, at t = 0.11: exit 2 naming the first row."""
+        doc = {"model": {"n": 2, "boundary": "open", "omega_i": 3, "k_i": 1,
+                         "omega_f": 1e8, "k_f": 0},
+               "time": {"t_max": 0.5, "dt": 0.01}}
+        proc = _run_cli(["simulate", "--config", write_config(tmp_path, doc)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: symplectic eigenvalue ")
+        assert "is below the physical floor 1/2" in proc.stderr
+        assert proc.stderr.rstrip().endswith("the first row below it is t = 0.02")
 
     @pytest.mark.xfail(strict=True, reason=(
         "the open chain's kept covariance loses its small eigenvalues to roundoff as "

@@ -26,8 +26,8 @@ from entchain import (
 from entchain.chain import bond_laplacian
 from entchain.entanglement import (
     UniformGrid,
-    _chunk_width,
-    _grid_rows,
+    _block_rows,
+    _chunk_rows,
     _mirror_sectors,
     _sector_columns,
 )
@@ -60,8 +60,8 @@ def _grid(spec, part):
     sudden or on a schedule whose k makes distinct modes distinct."""
     modes = quench_modes(spec)
     sectors = _sector_columns(spec, modes.u, part.kept)
-    return _grid_rows(max(cols.shape[1] for cols in sectors),
-                      _chunk_width(solve_sudden(modes.lam_pre, modes.lam_post)))
+    return (_block_rows(2 * max(cols.shape[1] for cols in sectors)),
+            _chunk_rows(solve_sudden(modes.lam_pre, modes.lam_post)))
 
 
 def _state(spec, t):
@@ -371,9 +371,10 @@ class TestEntropySeries:
 
     def test_block_boundaries_match_slices_and_points(self):
         # n = 20 keeps 10 sites, two mirror sectors of 5: blocks of
-        # min(8192 // 10**2, 2048 // 11) = 81 rows (11 distinct modes), so
-        # 3 blocks + 10 points span four blocks; slices and single points
-        # start blocks at other rows.
+        # 8192 // 10**2 = 81 rows inside chunks of 2048 // 11 = 186 rows
+        # (11 distinct modes), so every chunk ends in a short block: 3 * 81
+        # + 10 points are blocks of 81, 81, 24 and then 67.  Slices and
+        # single points start blocks at other rows.
         spec = ChainSpec(n=20, omega_i=3.0, k_i=2.0, omega_f=0.01, k_f=2.5)
         part = Partition.second_half(20)
         rows, _ = _grid(spec, part)
@@ -399,14 +400,15 @@ class TestEntropySeries:
         all 8 of an open chain's; where more modes share one, as in an
         uncoupled chain, it counts half the modes, so the per-mode arrays
         stay within twice the budget."""
-        for spec, width, rows in (
+        for spec, distinct, rows in (
             (ChainSpec(8, 3.0, 2.0, 0.3, 2.5), 5, 409),
             (ChainSpec(8, 3.0, 2.0, 0.3, 2.5, "open"), 8, 256),
-            (ChainSpec(8, 1.0, 0.0, 2.0, 0.0), 4, 512),
+            (ChainSpec(8, 1.0, 0.0, 2.0, 0.0), 1, 512),
         ):
             modes = quench_modes(spec)
-            assert _chunk_width(solve_sudden(modes.lam_pre, modes.lam_post)) == width
-            assert _grid(spec, Partition.second_half(8))[1] == rows
+            solution = solve_sudden(modes.lam_pre, modes.lam_post)
+            assert np.size(solution.first) == distinct
+            assert _chunk_rows(solution) == rows
 
     @pytest.mark.parametrize(
         "n, schedule",

@@ -33,7 +33,7 @@ from entchain import (
     symplectic_eigenvalues,
 )
 from entchain.chain import bond_laplacian
-from entchain.entanglement import _chunk_width, _grid_rows, _sector_columns, _sector_spectrum
+from entchain.entanglement import UniformGrid, _chunk_rows, _sector_columns, _sector_spectrum
 from entchain.gaussian import _mode_weights, _site_table, mode_covariance
 from entchain.oracles import (
     KernelGrid,
@@ -652,9 +652,7 @@ def test_random_tables_agree_across_paths(data):
     schedule = QuenchSchedule(np.cumsum([0.0] + gaps), omegas, ks, interpolation)
     part = Partition.from_traced(traced, n)
     modes = quench_modes(spec)
-    sectors = _sector_columns(spec, modes.u, part.kept)
-    _, chunk = _grid_rows(max(cols.shape[1] for cols in sectors),
-                          _chunk_width(solve_sudden(modes.lam_pre, modes.lam_post)))
+    chunk = _chunk_rows(solve_sudden(modes.lam_pre, modes.lam_post))
     size = chunk + 1 + data.draw(st.integers(0, chunk // 4), label="extra rows")
     step = data.draw(st.one_of(st.floats(0.02, 0.15), st.floats(0.4, 2.0)), label="step")
     times = min(step, 30.0 / size) * np.arange(size)
@@ -679,6 +677,24 @@ def test_linear_flow_meets_tight_tolerance():
     )
     for a in (1, 2):
         assert np.abs(primary.entropies[a] - oracle.entropies[a]).max() < 1e-11
+
+
+@pytest.mark.parametrize("schedule", [None, QuenchSchedule(
+    [0.0, 10.0, 20.0, 30.0], [3.0, 2.0, 1.0, 0.3], [2.0, 2.2, 2.4, 2.5], "linear")],
+    ids=["sudden", "linear"])
+def test_covariance_series_takes_a_uniform_grid(schedule):
+    """The oracle takes every ``times`` the product path takes: on a
+    ``UniformGrid`` it gives bit for bit what it gives on the grid's
+    values, for a sudden quench and for a linear ramp table."""
+    spec = ChainSpec(n=6, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+    part = Partition.second_half(6)
+    grid = UniformGrid(0.5, 81)
+    on_grid = covariance_series(spec, part, grid, alphas=(1, 2), schedule=schedule)
+    on_values = covariance_series(spec, part, grid[:], alphas=(1, 2), schedule=schedule)
+    assert np.array_equal(on_grid.times, on_values.times)
+    assert np.array_equal(on_grid.xi, on_values.xi)
+    for a in (1, 2):
+        assert np.array_equal(on_grid.entropies[a], on_values.entropies[a])
 
 
 def test_covariance_series_validation():
@@ -767,7 +783,7 @@ class TestKernelSpectrum:
         xi = beta / (gamma + eps)
         ladder = (1 - xi) * xi ** np.arange(5)
         with_phase = kernel_spectrum(gamma, beta, z, count=5)
-        without = kernel_spectrum(gamma, beta, 0.0, count=5, include_phase=False)
+        without = kernel_spectrum(gamma, beta, 0.0, count=5)
         assert np.abs(with_phase - ladder).max() < 1e-4
         assert np.abs(without - ladder).max() < 1e-4
         assert np.abs(with_phase - without).max() < 1e-6
