@@ -13,7 +13,7 @@ from .chain import (
     build_coupling_matrix,
     quench_modes,
 )
-from .config import RunConfig, from_dict, parse_config, time_grid
+from .config import RunConfig, from_dict, parse_config
 from .entanglement import (
     EntropySeries,
     Partition,
@@ -71,7 +71,6 @@ __all__ = [
     "run_sweep",
     "solve_sudden",
     "symplectic_eigenvalues",
-    "time_grid",
     "to_oscillator",
     "verify_report",
     "von_neumann_entropy",

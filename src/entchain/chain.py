@@ -9,8 +9,9 @@ nearest-neighbour spring constant ``k`` has potential energy
 where L is the bond Laplacian of the chain graph (open or periodic
 boundary).  A sudden quench switches (omega, k) from the "pre" values to
 the "post" values at t = 0.  Because K is an affine function of L in both
-phases, a single orthogonal transformation decouples the dynamics before
-and after the quench; :func:`quench_modes` exposes that shared basis.
+phases, its normal modes (Fourier on a ring, DCT-II on an open chain)
+decouple the dynamics before and after the quench; :func:`quench_modes`
+builds that shared basis in closed form.
 """
 
 from __future__ import annotations
@@ -26,14 +27,10 @@ from .errors import NumericsError
 Boundary = Literal["open", "periodic"]
 Phase = Literal["pre", "post"]
 
-# Bond-Laplacian eigenvalues below this (relative) size are snapped to zero.
-# The periodic chain has an exact zero mode that eigh returns as O(1e-16).
-_MU_SNAP = 1e-13
-
-# Bond-Laplacian eigenvalues closer than this (relative) gap are one value.
-# A ring's exact pairs mu_k = mu_(n-k) come out of eigh up to 1.6e-14 apart
-# at n = 2048, where distinct values are at least 9.4e-6 apart.
-_MU_MERGE = 1e-10
+# Matrix elements per row block of the mode basis, built and checked in
+# place, and the largest |L u_k - mu_k u_k| it may leave (|mu_k| <= 4).
+_BASIS_ELEMENTS = 65536
+_BASIS_RESIDUAL = 4e-10
 
 
 @dataclass(frozen=True)
@@ -108,17 +105,14 @@ def bond_laplacian(n: int, boundary: Boundary) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("need at least 2 sites")
-    lap = np.zeros((n, n))
-    bonds = [(j, j + 1) for j in range(n - 1)]
-    if boundary == "periodic":
-        bonds.append((n - 1, 0))
-    elif boundary != "open":
+    if boundary not in ("open", "periodic"):
         raise ValueError(f"unknown boundary {boundary!r}")
-    for a, b in bonds:
-        lap[a, a] += 1.0
-        lap[b, b] += 1.0
-        lap[a, b] -= 1.0
-        lap[b, a] -= 1.0
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    if boundary == "periodic":
+        lap[0, -1] -= 1.0
+        lap[-1, 0] -= 1.0
+    else:
+        lap[0, 0] = lap[-1, -1] = 1.0
     return lap
 
 
@@ -131,34 +125,48 @@ def build_coupling_matrix(spec: ChainSpec, phase: Phase) -> np.ndarray:
 def quench_modes(spec: ChainSpec) -> QuenchModes:
     """Shared mode basis plus eigenvalues for both phases of the quench.
 
-    The basis rows are the ``eigh`` eigenvectors of the bond Laplacian,
-    which both coupling matrices are affine functions of; this keeps
-    degenerate pairs consistently paired across the quench.  ``mu`` is
-    ascending, and eigenvalues within a relative 1e-10 of their neighbour
-    share the value of the smallest of them, so each degenerate pair of a
-    ring has one exact ``mu`` and one scale factor.  Raises
-    :class:`NumericsError` if ``eigh`` fails, if any pre-quench eigenvalue
-    is not positive, or if the basis fails to decouple either matrix.
+    The rows of ``u`` are the closed-form normal modes of the bond
+    Laplacian in ascending ``mu``, with no sort.  A ring has k = 0, the
+    (cos, sin) pair of each k = 1 .. (n-1)//2, then k = n/2 for even n,
+    phases 2 pi (k j mod n) / n and mu_k = 4 sin(pi k / n)**2, taken once
+    per pair so a pair shares ``mu`` to the bit; an open chain has
+    sqrt(2/n) cos(pi k (j + 1/2) / n) and mu_k = 4 sin(pi k / 2n)**2.
+    ``mu_0`` is exactly 0.  Raises :class:`NumericsError` if the pre-quench
+    spectrum is not positive or a mode leaves |L u_k - mu_k u_k| > 4e-10.
     """
-    try:
-        mu, vecs = np.linalg.eigh(bond_laplacian(spec.n, spec.boundary))
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"eigendecomposition failed: {exc}") from exc
-    u = np.ascontiguousarray(vecs.T)
-    top = max(1.0, np.abs(mu).max())
-    mu[np.abs(mu) <= _MU_SNAP * top] = 0.0
-    new = np.diff(mu, prepend=-np.inf) > _MU_MERGE * top
-    mu = mu[new][np.cumsum(new) - 1]
+    n = spec.n
+    # Index arithmetic in floats, exact below 2**53: int64 floor division,
+    # remainder and comparisons would page in code that no other step uses.
+    sites = np.arange(float(n))
+    if spec.boundary == "periodic":
+        k = np.floor((sites + 1.0) / 2.0)  # row r has wave number 0, 1, 1, 2, 2, ..., (n/2)
+        mu = (4.0 * np.sin(np.arange(n // 2 + 1.0) * (np.pi / n)) ** 2)[k.astype(np.intp)]
+        # sin x = cos(x - pi/2): the second row of each pair is n quarter steps back
+        slope, shift = 4.0 * k, np.where((sites == 2.0 * k) & (k > 0.0), -float(n), 0.0)
+        single = (k == 0.0) | (2.0 * k == n)
+    else:
+        mu = 4.0 * np.sin(sites * (np.pi / (2 * n))) ** 2
+        slope, shift, single = 2.0 * sites, sites, sites == 0.0
+    amplitude = np.where(single, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
+    u = np.empty((n, n))
+    step = max(1, _BASIS_ELEMENTS // n)
+    for first in range(0, n, step):
+        rows, block = slice(first, first + step), u[first:first + step]
+        # u_k(j) = amplitude cos(pi q / 2n) with the integer q = (slope j + shift) mod 4n
+        np.add(np.multiply.outer(slope[rows], sites), shift[rows, None], out=block)
+        block -= 4 * n * np.floor(block / (4 * n))
+        block *= np.pi / (2 * n)
+        np.cos(block, out=block)
+        block *= amplitude[rows, None]
+        # the bond stencil: (L u)_j = deg_j u_j - u_(j-1) - u_(j+1)
+        residual = (2.0 - mu[rows, None]) * block
+        residual[:, 1:] -= block[:, :-1]
+        residual[:, :-1] -= block[:, 1:]
+        residual[:, [0, -1]] -= block[:, [-1, 0] if spec.boundary == "periodic" else [0, -1]]
+        if np.abs(residual).max() > _BASIS_RESIDUAL:
+            raise NumericsError("mode basis failed to decouple the bond Laplacian")
     lam_pre = spec.omega_i**2 + spec.k_i * mu
     lam_post = spec.omega_f**2 + spec.k_f * mu
-    if lam_pre.min() <= 0:
-        raise NumericsError(
-            f"pre-quench spectrum must be positive, got min eigenvalue {lam_pre.min():.3e}"
-        )
-    for phase, lam in (("pre", lam_pre), ("post", lam_post)):
-        check = u @ build_coupling_matrix(spec, phase) @ u.T
-        off = check - np.diag(np.diag(check))
-        scale = max(1.0, np.abs(lam).max())
-        if np.abs(off).max() > 1e-10 * scale:
-            raise NumericsError(f"mode basis failed to decouple the {phase}-quench matrix")
+    if lam_pre[0] <= 0:  # mu_0 = 0 is the smallest mu
+        raise NumericsError(f"pre-quench spectrum must be positive, got {lam_pre[0]:.3e}")
     return QuenchModes(u=u, mu=mu, lam_pre=lam_pre, lam_post=lam_post)

@@ -53,20 +53,15 @@ class RunConfig:
 
     @property
     def grid(self) -> UniformGrid:
-        """The run's time grid, ``time_grid(t_max, dt)``, as its step and
-        size."""
+        """The run's time grid, ``_uniform_grid(t_max, dt)``."""
         return _uniform_grid(self.t_max, self.dt)
 
 
-def time_grid(t_max: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, ..., with floor(t_max/dt) + 1 points.  Raises
-    ``ValueError`` unless t_max and dt are finite, dt > 0, t_max >= 0 and
-    the grid has at most ``MAX_TIME_POINTS`` points."""
-    return _uniform_grid(t_max, dt)[:]
-
-
 def _uniform_grid(t_max: float, dt: float) -> UniformGrid:
-    """``time_grid`` as its step and size, checked the same way."""
+    """Uniform grid 0, dt, ..., with floor(t_max/dt) + 1 points, as its
+    step and size.  Raises ``ValueError`` unless t_max and dt are finite,
+    dt > 0, t_max >= 0 and the grid has at most ``MAX_TIME_POINTS``
+    points."""
     if not (np.isfinite(t_max) and np.isfinite(dt) and dt > 0 and t_max >= 0):
         raise ValueError(
             f"time grid needs finite dt > 0 and t_max >= 0, got t_max={t_max!r}, dt={dt!r}"

@@ -31,7 +31,6 @@ from .chain import ChainSpec, quench_modes
 from .ermakov import ModeSolution, QuenchSchedule, integrate_general, solve_sudden
 from .errors import NumericsError
 from .gaussian import (
-    _NU_SLACK,
     _covariance,
     _mode_weights,
     _site_table,
@@ -299,10 +298,10 @@ def entropy_series(
     asked for; on a ``UniformGrid`` nothing it holds then spans the grid.
     Every row is computed the same way whatever chunk and block it falls
     in, so a grid gives bit for bit the values of its slices.  A
-    ``NumericsError`` names the first time where nu falls below 1/2 or xi
-    rounds to 1 (before the chunk's entropies are formed) or xi or the
-    entropies are not all finite, or the first and last time of a block
-    whose covariance is not finite or fails to factor.
+    ``NumericsError`` names the first time where the covariance is not
+    finite or fails to factor, nu falls below 1/2, xi rounds to 1 (before
+    the chunk's entropies are formed), or xi or the entropies are not all
+    finite.
     """
     times = _validate_times(times)
     alphas = _validate_alphas(alphas)
@@ -346,14 +345,16 @@ def _series_chunks(times, chunk: int, rows: int, m: int, lam_pre: np.ndarray,
         for start in range(0, t.size, rows):
             block, when = slice(start, start + rows), t[start:start + rows]
             try:
-                nu = _sector_spectrum(tables, weights[block])
-            except NumericsError as error:
-                raise NumericsError(f"{error}, from t = {when[0]:g} to t = {when[-1]:g}") from None
-            try:
-                nu = physical_nu(nu)
-            except NumericsError as error:
-                low = when[nu.min(axis=1) < 0.5 - _NU_SLACK][0]
-                raise NumericsError(f"{error}; the first row below it is t = {low:g}") from None
+                nu = physical_nu(_sector_spectrum(tables, weights[block]))
+            except NumericsError:
+                # A row's spectrum is the same alone as in its block: the
+                # first row that fails alone is the block's first failure.
+                for row, time in enumerate(when, start=start):
+                    try:
+                        physical_nu(_sector_spectrum(tables, weights[row:row + 1]))
+                    except NumericsError as error:
+                        raise NumericsError(f"{error}, at t = {time:g}") from None
+                raise
             xi[block] = (2.0 * nu - 1.0) / (2.0 * nu + 1.0)
         saturated = (xi >= 1.0).any(axis=1)
         if saturated.any():

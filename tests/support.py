@@ -54,9 +54,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
-from entchain import ChainSpec, EntropySeries, ModeSolution, NumericsError, Partition, QuenchModes
+from entchain import (
+    ChainSpec,
+    EntropySeries,
+    ModeSolution,
+    NumericsError,
+    Partition,
+    QuenchModes,
+    bond_laplacian,
+)
 from entchain.chain import Phase
 from entchain.entanglement import _validate_xi
 from entchain.gaussian import physical_nu
@@ -423,6 +432,80 @@ def reduced_spectrum(xi, n_max: int) -> TruncatedSpectrum:
     if len(ladders) > 1:
         levels = np.sort(levels)[::-1]
     return TruncatedSpectrum(levels=levels, total=float(levels.sum()))
+
+
+# High-precision references: the symplectic spectrum of a covariance, and
+# the sudden quench end to end.
+
+
+def mp_symplectic_eigenvalues(sigma) -> list:
+    """Ascending symplectic spectrum of a covariance matrix (2m, 2m) at
+    mpmath's working precision, by a route neither package spectrum
+    function takes: A = L^T J L for the Cholesky factor L, and nu_j from
+    the eigenvalues nu_j**2 of A^T A, each of which appears twice.
+    Squaring costs nothing at 50 digits.  ``sigma`` is an mpmath matrix,
+    or a float array, taken exactly."""
+    if isinstance(sigma, np.ndarray):
+        sigma = mpmath.matrix(sigma.tolist())
+    low = mpmath.cholesky(sigma)
+    a = low.T * mpmath.matrix(symplectic_form(sigma.rows // 2).tolist()) * low
+    squares = sorted(mpmath.eigsy(a.T * a, eigvals_only=True))
+    return [mpmath.sqrt(v) for v in squares[1::2]]
+
+
+def sudden_reference(spec: ChainSpec, kept, times, alphas=(1,), digits: int = 50):
+    """Symplectic spectrum ``nu`` (rows, m), ascending per row, and
+    ``{alpha: S_alpha}`` (rows,) of the kept sites after a sudden quench,
+    at ``digits`` digits end to end from the doubles of ``spec`` and
+    ``times``, returned as floats.
+
+    The mode basis is an mpmath ``eigsy`` of the bond Laplacian, not the
+    product's closed form.  Each mode's fundamental solutions are
+    u1 = cos(w t) and u2 = sin(w t) / w with w = sqrt(lam_f) (t at
+    lam_f = 0; a zero mode's lam_f of about 1e-50 either way stays real),
+    so b^2 = u1^2 + lam0 u2^2 and b b' = (lam0 - lam_f) u1 u2.  The kept
+    covariance Sigma_A sums the modes' squeezed vacua, and its spectrum
+    comes from ``mp_symplectic_eigenvalues``.
+    """
+    cols = [s - 1 for s in kept]
+    m = len(cols)
+    rows = []
+    with mpmath.workdps(digits):
+        mu, vecs = mpmath.eigsy(mpmath.matrix(bond_laplacian(spec.n, spec.boundary).tolist()))
+        lam0 = [mpmath.mpf(spec.omega_i) ** 2 + mpmath.mpf(spec.k_i) * x for x in mu]
+        lamf = [mpmath.mpf(spec.omega_f) ** 2 + mpmath.mpf(spec.k_f) * x for x in mu]
+        for t in times:
+            t = mpmath.mpf(t)
+            sigma = mpmath.matrix(2 * m)
+            for k, (l0, lf) in enumerate(zip(lam0, lamf)):
+                w = mpmath.sqrt(lf)
+                u1, u2 = mpmath.re(mpmath.cos(w * t)), t * mpmath.re(mpmath.sinc(w * t))
+                bsq, bbd = u1**2 + l0 * u2**2, (l0 - lf) * u1 * u2
+                # <x x>, sym <x p> and <p p> of the mode, times 2 sqrt(lam0)
+                entries = bsq, bbd, (l0 + bbd**2) / bsq
+                for a, sa in enumerate(cols):
+                    for b, sb in enumerate(cols):
+                        f = vecs[sa, k] * vecs[sb, k] / (2 * mpmath.sqrt(l0))
+                        sigma[a, b] += f * entries[0]
+                        sigma[a, m + b] += f * entries[1]
+                        sigma[m + a, b] += f * entries[1]
+                        sigma[m + a, m + b] += f * entries[2]
+            rows.append(mp_symplectic_eigenvalues(sigma))
+        entropies = {}
+        for alpha in alphas:
+            values = []
+            for row in rows:
+                total = mpmath.mpf(0)
+                for nu in row:
+                    hi, lo = nu + 0.5, max(nu - 0.5, 0)
+                    if alpha == 1:
+                        total += hi * mpmath.log(hi) - (lo * mpmath.log(lo) if lo else 0)
+                    else:
+                        total += mpmath.log(hi**alpha - lo**alpha) / (alpha - 1)
+                values.append(float(total))
+            entropies[alpha] = np.array(values)
+        nu = np.array([[float(v) for v in row] for row in rows])
+    return nu, entropies
 
 
 # Closed forms of the chain and of the two-well map.

@@ -1,9 +1,10 @@
 """Coupling-matrix construction and normal-mode extraction.
 
-Covers: matrix assembly for open and periodic boundaries, closed-form
-periodic eigenvalues against the dense eigensolver, trace identities,
-spec validation, and invariance of downstream entropies under rotations
-of degenerate eigenspaces.
+Covers: matrix assembly for open and periodic boundaries, the closed-form
+mode basis (orthonormal, diagonalizing the bond Laplacian, ring pairs
+sharing one mu), closed-form periodic eigenvalues against the dense
+eigensolver, trace identities, spec validation, and invariance of
+downstream entropies under rotations of degenerate eigenspaces.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from entchain import (
     ChainSpec,
+    NumericsError,
     Partition,
     QuenchModes,
     bond_laplacian,
@@ -18,6 +20,7 @@ from entchain import (
     quench_modes,
     solve_sudden,
 )
+from entchain import chain
 from entchain.gaussian import symplectic_eigenvalues
 from entchain.oracles import covariance_entropy
 from support import assemble_state, periodic_eigenvalues, reduce_covariance, to_covariance
@@ -157,16 +160,36 @@ def test_trace_identity():
 @pytest.mark.parametrize("n", [*range(2, 41), 64, 127, 128, 255, 256, 511, 512])
 def test_ring_pairs_share_one_mu(n):
     """A ring's bond-Laplacian eigenvalues 2 - 2 cos(2 pi k / n) come in
-    pairs k, n - k, each pair one value to the bit, with mu = 0 and, for
-    even n, mu = 4 single; an open chain keeps n distinct values."""
+    pairs k, n - k, each pair one value to the bit and two neighbouring
+    rows, with mu = 0 exactly first and, for even n, mu = 4 single; an
+    open chain keeps n distinct values, ascending from exactly 0."""
     ring = quench_modes(ChainSpec(n, 1.0, 1.0, 1.0, 1.0, "periodic")).mu
     values, counts = np.unique(ring, return_counts=True)
     assert values.size == n // 2 + 1
     assert np.array_equal(np.bincount(counts, minlength=3), [0, 2 - n % 2, (n - 1) // 2])
+    pairs = (n - 1) // 2
+    assert ring[0] == 0.0 and np.array_equal(ring[1:2 * pairs + 1:2], ring[2:2 * pairs + 2:2])
     exact = np.sort(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
     assert np.abs(ring - exact).max() < 1e-13
     open_chain = quench_modes(ChainSpec(n, 1.0, 1.0, 1.0, 1.0, "open")).mu
-    assert np.unique(open_chain).size == n
+    assert open_chain[0] == 0.0 and np.all(np.diff(open_chain) > 0)
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 1024])
+def test_closed_form_basis(n):
+    """The Fourier and DCT-II modes are orthonormal to 1e-13 and leave
+    residuals |u_k L - mu_k u_k| of at most 1e-13."""
+    for boundary in ("periodic", "open"):
+        modes = quench_modes(ChainSpec(n, 1.0, 1.0, 1.0, 1.0, boundary))
+        u, mu = modes.u, modes.mu
+        assert np.abs(u @ u.T - np.eye(n)).max() <= 1e-13
+        assert np.abs(u @ bond_laplacian(n, boundary) - mu[:, None] * u).max() <= 1e-13
+
+
+def test_basis_residual_check_raises(monkeypatch):
+    monkeypatch.setattr(chain, "_BASIS_RESIDUAL", -1.0)
+    with pytest.raises(NumericsError, match="failed to decouple the bond Laplacian"):
+        quench_modes(ChainSpec(8, 1.0, 1.0, 1.0, 1.0))
 
 
 def test_quench_modes_shared_basis():

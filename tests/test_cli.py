@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from entchain import (
+    ChainSpec,
     EntropySeries,
     NumericsError,
+    Partition,
     format_csv,
     from_dict,
     make_figure,
@@ -26,6 +28,7 @@ from entchain import (
 from entchain.cli import main
 from entchain.config import canonical_echo
 from entchain.run import figure_documents
+from support import sudden_reference
 
 STATIC_DOC = {
     "model": {
@@ -568,20 +571,22 @@ class TestMain:
         assert "t = 1e+199" in proc.stderr
 
     def test_singular_covariance_exits_2(self, tmp_path):
-        """At t = 1e9 the gapless zero mode makes the kept covariance of an
+        """At t = 3e9 the gapless zero mode makes the kept covariance of an
         open chain's second half numerically singular (condition number
-        past 1 / eps): exit 2 with both ends of its spectrum named.  The
-        ring's kept block {1, 2} splits into two one-site mirror sectors
-        that each factor, and gives S_1 within 1e-6 of a 60-digit value."""
+        past 1 / eps): exit 2 with both ends of its spectrum and the
+        failing row named.  The ring's kept block {1, 2} splits into two
+        one-site mirror sectors that each factor, and gives S_1 within 1e-6
+        of a 60-digit value at t = 1e9."""
         model = {"n": 4, "omega_i": 3, "k_i": 2, "omega_f": 0, "k_f": 2.5}
-        time = {"t_max": 1e9, "dt": 1e9}
+        time = {"t_max": 3e9, "dt": 3e9}
         open_path = write_config(tmp_path, {"model": {**model, "boundary": "open"}, "time": time},
                                  name="open.json")
         proc = _run_cli(["simulate", "--config", open_path])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: covariance matrix is numerically singular")
         assert "eigenvalues from" in proc.stderr and "Traceback" not in proc.stderr
-        assert "t = 1e+09" in proc.stderr
+        assert proc.stderr.rstrip().endswith(", at t = 3e+09")
+        time = {"t_max": 1e9, "dt": 1e9}
         ring_path = write_config(tmp_path, {"model": model, "time": time}, name="ring.json")
         proc = _run_cli(["simulate", "--config", ring_path])
         assert proc.returncode == 0
@@ -590,8 +595,8 @@ class TestMain:
 
     def test_spectrum_below_the_floor_names_its_time(self, tmp_path):
         """An open dimer quenched to omega_f = 1e8 gives a symplectic
-        eigenvalue below the physical floor 1/2 first at t = 0.02, and its
-        lowest, 0.4747, at t = 0.11: exit 2 naming the first row."""
+        eigenvalue below the physical floor 1/2 first at t = 0.02: exit 2
+        naming that row."""
         doc = {"model": {"n": 2, "boundary": "open", "omega_i": 3, "k_i": 1,
                          "omega_f": 1e8, "k_f": 0},
                "time": {"t_max": 0.5, "dt": 0.01}}
@@ -599,26 +604,31 @@ class TestMain:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: symplectic eigenvalue ")
         assert "is below the physical floor 1/2" in proc.stderr
-        assert proc.stderr.rstrip().endswith("the first row below it is t = 0.02")
+        assert proc.stderr.rstrip().endswith(", at t = 0.02")
 
     @pytest.mark.xfail(strict=True, reason=(
         "the open chain's kept covariance loses its small eigenvalues to roundoff as "
-        "t grows (ROADMAP items 4, 6 and 12): S_1 is off by 8.9e-3 at t = 1e7 and by "
-        "4.45 at t = 3e9, and the run exits 0"))
+        "t grows (ROADMAP items 4, 6 and 12): the runs at t = 1e6, 1e7, 1e8, 1e9 and "
+        "1e10 exit 0 with S_1 off by 2.5e-5 to 5.4"))
     def test_open_chain_far_times_are_right_or_refused(self, tmp_path):
         """The open chain of ``test_singular_covariance_exits_2`` one row at
-        a time t: each run either exits 2 or gives S_1 within 1e-6 of a
-        60-digit value, from an mpmath ``eigsy`` mode basis of the bond
-        Laplacian and closed-form b and b' of each mode (it gives
-        21.4436949720045 at t = 1e9, where the run exits 2)."""
+        a time t: each run either exits 2 or gives S_1 within 1e-6 of the
+        60-digit ``sudden_reference``.  Every run but t = 3e9 exits 0, and
+        each of them is off."""
         model = {"n": 4, "omega_i": 3, "k_i": 2, "omega_f": 0, "k_f": 2.5, "boundary": "open"}
-        for t, reference in ((1e7, 16.9926938830971), (3e9, 22.5479249569456)):
+        far = (1e6, 1e7, 1e8, 1e9, 3e9, 1e10)
+        spec = ChainSpec(4, 3.0, 2.0, 0.0, 2.5, "open")
+        _, reference = sudden_reference(spec, Partition.second_half(4).kept, far, digits=60)
+        wrong = []
+        for t, s1_exact in zip(far, reference[1]):
             doc = {"model": model, "time": {"t_max": t, "dt": t}}
             proc = _run_cli(["simulate", "--config", write_config(tmp_path, doc)])
             if proc.returncode != 2:
                 assert proc.returncode == 0
                 s1 = float(proc.stdout.splitlines()[-1].split(",")[-1])
-                assert abs(s1 - reference) <= 1e-6, f"t = {t:g}: S_1 = {s1!r}"
+                if abs(s1 - s1_exact) > 1e-6:
+                    wrong.append(f"t = {t:g}: S_1 = {s1!r}, not {s1_exact!r}")
+        assert not wrong, "; ".join(wrong)
 
     def test_numerics_failure_creates_no_file(self, tmp_path):
         # the t_max = 1e200 run fails in the scale factors, before any output
@@ -758,7 +768,7 @@ class TestMain:
             ({"model": {"n": 4, "omega_i": 1e100, "k_i": 1, "omega_f": 1, "k_f": 1},
               "time": {"t_max": 1, "dt": 0.5}}, "0.5"),
             ({"model": {"n": 2, "omega_i": 1, "k_i": 1, "omega_f": 0, "k_f": 1},
-              "partition": {"traced": [2]}, "time": {"t_max": 1e17, "dt": 1e16}}, "2e+16"),
+              "partition": {"traced": [2]}, "time": {"t_max": 1e17, "dt": 1e16}}, "3e+16"),
         ],
         ids=["stiff-start", "gapless-dimer"],
     )
@@ -775,7 +785,7 @@ class TestMain:
     def test_failure_in_a_later_chunk_follows_the_rows_before(self, tmp_path):
         """On stdout the rows of the chunks before a failing one are
         written before exit 2: the gapless dimer's xi first rounds to 1 at
-        t = 1.217e16, row 1217 of the second 1024-row chunk, so the first
+        t = 1.228e16, row 1228 of the second 1024-row chunk, so the first
         1024 rows come out, the same as those of a run that stops before.
         With ``--output`` the same run writes no file."""
         doc = {"model": {"n": 2, "omega_i": 1, "k_i": 1, "omega_f": 0, "k_f": 1},
@@ -783,7 +793,7 @@ class TestMain:
         proc = _run_cli(["simulate", "--config", write_config(tmp_path, doc)])
         assert proc.returncode == 2
         assert proc.stderr.startswith(
-            "error: xi = (2 nu - 1) / (2 nu + 1) rounds to 1 at t = 1.217e+16:")
+            "error: xi = (2 nu - 1) / (2 nu + 1) rounds to 1 at t = 1.228e+16:")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 2 + 1024
@@ -796,7 +806,7 @@ class TestMain:
         doc["time"]["t_max"] = 1e17
         proc = _run_cli(["simulate", "--config", write_config(tmp_path, doc),
                          "--output", str(out / "dimer.csv")])
-        assert proc.returncode == 2 and "t = 1.217e+16" in proc.stderr
+        assert proc.returncode == 2 and "t = 1.228e+16" in proc.stderr
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize(

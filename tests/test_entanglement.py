@@ -47,6 +47,7 @@ from support import (
     reduce_covariance,
     reduced_covariance,
     reduced_spectrum,
+    sudden_reference,
     to_covariance,
     xi_spectrum,
 )
@@ -410,6 +411,36 @@ class TestEntropySeries:
             assert np.size(solution.first) == distinct
             assert _chunk_rows(solution) == rows
 
+    def test_ramp_runs_without_an_eigensolver(self, monkeypatch):
+        """The benchmark's ramp (an 8-site ring, sites 1-4 kept, two
+        two-site sectors) calls no eigensolver: the mode basis is in closed
+        form and two-site spectra are too."""
+        spec = ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
+        schedule = QuenchSchedule(*np.transpose(RAMP_TABLE), interpolation="linear")
+        times = 0.5 * np.arange(201)
+        want = entropy_series(spec, Partition.second_half(8), times, alphas=(1, 2),
+                              schedule=schedule)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolver was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        got = entropy_series(spec, Partition.second_half(8), times, alphas=(1, 2),
+                             schedule=schedule)
+        assert np.array_equal(got.xi, want.xi)
+        for a in (1, 2):
+            assert np.array_equal(got.entropies[a], want.entropies[a])
+
+    def test_spectrum_failure_names_its_row(self):
+        """A covariance that fails to factor is named by its own row, not
+        by its block: on the open chain of the CLI's singular-covariance
+        test only t = 3e9 of these four rows fails."""
+        spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.0, k_f=2.5, boundary="open")
+        times = [0.0, 1.0, 3e9, 1e10]
+        with pytest.raises(NumericsError, match=r"numerically singular.*, at t = 3e\+09$"):
+            entropy_series(spec, Partition.second_half(4), times)
+
     @pytest.mark.parametrize(
         "n, schedule",
         [
@@ -467,7 +498,7 @@ class TestEntropySeries:
 
     def test_chunks_are_computed_when_asked_for(self):
         """A chunk is computed when the iterator reaches it: on the gapless
-        dimer, whose xi first rounds to 1 at t = 1.217e16 (row 1217, the
+        dimer, whose xi first rounds to 1 at t = 1.228e16 (row 1228, the
         second 1024-row chunk), the first chunk comes out whole before the
         second raises."""
         spec = ChainSpec(n=2, omega_i=1.0, k_i=1.0, omega_f=0.0, k_f=1.0)
@@ -475,7 +506,7 @@ class TestEntropySeries:
         chunks = entropy_series(spec, part, UniformGrid(1e13, 10_001), chunks=True)
         first = next(chunks)
         assert first.times.size == 1024 and np.all(np.isfinite(first.s1))
-        with pytest.raises(NumericsError, match=r"rounds to 1 at t = 1\.217e\+16:"):
+        with pytest.raises(NumericsError, match=r"rounds to 1 at t = 1\.228e\+16:"):
             next(chunks)
 
     def test_uniform_grid_slices_are_those_of_the_array(self):
@@ -672,6 +703,31 @@ class TestEntropySeries:
             tracemalloc.stop()
         columns = series.xi.nbytes + sum(s.nbytes for s in series.entropies.values())
         assert peak - columns < 800_000
+
+
+@pytest.mark.parametrize(
+    "spec, traced",
+    [
+        (ChainSpec(7, 3.0, 2.0, 0.3, 2.5, "open"), (5, 6, 7)),
+        (ChainSpec(8, 3.0, 2.0, 0.3, 2.5), (5, 6, 7, 8)),
+        (ChainSpec(7, 1.7, 0.4, 0.9, 3.1), (1, 2, 5)),
+        (ChainSpec(6, 0.5, 1.5, 2.0, 0.2, "open"), (1, 3, 4)),
+        (ChainSpec(10, 1.0, 1.0, 0.01, 1.0), (6, 7, 8, 9, 10)),
+        (ChainSpec(2, 3.0, 1.0, 1.0, 0.0, "open"), (2,)),
+    ],
+    ids=["open-7", "ring-8", "ring-7-asymmetric", "open-6-asymmetric", "ring-10-soft",
+         "open-dimer"],
+)
+def test_sudden_quench_matches_the_50_digit_reference(spec, traced):
+    """On chains with a gap after the quench, entropy_series stays within
+    1e-10 of ``sudden_reference`` in S_1 and S_2 up to t = 1e4 (3.3e-11 at
+    most, on the open 7-site chain)."""
+    part = Partition.from_traced(traced, spec.n)
+    times = [0.0, 0.7, 13.1, 310.0, 4.1e3, 1e4]
+    _, reference = sudden_reference(spec, part.kept, times, alphas=(1, 2))
+    series = entropy_series(spec, part, times, alphas=(1, 2))
+    for a in (1, 2):
+        assert np.abs(series.entropies[a] - reference[a]).max() <= 1e-10
 
 
 class TestMirrorSectors:

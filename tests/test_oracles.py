@@ -43,7 +43,7 @@ from entchain.oracles import (
     two_site_reduced,
 )
 from entchain.run import figure_documents
-from support import reduce_covariance, symplectic_form
+from support import mp_symplectic_eigenvalues, reduce_covariance, symplectic_form
 
 XI_STATIC = 2.0 / (7.0 + 3.0 * np.sqrt(5.0))
 
@@ -220,17 +220,9 @@ def test_spectrum_routes_are_separate_code(monkeypatch):
 
 
 def _mp_symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a double-precision covariance to 50 digits,
-    by a route neither spectrum function takes: A = L^T J L for the
-    50-digit Cholesky factor L, and nu_j from the eigenvalues nu_j**2 of
-    A^T A, each of which appears twice.  Squaring costs nothing at 50
-    digits."""
-    m = sigma.shape[0] // 2
+    """Symplectic spectrum of a double-precision covariance to 50 digits."""
     with mpmath.workdps(50):
-        low = mpmath.cholesky(mpmath.matrix(sigma.tolist()))
-        a = low.T * mpmath.matrix(symplectic_form(m).tolist()) * low
-        squares = sorted(mpmath.eigsy(a.T * a, eigvals_only=True))
-        return np.array([float(mpmath.sqrt(v)) for v in squares[1::2]])
+        return np.array([float(v) for v in mp_symplectic_eigenvalues(sigma)])
 
 
 def _random_chain_case(seed: int):
