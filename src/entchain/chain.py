@@ -132,7 +132,8 @@ def quench_modes(spec: ChainSpec) -> QuenchModes:
     per pair so a pair shares ``mu`` to the bit; an open chain has
     sqrt(2/n) cos(pi k (j + 1/2) / n) and mu_k = 4 sin(pi k / 2n)**2.
     ``mu_0`` is exactly 0.  Raises :class:`NumericsError` if the pre-quench
-    spectrum is not positive or a mode leaves |L u_k - mu_k u_k| > 4e-10.
+    spectrum is not positive or a mode leaves |L u_k - mu_k u_k| larger
+    than ``_BASIS_RESIDUAL``.
     """
     n = spec.n
     # Index arithmetic in floats, exact below 2**53: int64 floor division,

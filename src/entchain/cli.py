@@ -27,7 +27,7 @@ import os
 import sys
 
 from . import __version__
-from .config import from_dict
+from .config import _as_block, from_dict
 from .errors import ConfigError, EntchainError
 from .run import (
     FIGURE_NAMES,
@@ -98,9 +98,7 @@ def _cmd_sweep(args) -> int:
     raw = _apply_time_overrides(_load_document(args.config), args)
     out_dir = args.output
     if out_dir is None:
-        output_block = raw.get("output", {})
-        if isinstance(output_block, dict):
-            out_dir = output_block.get("path")
+        out_dir = _as_block(raw, "output").get("path")
     if not out_dir:
         raise ConfigError("sweep needs an output directory (--output or output.path)")
     for path in run_sweep(raw, out_dir):

@@ -20,15 +20,15 @@ from . import __version__
 from .bosehubbard import BoseHubbardSpec
 from .chain import ChainSpec
 from .entanglement import Partition, UniformGrid
-from .ermakov import QuenchSchedule
+from .ermakov import DEFAULT_TOLERANCE, QuenchSchedule
 from .errors import ConfigError
 
 _TOP_BLOCKS = ("version", "model", "quench", "partition", "time", "entropy", "output")
 
 DEFAULT_DT = 0.01
 DEFAULT_T_MAX = 100.0
-DEFAULT_TOLERANCE = 1e-10
 DEFAULT_PRECISION = 12
+MAX_PRECISION = 17  # significant digits that still tell apart every double
 
 # Caps that keep a valid document runnable: at MAX_SITES the n x n mode
 # basis alone is 134 MB, and MAX_TIME_POINTS rows of t alone are 80 MB.
@@ -295,7 +295,7 @@ def from_dict(raw: dict) -> RunConfig:
     if path is not None and not isinstance(path, str):
         raise _fail("output.path", f"expected a string, got {path!r}")
     precision = _integer(output, "precision", "output", default=DEFAULT_PRECISION, minimum=1,
-                         maximum=17)
+                         maximum=MAX_PRECISION)
 
     echo = {
         "version": __version__,

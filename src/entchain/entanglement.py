@@ -18,6 +18,18 @@ sectors of about half the size (``_mirror_sectors``).  ``entropy_series``
 takes the symplectic spectrum of each sector and merges them, two
 half-size eigensolves per time point instead of one full-size one; a
 kept block with no such reflection is one sector, the whole block.
+
+Rows are taken in two independent budgets, neither of which grows with
+the time grid.  A chunk of about ``_CHUNK_VALUES`` scale factors
+(``_chunk_rows``) evaluates b and b' of every mode and their per-mode
+covariance entries in one call each, and its entropies as sums over the
+mode axis.  Inside it, a block of ``_block_rows(2w)`` rows, about
+``gaussian._BLOCK_ELEMENTS`` matrix elements for spectrum sectors of at
+most w sites, builds each sector's covariance stack in one call, from a
+site table built once per call (``gaussian._site_table``), and takes its
+spectra in one call per sector.  A block whose spectrum step fails is
+taken again one row at a time, so the error names its failing row; runs
+that pass never pay for that.
 """
 
 from __future__ import annotations
@@ -28,18 +40,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, quench_modes
-from .ermakov import ModeSolution, QuenchSchedule, integrate_general, solve_sudden
+from .ermakov import (
+    DEFAULT_TOLERANCE,
+    ModeSolution,
+    QuenchSchedule,
+    integrate_general,
+    solve_sudden,
+)
 from .errors import NumericsError
 from .gaussian import (
+    _BLOCK_ELEMENTS,
     _covariance,
     _mode_weights,
     _site_table,
     physical_nu,
     symplectic_eigenvalues,
 )
-
-# Matrix elements per stacked covariance array of a spectrum block.
-_BLOCK_ELEMENTS = 8192
 
 # Scale factors per evaluation chunk, whatever the chain and the block size.
 _CHUNK_VALUES = 2048
@@ -273,7 +289,7 @@ def entropy_series(
     times,
     alphas=(1,),
     schedule: QuenchSchedule | None = None,
-    tolerance: float = 1e-10,
+    tolerance: float = DEFAULT_TOLERANCE,
     *,
     chunks: bool = False,
 ) -> EntropySeries | Iterator[EntropySeries]:
@@ -283,15 +299,10 @@ def entropy_series(
     With ``schedule=None`` the quench is sudden (spec's pre -> post
     parameters); otherwise each mode follows the schedule up to the last
     time, with the Wronskian of its scale factor checked against
-    ``tolerance``.  Rows are taken in two independent budgets.  A chunk of
-    about 2048 scale factors (``_chunk_rows``) evaluates b and b' of every
-    mode and their per-mode covariance entries in one call each, and its
-    entropies as sums over the mode axis.  Inside it, a block of
-    ``_block_rows(2w)`` rows for spectrum sectors of at most w sites
-    builds each sector's covariance stack in one call, from a site table
-    built once per call, and takes its spectra in one call per sector.
+    ``tolerance``.  Rows are taken in chunks and blocks (see the module
+    docstring).
 
-    This chunk loop is the one source of rows.  By default its chunks are
+    The chunk loop is the one source of rows.  By default its chunks are
     collected into whole columns (times, xi and one series per order).
     With ``chunks=True`` the call solves the modes and returns an
     iterator of one ``EntropySeries`` per chunk, each computed when it is

@@ -109,6 +109,11 @@ def _check_table(times: np.ndarray, columns, interpolation) -> None:
 _PIECE_PHASE = 2.0
 _TAYLOR_TERMS = 28
 
+# Default largest drift of each mode's Wronskian u1 u2' - u2 u1' = 1 at a
+# breakpoint (``integrate_general``, ``entropy_series`` and a config's
+# ``quench.tolerance``).
+DEFAULT_TOLERANCE = 1e-10
+
 # Taylor pieces one integrate_general call may cut its table into, over
 # its distinct modes: 1,048,576, past the 513,711 of a 64-site ring ramped
 # from omega 30 to 1 over t = 1000.  Counted before anything is allocated.
@@ -356,7 +361,8 @@ def mode_checks(solution: ModeSolution, times) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "linear",
-                      tolerance: float = 1e-10, until: float = np.inf) -> ModeSolution:
+                      tolerance: float = DEFAULT_TOLERANCE,
+                      until: float = np.inf) -> ModeSolution:
     """Scale factor, valid for 0 <= t <= ``until``, for lam(t) sampled as
     ``lams`` at ``times`` (from 0, strictly increasing) and interpolated
     piecewise linearly (``"linear"``) or held from the previous sample

@@ -57,12 +57,15 @@ _NU_SLACK = 1e-8
 # to 1/2 are treated as exactly pure so those states report zero entropy.
 _NU_PURE_BAND = 1e-11
 
+# Matrix elements per stacked covariance array of a spectrum block of
+# ``entropy_series`` (``entanglement._block_rows``).
+_BLOCK_ELEMENTS = 8192
+
 # Most values of a pair table, modes x m(m+1)/2: as many as one block of
-# covariance matrices in ``entropy_series`` holds (8192), so the tables
-# of a run's two sectors add at most 128 kB whatever the chain size.
-# Wider sets of sites build their blocks from the columns instead, as
-# their table would grow like n**3.
-_TABLE_VALUES = 8192
+# covariance matrices holds, so a run's tables stay that small whatever
+# the chain size.  Wider sets of sites build their blocks from the
+# columns instead, as their table would grow like n**3.
+_TABLE_VALUES = _BLOCK_ELEMENTS
 
 
 def _site_table(u_cols: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:

@@ -2,8 +2,8 @@
 pipelines.
 
 ``run(config)`` returns a configured run's ``EntropySeries``.  Every CSV
-is the text of one generator, ``_csv``, which formats a run's rows 256 at
-a time from its whole series (``format_csv``) or from its
+is the text of one generator, ``_csv``, which formats a run's rows
+``_CSV_ROWS`` at a time from its whole series (``format_csv``) or from its
 ``entropy_series`` chunks as they are computed (``_run_csv``, which
 ``simulate``, ``sweep`` and ``figure`` write).  The layout is
 deterministic to the byte for a given config:
@@ -326,8 +326,10 @@ def verify_report() -> tuple[str, bool]:
             residual_dev = max(residual_dev, residual_max)
             invariant_dev = max(invariant_dev, invariant_max)
 
-    anchor_dev = max(abs(v - 0.48653) for v in anchor_values)
-    record(anchor_dev, 1e-4, "static entropy anchor across fig1 targets: max |S_1(0) - 0.48653|")
+    anchor = 0.48653  # S_1(0) of the fig1 dimer, to five digits
+    anchor_dev = max(abs(v - anchor) for v in anchor_values)
+    record(anchor_dev, 1e-4,
+           f"static entropy anchor across fig1 targets: max |S_1(0) - {anchor}|")
     anchor_split = max(anchor_values) - min(anchor_values)
     record(anchor_split, 1e-12, "S_1(0) identical across fig1 quench targets: spread")
     record(purity_dev, 1e-9, "full-state purity: max |nu - 1/2|")

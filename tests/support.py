@@ -453,6 +453,48 @@ def mp_symplectic_eigenvalues(sigma) -> list:
     return [mpmath.sqrt(v) for v in squares[1::2]]
 
 
+def _mp_sudden_covariance(vecs, lam0, lamf, cols, t):
+    """Covariance (2m, 2m) of the sites ``cols`` at time t after a sudden
+    quench, as an mpmath matrix at the working precision: mode k has
+    column k of ``vecs`` (sites x modes) and eigenvalues ``lam0[k]`` before
+    and ``lamf[k]`` after the quench.  Each mode's fundamental solutions
+    are u1 = cos(w t) and u2 = sin(w t) / w with w = sqrt(lam_f) (t at
+    lam_f = 0), so b^2 = u1^2 + lam0 u2^2 and b b' = (lam0 - lam_f) u1 u2."""
+    m = len(cols)
+    t = mpmath.mpf(t)
+    sigma = mpmath.matrix(2 * m)
+    for k, (l0, lf) in enumerate(zip(lam0, lamf)):
+        w = mpmath.sqrt(lf)
+        u1, u2 = mpmath.re(mpmath.cos(w * t)), t * mpmath.re(mpmath.sinc(w * t))
+        bsq, bbd = u1**2 + l0 * u2**2, (l0 - lf) * u1 * u2
+        # <x x>, sym <x p> and <p p> of the mode, times 2 sqrt(lam0)
+        entries = bsq, bbd, (l0 + bbd**2) / bsq
+        for a, sa in enumerate(cols):
+            for b, sb in enumerate(cols):
+                f = vecs[sa, k] * vecs[sb, k] / (2 * mpmath.sqrt(l0))
+                sigma[a, b] += f * entries[0]
+                sigma[a, m + b] += f * entries[1]
+                sigma[m + a, b] += f * entries[1]
+                sigma[m + a, m + b] += f * entries[2]
+    return sigma
+
+
+def mp_mode_covariance(modes: QuenchModes, times, digits: int = 40) -> np.ndarray:
+    """Full covariance stack (rows, 2n, 2n) after a sudden quench at
+    ``digits`` digits from the doubles of ``modes`` (its basis ``u`` and
+    eigenvalues, taken exactly) and closed-form b(t), rounded to floats:
+    the product's own mode data with no rounding after it."""
+    rows = []
+    with mpmath.workdps(digits):
+        vecs = mpmath.matrix(modes.u.T.tolist())
+        lam0, lamf = ([mpmath.mpf(x) for x in lam.tolist()]
+                      for lam in (modes.lam_pre, modes.lam_post))
+        for t in times:
+            sigma = _mp_sudden_covariance(vecs, lam0, lamf, range(modes.n), t)
+            rows.append(np.array(sigma.tolist(), dtype=float))
+    return np.array(rows)
+
+
 def sudden_reference(spec: ChainSpec, kept, times, alphas=(1,), digits: int = 50):
     """Symplectic spectrum ``nu`` (rows, m), ascending per row, and
     ``{alpha: S_alpha}`` (rows,) of the kept sites after a sudden quench,
@@ -460,36 +502,19 @@ def sudden_reference(spec: ChainSpec, kept, times, alphas=(1,), digits: int = 50
     ``times``, returned as floats.
 
     The mode basis is an mpmath ``eigsy`` of the bond Laplacian, not the
-    product's closed form.  Each mode's fundamental solutions are
-    u1 = cos(w t) and u2 = sin(w t) / w with w = sqrt(lam_f) (t at
-    lam_f = 0; a zero mode's lam_f of about 1e-50 either way stays real),
-    so b^2 = u1^2 + lam0 u2^2 and b b' = (lam0 - lam_f) u1 u2.  The kept
-    covariance Sigma_A sums the modes' squeezed vacua, and its spectrum
-    comes from ``mp_symplectic_eigenvalues``.
+    product's closed form.  The kept covariance Sigma_A sums the modes'
+    squeezed vacua (``_mp_sudden_covariance``; a zero mode's lam_f of
+    about 1e-50 either way stays real), and its spectrum comes from
+    ``mp_symplectic_eigenvalues``.
     """
     cols = [s - 1 for s in kept]
-    m = len(cols)
     rows = []
     with mpmath.workdps(digits):
         mu, vecs = mpmath.eigsy(mpmath.matrix(bond_laplacian(spec.n, spec.boundary).tolist()))
         lam0 = [mpmath.mpf(spec.omega_i) ** 2 + mpmath.mpf(spec.k_i) * x for x in mu]
         lamf = [mpmath.mpf(spec.omega_f) ** 2 + mpmath.mpf(spec.k_f) * x for x in mu]
         for t in times:
-            t = mpmath.mpf(t)
-            sigma = mpmath.matrix(2 * m)
-            for k, (l0, lf) in enumerate(zip(lam0, lamf)):
-                w = mpmath.sqrt(lf)
-                u1, u2 = mpmath.re(mpmath.cos(w * t)), t * mpmath.re(mpmath.sinc(w * t))
-                bsq, bbd = u1**2 + l0 * u2**2, (l0 - lf) * u1 * u2
-                # <x x>, sym <x p> and <p p> of the mode, times 2 sqrt(lam0)
-                entries = bsq, bbd, (l0 + bbd**2) / bsq
-                for a, sa in enumerate(cols):
-                    for b, sb in enumerate(cols):
-                        f = vecs[sa, k] * vecs[sb, k] / (2 * mpmath.sqrt(l0))
-                        sigma[a, b] += f * entries[0]
-                        sigma[a, m + b] += f * entries[1]
-                        sigma[m + a, b] += f * entries[1]
-                        sigma[m + a, m + b] += f * entries[2]
+            sigma = _mp_sudden_covariance(vecs, lam0, lamf, cols, t)
             rows.append(mp_symplectic_eigenvalues(sigma))
         entropies = {}
         for alpha in alphas:

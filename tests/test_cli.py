@@ -3,6 +3,7 @@
 import errno
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -27,7 +28,7 @@ from entchain import (
 )
 from entchain.cli import main
 from entchain.config import canonical_echo
-from entchain.run import figure_documents
+from entchain.run import _plot_script, figure_documents
 from support import sudden_reference
 
 STATIC_DOC = {
@@ -375,9 +376,11 @@ class TestFigures:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "fig1.png").stat().st_size > 0
 
-    def test_fig1_plot_script_against_stub_matplotlib(self, tmp_path):
-        """The emitted script, run against a stand-in ``matplotlib.pyplot``
-        that records its calls, reads every CSV and saves the figure."""
+    @staticmethod
+    def _run_against_stub_matplotlib(tmp_path, out, name):
+        """Run ``<name>_plot.py`` in ``out`` against a stand-in
+        ``matplotlib.pyplot`` that records each curve's label, length,
+        last t and first y, and the name the figure is saved under."""
         stub = tmp_path / "stub" / "matplotlib"
         stub.mkdir(parents=True)
         (stub / "__init__.py").write_text("")
@@ -392,15 +395,20 @@ class TestFigures:
             "def __getattr__(name):\n"
             "    return lambda *args, **kwargs: None\n"
         )
-        out = tmp_path / "out"
-        make_figure("fig1", str(out))
         env = dict(os.environ, PYTHONPATH=str(stub.parent))
         proc = subprocess.run(
-            [sys.executable, "fig1_plot.py"], cwd=str(out), env=env,
+            [sys.executable, f"{name}_plot.py"], cwd=str(out), env=env,
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        calls = json.loads((out / "calls.json").read_text())
+        return json.loads((out / "calls.json").read_text())
+
+    def test_fig1_plot_script_against_stub_matplotlib(self, tmp_path):
+        """The emitted script, run against a stand-in ``matplotlib.pyplot``
+        that records its calls, reads every CSV and saves the figure."""
+        out = tmp_path / "out"
+        make_figure("fig1", str(out))
+        calls = self._run_against_stub_matplotlib(tmp_path, out, "fig1")
         assert calls["savefig"] == "fig1.png"
         want = []
         for label, _ in figure_documents("fig1"):
@@ -408,6 +416,32 @@ class TestFigures:
             first, last = rows[0].split(","), rows[-1].split(",")
             want.append([label, len(rows), float(last[0]), float(first[-1])])
         assert calls["plots"] == want
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+    def test_plot_scripts_against_stub_matplotlib(self, tmp_path, name):
+        """The script each figure emits (``_plot_script``), on two tiny
+        synthetic CSVs named for its first two curves, plots S_1 against t,
+        over ln N for fig4 with N read from the curve label, and saves
+        ``<name>.png``."""
+        out = tmp_path / "out"
+        out.mkdir()
+        curves = figure_documents(name)[:2]
+        files = [f"{name}_{label}.csv" for label, _ in curves]
+        want = []
+        for index, ((label, doc), fname) in enumerate(zip(curves, files)):
+            s1 = 0.25 + index
+            (out / fname).write_text(
+                f"# config: {{}}\nt,xi_1,S_1\n0,0.01,{s1!r}\n0.5,0.02,0.75\n0.75,0.03,1.5\n"
+            )
+            if name == "fig4":
+                s1 /= math.log(doc["model"]["n"])
+            want.append([label, 3, 0.75, s1])
+        (out / f"{name}_plot.py").write_text(_plot_script(name, files, [c[0] for c in curves]))
+        calls = self._run_against_stub_matplotlib(tmp_path, out, name)
+        assert calls["savefig"] == f"{name}.png"
+        assert [plot[:3] for plot in calls["plots"]] == [w[:3] for w in want]
+        assert [plot[3] for plot in calls["plots"]] == pytest.approx([w[3] for w in want],
+                                                                     rel=1e-15)
 
 
 class TestMain:
@@ -460,6 +494,17 @@ class TestMain:
         config_path = write_config(tmp_path, QUENCH_DOC)
         assert main(["sweep", "--config", config_path]) == 1
         assert "output directory" in capsys.readouterr().err
+
+    def test_sweep_names_a_bad_output_block(self, tmp_path, capsys):
+        """An ``output`` block that is not an object is reported as
+        ``from_dict`` reports it, not as a missing output directory."""
+        doc = dict(QUENCH_DOC, output=5)
+        config_path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", config_path]) == 1
+        assert capsys.readouterr().err == "error: output: expected an object, got int\n"
+        assert main(["sweep", "--config", config_path, "--output", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err == "error: output: expected an object, got int\n"
+        assert not (tmp_path / "s").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 1
