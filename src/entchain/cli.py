@@ -65,10 +65,7 @@ def _load_document(path: str) -> dict:
 def _apply_time_overrides(raw: dict, args) -> dict:
     if args.dt is None and args.t_max is None:
         return raw
-    block = raw.get("time", {})
-    if not isinstance(block, dict):
-        raise ConfigError("time: expected an object")
-    block = dict(block)
+    block = _as_block(raw, "time")
     if args.dt is not None:
         block["dt"] = args.dt
     if args.t_max is not None:

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite, and the references that only the
 tests use: spectral period extraction and the log-size fit, the
-Gaussian-state algebra of the kernel route, and closed forms of the
-chain and of the two-well map.
+Gaussian-state algebra of the kernel route, one exact high-precision
+reference for every protocol, and closed forms of the chain and of the
+two-well map.
 
 Gaussian-state algebra (the kernel route).  After the quench the exact
 N-body wavefunction stays Gaussian,
@@ -64,6 +65,7 @@ from entchain import (
     NumericsError,
     Partition,
     QuenchModes,
+    QuenchSchedule,
     bond_laplacian,
 )
 from entchain.chain import Phase
@@ -434,8 +436,13 @@ def reduced_spectrum(xi, n_max: int) -> TruncatedSpectrum:
     return TruncatedSpectrum(levels=levels, total=float(levels.sum()))
 
 
-# High-precision references: the symplectic spectrum of a covariance, and
-# the sudden quench end to end.
+# High-precision references, at mpmath's working precision: the
+# symplectic spectrum of a covariance, and the exact state under any
+# protocol.  A mode's fundamental solutions (u1 = 1, u1' = 0 and u2 = 0,
+# u2' = 1 at t = 0) are chained across the rows of its lam(t) table by
+# one exact propagator per segment, and its state follows from them: times
+# 2 sqrt(lam0), <x x> = u1^2 + lam0 u2^2, sym <x p> = u1 u1' + lam0 u2 u2'
+# and <p p> = u1'^2 + lam0 u2'^2.  A sudden quench is the one-row table.
 
 
 def mp_symplectic_eigenvalues(sigma) -> list:
@@ -453,84 +460,124 @@ def mp_symplectic_eigenvalues(sigma) -> list:
     return [mpmath.sqrt(v) for v in squares[1::2]]
 
 
-def _mp_sudden_covariance(vecs, lam0, lamf, cols, t):
-    """Covariance (2m, 2m) of the sites ``cols`` at time t after a sudden
-    quench, as an mpmath matrix at the working precision: mode k has
-    column k of ``vecs`` (sites x modes) and eigenvalues ``lam0[k]`` before
-    and ``lamf[k]`` after the quench.  Each mode's fundamental solutions
-    are u1 = cos(w t) and u2 = sin(w t) / w with w = sqrt(lam_f) (t at
-    lam_f = 0), so b^2 = u1^2 + lam0 u2^2 and b b' = (lam0 - lam_f) u1 u2."""
+def mp_propagator(lam, slope, tau):
+    """Exact propagator [[u1, u2], [u1', u2']] of u'' + (lam + slope s) u
+    = 0 over s in [0, tau], the inputs taken exactly.  A constant segment
+    takes cos(w tau) and tau sinc(w tau) with w = sqrt(lam), real parts
+    kept, so lam <= 0 (a zero mode's lam of about +-1e-50 too) needs no
+    branch; a linear one takes Ai and Bi of z = -(lam + slope s) /
+    |slope|**(2/3)."""
+    lam, slope, tau = (mpmath.mpf(x) for x in (lam, slope, tau))
+    if slope == 0:
+        w = mpmath.sqrt(lam)
+        c, s = mpmath.re(mpmath.cos(w * tau)), tau * mpmath.re(mpmath.sinc(w * tau))
+        return mpmath.matrix([[c, s], [-lam * s, c]])
+    scale = mpmath.cbrt(abs(slope))
+    dz = -mpmath.sign(slope) * scale  # dz / ds
+    (ai0, aip0, bi0, bip0), (ai1, aip1, bi1, bip1) = (
+        (mpmath.airyai(z), mpmath.airyai(z, 1), mpmath.airybi(z), mpmath.airybi(z, 1))
+        for z in (-lam / scale**2, -(lam + slope * tau) / scale**2)
+    )
+    return mpmath.pi * mpmath.matrix([
+        [ai1 * bip0 - bi1 * aip0, (bi1 * ai0 - ai1 * bi0) / dz],
+        [dz * (aip1 * bip0 - bip1 * aip0), bip1 * ai0 - aip1 * bi0],
+    ])
+
+
+def mp_fundamental(knots, lams, interpolation, times) -> list:
+    """Propagators from 0 to each of ``times`` of a lam(t) table: rows
+    (``knots``, ``lams``), ``previous`` or ``linear`` between them, and
+    the last value held past the last row."""
+    knots, lams = ([mpmath.mpf(x) for x in col] for col in (knots, lams))
+    slopes = [(lams[k + 1] - lams[k]) / (knots[k + 1] - knots[k])
+              if interpolation == "linear" else 0 for k in range(len(knots) - 1)] + [0]
+    starts = [mpmath.eye(2)]
+    for k in range(len(knots) - 1):
+        starts.append(mp_propagator(lams[k], slopes[k], knots[k + 1] - knots[k]) * starts[k])
+    out = []
+    for t in times:
+        k = max(i for i, knot in enumerate(knots) if knot <= t)
+        out.append(mp_propagator(lams[k], slopes[k], t - knots[k]) * starts[k])
+    return out
+
+
+def mp_gram(lam0, phi) -> tuple:
+    """(<x x>, sym <x p>, <p p>) of a mode's state, times 2 sqrt(lam0),
+    from its propagator ``phi``."""
+    u1, u2, v1, v2 = phi[0, 0], phi[0, 1], phi[1, 0], phi[1, 1]
+    return u1**2 + lam0 * u2**2, u1 * v1 + lam0 * u2 * v2, v1**2 + lam0 * v2**2
+
+
+def _mp_covariance(vecs, lam0, phis, cols):
+    """Covariance (2m, 2m) of the sites ``cols``: mode k has column k of
+    ``vecs`` (sites x modes), eigenvalue ``lam0[k]`` before the protocol
+    and propagator ``phis[k]``."""
     m = len(cols)
-    t = mpmath.mpf(t)
     sigma = mpmath.matrix(2 * m)
-    for k, (l0, lf) in enumerate(zip(lam0, lamf)):
-        w = mpmath.sqrt(lf)
-        u1, u2 = mpmath.re(mpmath.cos(w * t)), t * mpmath.re(mpmath.sinc(w * t))
-        bsq, bbd = u1**2 + l0 * u2**2, (l0 - lf) * u1 * u2
-        # <x x>, sym <x p> and <p p> of the mode, times 2 sqrt(lam0)
-        entries = bsq, bbd, (l0 + bbd**2) / bsq
+    for k, (l0, phi) in enumerate(zip(lam0, phis)):
+        xx, xp, pp = mp_gram(l0, phi)
         for a, sa in enumerate(cols):
             for b, sb in enumerate(cols):
                 f = vecs[sa, k] * vecs[sb, k] / (2 * mpmath.sqrt(l0))
-                sigma[a, b] += f * entries[0]
-                sigma[a, m + b] += f * entries[1]
-                sigma[m + a, b] += f * entries[1]
-                sigma[m + a, m + b] += f * entries[2]
+                sigma[a, b] += f * xx
+                sigma[a, m + b] += f * xp
+                sigma[m + a, b] += f * xp
+                sigma[m + a, m + b] += f * pp
     return sigma
 
 
 def mp_mode_covariance(modes: QuenchModes, times, digits: int = 40) -> np.ndarray:
     """Full covariance stack (rows, 2n, 2n) after a sudden quench at
     ``digits`` digits from the doubles of ``modes`` (its basis ``u`` and
-    eigenvalues, taken exactly) and closed-form b(t), rounded to floats:
-    the product's own mode data with no rounding after it."""
-    rows = []
+    eigenvalues, taken exactly), rounded to floats: the product's own
+    mode data with no rounding after it."""
     with mpmath.workdps(digits):
         vecs = mpmath.matrix(modes.u.T.tolist())
-        lam0, lamf = ([mpmath.mpf(x) for x in lam.tolist()]
-                      for lam in (modes.lam_pre, modes.lam_post))
-        for t in times:
-            sigma = _mp_sudden_covariance(vecs, lam0, lamf, range(modes.n), t)
-            rows.append(np.array(sigma.tolist(), dtype=float))
-    return np.array(rows)
+        lam0 = [mpmath.mpf(x) for x in modes.lam_pre.tolist()]
+        phis = [mp_fundamental([0], [lf], "previous", times) for lf in modes.lam_post.tolist()]
+        return np.array([_mp_covariance(vecs, lam0, row, range(modes.n)).tolist()
+                         for row in zip(*phis)], dtype=float)
 
 
-def sudden_reference(spec: ChainSpec, kept, times, alphas=(1,), digits: int = 50):
+def sudden_reference(spec: ChainSpec, kept, times, alphas=(1,),
+                     schedule: QuenchSchedule | None = None, digits: int = 50):
     """Symplectic spectrum ``nu`` (rows, m), ascending per row, and
-    ``{alpha: S_alpha}`` (rows,) of the kept sites after a sudden quench,
-    at ``digits`` digits end to end from the doubles of ``spec`` and
-    ``times``, returned as floats.
+    ``{alpha: S_alpha}`` (rows,) of the kept sites after a quench, at
+    ``digits`` digits end to end from the doubles of ``spec``,
+    ``schedule`` and ``times``, returned as floats.  A sudden quench
+    (``schedule=None``) is the one-row ``previous`` table of spec's final
+    parameters.
 
     The mode basis is an mpmath ``eigsy`` of the bond Laplacian, not the
-    product's closed form.  The kept covariance Sigma_A sums the modes'
-    squeezed vacua (``_mp_sudden_covariance``; a zero mode's lam_f of
-    about 1e-50 either way stays real), and its spectrum comes from
+    product's closed form.  Each mode is chained through its table
+    (``mp_fundamental``), the kept covariance sums the modes' states
+    (``_mp_covariance``), and its spectrum comes from
     ``mp_symplectic_eigenvalues``.
     """
+    if schedule is None:
+        schedule = QuenchSchedule([0.0], [spec.omega_f], [spec.k_f], "previous")
     cols = [s - 1 for s in kept]
-    rows = []
     with mpmath.workdps(digits):
         mu, vecs = mpmath.eigsy(mpmath.matrix(bond_laplacian(spec.n, spec.boundary).tolist()))
         lam0 = [mpmath.mpf(spec.omega_i) ** 2 + mpmath.mpf(spec.k_i) * x for x in mu]
-        lamf = [mpmath.mpf(spec.omega_f) ** 2 + mpmath.mpf(spec.k_f) * x for x in mu]
-        for t in times:
-            sigma = _mp_sudden_covariance(vecs, lam0, lamf, cols, t)
-            rows.append(mp_symplectic_eigenvalues(sigma))
-        entropies = {}
-        for alpha in alphas:
-            values = []
-            for row in rows:
-                total = mpmath.mpf(0)
-                for nu in row:
-                    hi, lo = nu + 0.5, max(nu - 0.5, 0)
-                    if alpha == 1:
-                        total += hi * mpmath.log(hi) - (lo * mpmath.log(lo) if lo else 0)
-                    else:
-                        total += mpmath.log(hi**alpha - lo**alpha) / (alpha - 1)
-                values.append(float(total))
-            entropies[alpha] = np.array(values)
+        omegas, ks = ([mpmath.mpf(x) for x in col] for col in (schedule.omegas, schedule.ks))
+        phis = [mp_fundamental(schedule.times,
+                               [w**2 + k * x for w, k in zip(omegas, ks)],
+                               schedule.interpolation, times) for x in mu]
+        rows = [mp_symplectic_eigenvalues(_mp_covariance(vecs, lam0, row, cols))
+                for row in zip(*phis)]
+        entropies = {alpha: np.array([float(_mp_entropy(row, alpha)) for row in rows])
+                     for alpha in alphas}
         nu = np.array([[float(v) for v in row] for row in rows])
     return nu, entropies
+
+
+def _mp_entropy(nus, alpha):
+    """S_alpha of a symplectic spectrum at the working precision."""
+    terms = [(nu + 0.5, max(nu - 0.5, 0)) for nu in nus]
+    if alpha == 1:
+        return sum(hi * mpmath.log(hi) - (lo * mpmath.log(lo) if lo else 0) for hi, lo in terms)
+    return sum(mpmath.log(hi**alpha - lo**alpha) for hi, lo in terms) / (alpha - 1)
 
 
 # Closed forms of the chain and of the two-well map.

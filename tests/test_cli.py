@@ -506,6 +506,14 @@ class TestMain:
         assert capsys.readouterr().err == "error: output: expected an object, got int\n"
         assert not (tmp_path / "s").exists()
 
+    def test_time_override_names_a_bad_time_block(self, tmp_path, capsys):
+        """With ``--dt`` a ``time`` block that is not an object is reported
+        as ``from_dict`` reports it without the override."""
+        config_path = write_config(tmp_path, dict(QUENCH_DOC, time=5))
+        for extra in ([], ["--dt", "0.1"], ["--t-max", "1"]):
+            assert main(["simulate", "--config", config_path, *extra]) == 1
+            assert capsys.readouterr().err == "error: time: expected an object, got int\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 1
         assert "cannot read config file" in capsys.readouterr().err

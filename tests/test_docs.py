@@ -147,6 +147,8 @@ def _python_floor() -> str:
 
 
 SUDDEN = "tests/test_entanglement.py::test_sudden_quench_matches_the_50_digit_reference"
+TABLE = "tests/test_entanglement.py::test_general_protocols_match_the_50_digit_reference"
+FREE = "tests/test_entanglement.py::test_free_expansion_is_right_or_refused"
 SPECTRUM = "tests/test_oracles.py::test_spectrum_routes_match_50_digit_reference"
 RANDOM = "tests/test_oracles.py::test_random_chains_agree_across_paths"
 FAR = "tests/test_cli.py::TestMain::test_open_chain_far_times_are_right_or_refused"
@@ -180,6 +182,10 @@ QUOTED = [
      lambda: _bound(SUDDEN, "reference")),
     (r"of a (?P<v>\d+)-digit evaluation", lambda: _digits(SUDDEN)),
     (r"same quench, up to t = (?P<v>[\d.e]+)\.", lambda: _last_time(SUDDEN)),
+    (r"stay within (?P<v>[\d.e-]+) of the \d+-digit evaluation chained",
+     lambda: _bound(TABLE, "reference")),
+    (r"of the (?P<v>\d+)-digit evaluation chained", lambda: _digits(TABLE)),
+    (r"table's rows, up to t = (?P<v>[\d.e]+)\.", lambda: _last_time(TABLE)),
     (r"within (?P<v>\d+) eps \|\|Sigma_A\|\|",
      lambda: importlib.import_module("test_oracles")._SPECTRUM_C),
     (r"of a (?P<v>\d+)-digit spectrum",
@@ -275,13 +281,14 @@ def test_verify_checks_are_listed():
 
 def test_cited_tests_exist():
     """Every test the README names is a test of the suite; the far-time
-    one is a strict xfail."""
+    and free-expansion ones are strict xfails."""
     nodes = re.findall(r"`(tests/test_\w+\.py(?:::\w+)+)`", PROSE)
-    assert {SUDDEN, SPECTRUM, RANDOM, FAR} <= set(nodes)
+    assert {SUDDEN, TABLE, SPECTRUM, RANDOM, FAR, FREE} <= set(nodes)
     for node in nodes:
         assert callable(_test(node)), node
-    marks = [m for m in getattr(_test(FAR), "pytestmark", []) if m.name == "xfail"]
-    assert marks and marks[0].kwargs.get("strict") is True
+    for node in (FAR, FREE):
+        marks = [m for m in getattr(_test(node), "pytestmark", []) if m.name == "xfail"]
+        assert marks and marks[0].kwargs.get("strict") is True, node
 
 
 def test_readme_export_list_matches_all():

@@ -5,12 +5,14 @@ Sudden quenches are checked against frozen b**2 values, ODE residuals,
 conservation laws, and periodicity.  General protocols are checked
 against the sudden closed form, against an analytically chained
 two-segment solution, and for their Wronskian error path; the Taylor
-pieces of linear segments are checked against midpoint products here and
-against a 40-digit Airy reference in test_ermakov_reference.py.
+pieces of linear segments are checked against the 40-digit Airy
+propagator of support.py, one segment at a time here and chained through
+the benchmark's ramp in test_ermakov_reference.py.
 """
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from entchain import (
 )
 from entchain import ermakov
 from entchain.ermakov import _MAX_PIECES, _PIECE_PHASE, _SETUP_PIECES, _propagator
+from support import mp_propagator
 
 FIG1_MODE_PAIRS = [
     # (lam_initial, lam_final) of the two-site quench targets
@@ -367,22 +370,6 @@ def test_second_derivative_closed_only():
         _assert_solves_ode(sol, t, lam)
 
 
-def _midpoint_product(lam, slope, tau, steps):
-    """Product of exact constant-lam propagators at the midpoints of
-    ``steps`` equal sub-steps, for arrays of segments at once."""
-    h = tau / steps
-    prop = np.broadcast_to(np.eye(2), lam.shape + (2, 2)).copy()
-    for i in range(steps):
-        mid = lam + slope * (i + 0.5) * h
-        root = np.sqrt(mid.astype(complex))  # hyperbolic where lam < 0
-        cos = np.cos(root * h).real
-        sinw = (np.sin(root * h) / np.where(root == 0, 1.0, root)).real
-        sinw = np.where(root == 0, h, sinw)
-        step = np.stack([np.stack([cos, sinw], -1), np.stack([-mid * sinw, cos], -1)], -2)
-        prop = step @ prop
-    return prop
-
-
 def _piecewise_propagator(lam, slope, tau):
     """``_propagator`` over whole segments, chained over equal pieces by
     the piece rule of ``integrate_general``, with |lam| for the rate."""
@@ -398,18 +385,19 @@ def _piecewise_propagator(lam, slope, tau):
     return np.array(props)
 
 
-def test_taylor_propagator_against_midpoint_reference():
+def test_taylor_propagator_against_airy_reference():
     """Linear segments, tiny slopes and hyperbolic stretches (lam < 0)
-    included, against an independent reference: Richardson-extrapolated
-    midpoint products.  The last three segments are short in Airy units."""
+    included, against an independent reference: the exact propagator of
+    ``support.mp_propagator``, from Ai and Bi at 40 digits.  The last
+    three segments are short in Airy units.  Measured: 1.2e-14."""
     cases = [
         (lam, slope, 10.0)
         for lam in (0.0, 0.09, 9.0, 100.0)
         for slope in (1.0, -1.0, 1e-2, -1e-2, 1e-4, -1e-4, 1e-6, 1e-8)
     ] + [(0.0, 1e-30, 1.0), (0.0, 1e-15, 1.0), (0.01, 1e-6, 1e-3)]
     lam, slope, tau = np.array(cases).T
-    reference = (4.0 * _midpoint_product(lam, slope, tau, 8000)
-                 - _midpoint_product(lam, slope, tau, 4000)) / 3.0
+    with mpmath.workdps(40):
+        reference = np.array([mp_propagator(*case).tolist() for case in cases], dtype=float)
     prop = _piecewise_propagator(lam, slope, tau)
     assert np.all(np.isfinite(prop))
     scale = np.abs(reference).max(axis=(1, 2))

@@ -252,7 +252,7 @@ def test_physical_nu_raises_snaps_and_passes_through():
 def test_mode_covariance_matches_reference_state(spec):
     """``mode_covariance`` of the product's scale factors is within 1e-12
     relative of a 40-digit covariance of the same mode data and
-    closed-form b(t) (``mp_mode_covariance``), the gapless ring's zero
+    exact b(t) (``mp_mode_covariance``), the gapless ring's zero
     mode included."""
     qm = quench_modes(spec)
     sols = [solve_sudden(li, lf) for li, lf in zip(qm.lam_pre, qm.lam_post)]
