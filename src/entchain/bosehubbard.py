@@ -14,8 +14,7 @@ changes ``omega_bh`` at fixed ``J``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Value
 from .chain import ChainSpec
 
 
@@ -36,16 +35,14 @@ def to_oscillator(omega_bh: float, hop: float, *, allow_gapless: bool = False) -
     return omega_bh - hop, 2.0 * omega_bh * hop
 
 
-@dataclass(frozen=True)
-class BoseHubbardSpec:
+class BoseHubbardSpec(Value):
     """Dimer quench: omega_bh jumps from ``omega_bh_i`` to ``omega_bh_f``
     at fixed hopping ``hop``."""
 
-    omega_bh_i: float
-    omega_bh_f: float
-    hop: float
+    __slots__ = ("omega_bh_i", "omega_bh_f", "hop")
 
-    def __post_init__(self):
+    def __init__(self, omega_bh_i: float, omega_bh_f: float, hop: float):
+        super().__init__(omega_bh_i, omega_bh_f, hop)
         to_oscillator(self.omega_bh_i, self.hop)
         to_oscillator(self.omega_bh_f, self.hop, allow_gapless=True)
 

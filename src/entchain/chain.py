@@ -17,11 +17,11 @@ builds that shared basis in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
+from ._record import Record, Value
 from .errors import NumericsError
 
 Boundary = Literal["open", "periodic"]
@@ -33,8 +33,7 @@ _BASIS_ELEMENTS = 65536
 _BASIS_RESIDUAL = 4e-10
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Value):
     """Chain geometry plus pre- and post-quench parameters.
 
     Frequencies and couplings are in natural units (hbar = 1, unit masses).
@@ -44,14 +43,11 @@ class ChainSpec:
     eigenvalues lie in [0, 4]), must be finite.
     """
 
-    n: int
-    omega_i: float
-    k_i: float
-    omega_f: float
-    k_f: float
-    boundary: Boundary = "periodic"
+    __slots__ = ("n", "omega_i", "k_i", "omega_f", "k_f", "boundary")
 
-    def __post_init__(self):
+    def __init__(self, n: int, omega_i: float, k_i: float, omega_f: float, k_f: float,
+                 boundary: Boundary = "periodic"):
+        super().__init__(n, omega_i, k_i, omega_f, k_f, boundary)
         if self.n < 2:
             raise ValueError(f"chain needs at least 2 sites, got n={self.n}")
         if self.boundary not in ("open", "periodic"):
@@ -76,8 +72,7 @@ class ChainSpec:
         raise ValueError(f"unknown phase {phase!r}")
 
 
-@dataclass(frozen=True)
-class QuenchModes:
+class QuenchModes(Record):
     """Shared normal-mode data for both phases of a quench.
 
     ``u`` diagonalizes the pre- and the post-quench coupling matrix
@@ -85,10 +80,10 @@ class QuenchModes:
     eigenvalues, so ``lam = omega**2 + k * mu`` in either phase.
     """
 
-    u: np.ndarray
-    mu: np.ndarray
-    lam_pre: np.ndarray
-    lam_post: np.ndarray
+    __slots__ = ("u", "mu", "lam_pre", "lam_post")
+
+    def __init__(self, u: np.ndarray, mu: np.ndarray, lam_pre: np.ndarray, lam_post: np.ndarray):
+        super().__init__(u, mu, lam_pre, lam_post)
 
     @property
     def n(self) -> int:

@@ -11,12 +11,12 @@ reproduces the run byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from . import __version__
+from ._record import Value
 from .bosehubbard import BoseHubbardSpec
 from .chain import ChainSpec
 from .entanglement import Partition, UniformGrid
@@ -36,20 +36,18 @@ MAX_SITES = 4096
 MAX_TIME_POINTS = 10_000_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters plus the canonical document they came from."""
+class RunConfig(Value):
+    """Validated run parameters plus the canonical document they came from.
+    A ``schedule`` of None means a sudden quench."""
 
-    chain: ChainSpec
-    schedule: QuenchSchedule | None  # None means a sudden quench
-    tolerance: float
-    partition: Partition
-    t_max: float
-    dt: float
-    alphas: tuple[int, ...]
-    output_path: str | None
-    precision: int
-    echo: dict
+    __slots__ = ("chain", "schedule", "tolerance", "partition", "t_max", "dt", "alphas",
+                 "output_path", "precision", "echo")
+
+    def __init__(self, chain: ChainSpec, schedule: QuenchSchedule | None, tolerance: float,
+                 partition: Partition, t_max: float, dt: float, alphas: tuple[int, ...],
+                 output_path: str | None, precision: int, echo: dict):
+        super().__init__(chain, schedule, tolerance, partition, t_max, dt, alphas,
+                         output_path, precision, echo)
 
     @property
     def grid(self) -> UniformGrid:

@@ -35,10 +35,10 @@ that pass never pay for that.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, Value
 from .chain import ChainSpec, quench_modes
 from .ermakov import (
     DEFAULT_TOLERANCE,
@@ -61,14 +61,13 @@ from .gaussian import (
 _CHUNK_VALUES = 2048
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Bipartition of sites 1..N into a traced block and a kept block."""
 
-    traced: tuple[int, ...]
-    kept: tuple[int, ...]
+    __slots__ = ("traced", "kept")
 
-    def __post_init__(self):
+    def __init__(self, traced: tuple[int, ...], kept: tuple[int, ...]):
+        super().__init__(traced, kept)
         if not self.traced or not self.kept:
             raise ValueError("both blocks of the partition must be non-empty: "
                              "it cannot trace out every site, nor none")
@@ -100,32 +99,31 @@ class Partition:
         return Partition(traced=self.kept, kept=self.traced)
 
 
-@dataclass(frozen=True)
-class EntropySeries:
+class EntropySeries(Record):
     """Entropies on a time grid: xi has one row per time, one column per
     kept mode (ascending); ``entropies`` maps Renyi order to a series,
     with order 1 meaning the von Neumann entropy."""
 
-    times: np.ndarray
-    xi: np.ndarray
-    entropies: dict[int, np.ndarray]
+    __slots__ = ("times", "xi", "entropies")
+
+    def __init__(self, times: np.ndarray, xi: np.ndarray, entropies: dict[int, np.ndarray]):
+        super().__init__(times, xi, entropies)
 
     @property
     def s1(self) -> np.ndarray:
         return self.entropies[1]
 
 
-@dataclass(frozen=True)
-class UniformGrid:
+class UniformGrid(Value):
     """The time grid dt * k for k = 0 .. size - 1, held as its step and
     size.  Indexing makes only the values asked for: a slice
     ``[first:stop]`` is ``dt * np.arange(first, stop)``, bit for bit the
     same slice of ``dt * np.arange(size)``."""
 
-    dt: float
-    size: int
+    __slots__ = ("dt", "size")
 
-    def __post_init__(self):
+    def __init__(self, dt: float, size: int):
+        super().__init__(dt, size)
         if not (np.isfinite(self.dt) and self.dt > 0 and self.size >= 1):
             raise ValueError(f"a uniform grid needs a finite dt > 0 and at least one point, "
                              f"got dt={self.dt!r}, size={self.size!r}")

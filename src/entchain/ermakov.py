@@ -35,18 +35,17 @@ segment boundaries is the self-check of a general protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
+from ._record import Record
 from .errors import IntegrationError, NumericsError
 
 Interpolation = Literal["linear", "previous"]
 
 
-@dataclass(frozen=True)
-class QuenchSchedule:
+class QuenchSchedule(Record):
     """Chain-parameter protocol (t, omega, k) shared by all modes.
 
     Projection onto a mode with bond-Laplacian eigenvalue mu gives the
@@ -55,15 +54,12 @@ class QuenchSchedule:
     ``omega**2 + 4 k``, must be finite.
     """
 
-    times: np.ndarray
-    omegas: np.ndarray
-    ks: np.ndarray
-    interpolation: Interpolation = "linear"
+    __slots__ = ("times", "omegas", "ks", "interpolation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
-        object.__setattr__(self, "ks", np.asarray(self.ks, dtype=float))
+    def __init__(self, times: np.ndarray, omegas: np.ndarray, ks: np.ndarray,
+                 interpolation: Interpolation = "linear"):
+        super().__init__(np.asarray(times, dtype=float), np.asarray(omegas, dtype=float),
+                         np.asarray(ks, dtype=float), interpolation)
         _check_table(self.times, (self.omegas, self.ks), self.interpolation)
         with np.errstate(over="ignore"):
             finite = np.isfinite(self.omegas * self.omegas + 4.0 * self.ks)
@@ -127,8 +123,7 @@ _MAX_PIECES = 2**20
 _SETUP_PIECES = 512
 
 
-@dataclass(frozen=True, eq=False)
-class ModeSolution:
+class ModeSolution(Record):
     """Scale factors of one mode, or of several stacked (``solve_sudden``
     and ``integrate_general`` on arrays).  ``evaluate`` returns (b, b') for
     any t >= 0.
@@ -147,13 +142,12 @@ class ModeSolution:
     ``column`` per mode.
     """
 
-    lam_initial: float | np.ndarray
-    starts: np.ndarray
-    lams: np.ndarray
-    slopes: np.ndarray
-    phis: np.ndarray
-    first: int | np.ndarray = 0
-    column: int | np.ndarray = 0
+    __slots__ = ("lam_initial", "starts", "lams", "slopes", "phis", "first", "column")
+
+    def __init__(self, lam_initial: float | np.ndarray, starts: np.ndarray, lams: np.ndarray,
+                 slopes: np.ndarray, phis: np.ndarray, first: int | np.ndarray = 0,
+                 column: int | np.ndarray = 0):
+        super().__init__(lam_initial, starts, lams, slopes, phis, first, column)
 
     def evaluate(self, t):
         """(b(t), b'(t)) for scalar or array t >= 0, each of shape

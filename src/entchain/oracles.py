@@ -28,10 +28,9 @@ No product run (``simulate``, ``sweep``, ``figure``) calls this module;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record, Value
 from .chain import ChainSpec, bond_laplacian, build_coupling_matrix
 from .entanglement import (
     EntropySeries,
@@ -121,8 +120,7 @@ def ground_state_covariance(coupling: np.ndarray) -> np.ndarray:
     return sigma
 
 
-@dataclass(frozen=True)
-class SymplecticPropagator:
+class SymplecticPropagator(Record):
     """Exact phase-space flow of a fixed coupling matrix, or of a stack.
 
     ``matrix(t)`` maps (x, p) at time 0 to time t; zero eigenvalues (free
@@ -131,8 +129,10 @@ class SymplecticPropagator:
     where w t is large.
     """
 
-    vecs: np.ndarray
-    lam: np.ndarray
+    __slots__ = ("vecs", "lam")
+
+    def __init__(self, vecs: np.ndarray, lam: np.ndarray):
+        super().__init__(vecs, lam)
 
     @classmethod
     def from_coupling(cls, coupling: np.ndarray) -> "SymplecticPropagator":
@@ -356,12 +356,13 @@ def covariance_series(
     return EntropySeries(times=times, xi=xi_out, entropies=ent_out)
 
 
-@dataclass(frozen=True)
-class KernelGrid:
+class KernelGrid(Value):
     """Uniform position grid [-half_width, half_width] with ``points`` nodes."""
 
-    half_width: float
-    points: int
+    __slots__ = ("half_width", "points")
+
+    def __init__(self, half_width: float, points: int):
+        super().__init__(half_width, points)
 
 
 def kernel_spectrum(

@@ -1009,6 +1009,15 @@ class TestMain:
         assert proc.stdout.strip().splitlines()[-1] == "[]"
         assert sorted(os.listdir(tmp_path / "sweep")) == ["omega_f=0.1.csv", "omega_f=0.3.csv"]
 
+    def test_cli_import_generates_no_record_code(self):
+        """Importing the CLI loads no ``dataclasses``: the package's records
+        are written out by hand, so no process compiles their methods."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, entchain.cli; print('dataclasses' in sys.modules)"],
+            capture_output=True, text=True, env=_cli_env(), check=True,
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_main_freezes_the_heap_and_writes_every_byte(self, tmp_path):
         """In a real process ``main`` freezes the import-time heap, and
         the CSV a 3001-row ``simulate`` writes to a pipe (more than a pipe
