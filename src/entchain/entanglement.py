@@ -45,7 +45,7 @@ from .ermakov import (
     ModeSolution,
     QuenchSchedule,
     integrate_general,
-    solve_sudden,
+    solve_sudden,  # no caller here: perfbench/child.py traces this binding by name
 )
 from .errors import NumericsError
 from .gaussian import (
@@ -295,7 +295,8 @@ def entropy_series(
     increasing times: an array, or a ``UniformGrid``.
 
     With ``schedule=None`` the quench is sudden (spec's pre -> post
-    parameters); otherwise each mode follows the schedule up to the last
+    parameters), run as the one-row ``previous`` schedule
+    [[0, omega_f, k_f]].  Each mode follows the schedule up to the last
     time, with the Wronskian of its scale factor checked against
     ``tolerance``.  Rows are taken in chunks and blocks (see the module
     docstring).
@@ -318,12 +319,10 @@ def entropy_series(
         raise ValueError(f"partition covers {partition.n} sites but the chain has {spec.n}")
     modes = quench_modes(spec)
     if schedule is None:
-        solution = solve_sudden(modes.lam_pre, modes.lam_post)
-    else:
-        lams = schedule.omegas**2 + modes.mu[:, None] * schedule.ks
-        solution = integrate_general(modes.lam_pre, schedule.times, lams,
-                                     schedule.interpolation, tolerance=tolerance,
-                                     until=times[-1])
+        schedule = QuenchSchedule([0.0], [spec.omega_f], [spec.k_f], "previous")
+    lams = schedule.omegas**2 + modes.mu[:, None] * schedule.ks
+    solution = integrate_general(modes.lam_pre, schedule.times, lams, schedule.interpolation,
+                                 tolerance=tolerance, until=times[-1])
 
     sectors = _sector_columns(spec, modes.u, partition.kept)
     tables = [_site_table(cols) for cols in sectors]

@@ -60,7 +60,7 @@ class QuenchSchedule(Record):
                  interpolation: Interpolation = "linear"):
         super().__init__(np.asarray(times, dtype=float), np.asarray(omegas, dtype=float),
                          np.asarray(ks, dtype=float), interpolation)
-        _check_table(self.times, (self.omegas, self.ks), self.interpolation)
+        _check_table(self.times, (self.omegas[None], self.ks[None]), self.interpolation)
         with np.errstate(over="ignore"):
             finite = np.isfinite(self.omegas * self.omegas + 4.0 * self.ks)
         if not finite.all():
@@ -74,21 +74,22 @@ class QuenchSchedule(Record):
         return float(self.omegas[-1]), float(self.ks[-1])
 
 
-def _check_table(times: np.ndarray, columns, interpolation) -> None:
+def _check_table(times: np.ndarray, tables, interpolation) -> None:
     """Rules shared by schedules and per-mode lam tables: 1-d sample times
-    starting at 0 and strictly increasing, value columns of the same shape,
-    every sample finite, values non-negative, a known interpolation."""
+    starting at 0 and strictly increasing, value tables of one row per
+    column or mode and one sample per time, every sample finite, values
+    non-negative, a known interpolation."""
     if times.ndim != 1 or times.size == 0:
         raise ValueError("table needs at least one sample time")
-    if not all(np.isfinite(v).all() for v in (times, *columns)):
+    if not all(np.isfinite(v).all() for v in (times, *tables)):
         raise ValueError("samples must be finite")
     if times[0] != 0.0:
         raise ValueError("sample times must start at t = 0")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("sample times must be strictly increasing")
-    if any(v.shape != times.shape for v in columns):
+    if any(v.shape[1:] != times.shape for v in tables):
         raise ValueError("values must match the sample times in shape")
-    if any(np.any(v < 0) for v in columns):
+    if any(np.any(v < 0) for v in tables):
         raise ValueError("values must be non-negative")
     if interpolation not in ("linear", "previous"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
@@ -124,9 +125,10 @@ _SETUP_PIECES = 512
 
 
 class ModeSolution(Record):
-    """Scale factors of one mode, or of several stacked (``solve_sudden``
-    and ``integrate_general`` on arrays).  ``evaluate`` returns (b, b') for
-    any t >= 0.
+    """Scale factors of one mode, or of several stacked, built by
+    ``integrate_general`` (a sudden quench is its one-row ``previous``
+    table, one piece per column).  ``evaluate`` returns (b, b') for any
+    t >= 0.
 
     A stack solves each distinct (lam_initial, lam(t)) once, as one
     column, and mode j takes column ``column[j]``: the two modes of a
@@ -184,7 +186,9 @@ class ModeSolution(Record):
             raise ValueError("scale factor is defined for t >= 0 only")
         first, ends = self._bounds()
         k = np.empty((t.size, first.size), dtype=np.intp)
-        for j, (lo, hi) in enumerate(zip(first, ends)):
+        k[:] = first  # a column of one piece needs no lookup
+        for j in np.flatnonzero(ends - first > 1):
+            lo, hi = first[j], ends[j]
             k[:, j] = np.searchsorted(self.starts[lo:hi], t, side="right") + (lo - 1)
         tau = t[:, None] - self.starts[k]
         lam, slope = self.lams[k], self.slopes[k]
@@ -313,27 +317,14 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve_sudden(lam_initial, lam_final) -> ModeSolution:
     """Closed-form scale factor for a sudden jump lam_initial -> lam_final:
     one mode for floats, or the stack of one mode per entry for 1-d arrays
-    of one length, one column per distinct pair, each mode bit for bit as
-    its own call gives it."""
-    lam0 = np.array(lam_initial, dtype=float)
-    lams = np.array(lam_final, dtype=float)
+    of one length.  It is ``integrate_general``'s one-row ``previous``
+    table [[lam_final]] at t = 0: one piece per distinct pair, which
+    ``evaluate`` gives in closed form."""
+    lam0 = np.asarray(lam_initial, dtype=float)
+    lams = np.asarray(lam_final, dtype=float)
     if lam0.ndim > 1 or lams.shape != lam0.shape:
         raise ValueError("lam_initial and lam_final must be floats or 1-d arrays of one length")
-    if np.any(lam0 <= 0):
-        raise ValueError(f"lam_initial must be positive, got {lam0.min():g}")
-    if np.any(lams < 0):
-        raise ValueError(f"lam_final must be non-negative, got {lams.min():g}")
-    one = lam0.ndim == 0
-    distinct, column = _distinct(np.column_stack([lam0.ravel(), lams.ravel()]))
-    return ModeSolution(
-        lam_initial=float(lam0) if one else lam0[distinct],
-        starts=np.zeros(distinct.size),
-        lams=lams.ravel()[distinct],
-        slopes=np.zeros(distinct.size),
-        phis=np.tile(np.eye(2), (distinct.size, 1, 1)),
-        first=0 if one else np.arange(distinct.size),
-        column=0 if one else column,
-    )
+    return integrate_general(lam0, [0.0], lams[..., None], "previous")
 
 
 def mode_checks(solution: ModeSolution, times) -> tuple[np.ndarray, np.ndarray]:
@@ -385,8 +376,8 @@ def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "
     infinite count, raise :class:`NumericsError`.
     """
     lam0 = np.asarray(lam_initial, dtype=float)
-    if lam0.ndim > 1 or not np.all(lam0 > 0):
-        raise ValueError("lam_initial must be positive (ground state before the quench)")
+    if lam0.ndim > 1 or not np.all((lam0 > 0) & (lam0 < np.inf)):
+        raise ValueError("lam_initial must be finite and positive (ground state before the quench)")
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     if not until >= 0:
@@ -397,7 +388,7 @@ def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "
         table = table[None]
     if table.ndim != 2 or table.shape[0] != lam0.size:
         raise ValueError("lams needs one row of samples per lam_initial")
-    _check_table(times, tuple(table), interpolation)
+    _check_table(times, (table,), interpolation)
     distinct, column = _distinct(np.column_stack([lam0.ravel(), table]))
     table = table[distinct]
     slopes = np.zeros(table.shape)
@@ -425,8 +416,12 @@ def integrate_general(lam_initial, times, lams, interpolation: Interpolation = "
     first = np.cumsum(sizes) - sizes
     starts, piece_lams, piece_slopes = (np.empty(sizes.sum()) for _ in range(3))
     phis = np.empty((sizes.sum(), 2, 2))
-    for j, lo in enumerate(first):
-        out = slice(lo, lo + sizes[j])
+    # Every column's first piece starts the table at its identity matrix;
+    # only columns of several pieces are cut and chained.
+    starts[first], piece_lams[first], piece_slopes[first] = 0.0, table[:, 0], slopes[:, 0]
+    phis[first] = np.eye(2)
+    for j in np.flatnonzero(sizes > 1):
+        out = slice(first[j], first[j] + sizes[j])
         segment = np.repeat(np.arange(times.size), made[j])
         offset = np.repeat(np.cumsum(made[j]) - made[j], made[j])
         frac = (np.arange(segment.size) - offset) / counts[j, segment]

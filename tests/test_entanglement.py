@@ -627,6 +627,24 @@ class TestEntropySeries:
         for a in (1, 2):
             assert np.abs(whole.entropies[a] - oracle.entropies[a]).max() < 1e-8
 
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(n=12, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5),
+        ChainSpec(n=9, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary="open"),
+        ChainSpec(n=10, omega_i=3.0, k_i=2.0, omega_f=0.0, k_f=2.5),
+    ], ids=["ring", "open", "gapless-ring"])
+    def test_sudden_quench_is_the_one_row_previous_schedule(self, spec):
+        """``schedule=None`` runs the one-row ``previous`` schedule
+        [[0, omega_f, k_f]]: xi and both entropies bit for bit, over
+        several chunks."""
+        part = Partition.second_half(spec.n)
+        times = UniformGrid(0.37, 3 * _grid(spec, part)[1] + 5)
+        schedule = QuenchSchedule([0.0], [spec.omega_f], [spec.k_f], "previous")
+        sudden = entropy_series(spec, part, times, alphas=(1, 2))
+        table = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
+        assert np.array_equal(sudden.xi, table.xi)
+        for a in (1, 2):
+            assert np.array_equal(sudden.entropies[a], table.entropies[a])
+
     @pytest.mark.parametrize("interpolation", ["linear", "previous"])
     def test_schedule_is_cut_at_the_last_time(self, interpolation):
         """The schedule is integrated only up to the last time, so a row at

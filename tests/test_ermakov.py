@@ -19,6 +19,7 @@ import pytest
 from entchain import (
     ChainSpec,
     IntegrationError,
+    ModeSolution,
     NumericsError,
     QuenchSchedule,
     integrate_general,
@@ -114,6 +115,13 @@ def test_solve_sudden_validation():
         solve_sudden(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="one length"):
         solve_sudden(np.ones((2, 2)), np.ones((2, 2)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            solve_sudden(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            solve_sudden(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            solve_sudden(np.array([1.0, 2.0]), np.array([1.0, bad]))
 
 
 def _assert_solves_ode(sol, t, lam):
@@ -129,9 +137,11 @@ def _step(t, times, values):
 
 
 def test_protocol_validation():
-    for lam_initial in (0.0, np.nan):
+    for lam_initial in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive"):
             integrate_general(lam_initial, [0.0], [1.0])
+    with pytest.raises(ValueError, match="positive"):
+        integrate_general(np.array([1.0, np.inf]), [0.0], [[1.0], [1.0]])
     with pytest.raises(ValueError, match="start at t = 0"):
         integrate_general(1.0, [0.5], [1.0])
     with pytest.raises(ValueError, match="increasing"):
@@ -291,6 +301,44 @@ def test_degenerate_modes_share_one_column():
         _assert_columns_match(stack, singles, t)
 
 
+def test_one_row_table_is_set_up_without_chaining(monkeypatch):
+    """Every column's first piece is written in one assignment, and only
+    columns of several pieces are chained: a one-row table on a 512-site
+    ring (257 distinct modes) makes no ``_chain`` call, with either
+    interpolation, and is ``solve_sudden``'s stack field for field; a
+    two-row table chains each column once."""
+    modes = quench_modes(ChainSpec(n=512, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5))
+    calls = []
+    chain = ermakov._chain
+    monkeypatch.setattr(ermakov, "_chain", lambda *args: calls.append(1) or chain(*args))
+    sudden = solve_sudden(modes.lam_pre, modes.lam_post)
+    for interpolation in ("previous", "linear"):
+        table = integrate_general(modes.lam_pre, [0.0], modes.lam_post[:, None], interpolation)
+        for field in ModeSolution.__slots__:
+            assert np.array_equal(getattr(table, field), getattr(sudden, field))
+    assert sudden.first.size == 257 and calls == []
+    lams = np.column_stack([modes.lam_pre, modes.lam_post])
+    integrate_general(modes.lam_pre, [0.0, 1.0], lams, "previous")
+    assert len(calls) == 257
+
+
+def test_one_piece_columns_need_no_lookup(monkeypatch):
+    """``evaluate`` looks pieces up only in columns of several: a sudden
+    stack of 64 distinct modes, evaluated and checked on a grid, makes no
+    ``np.searchsorted`` call (one per column before)."""
+    lam0 = 1.0 + np.arange(64) / 64.0
+    stack = solve_sudden(lam0, 0.5 * lam0[::-1])
+    assert stack.first.size == 64
+    calls = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda *args, **kwargs: calls.append(1) or searchsorted(*args, **kwargs))
+    t = np.linspace(0.0, 30.0, 301)
+    stack.evaluate(t)
+    mode_checks(stack, t)
+    assert calls == []
+
+
 def test_integrate_validation():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="tolerance"):
@@ -338,13 +386,17 @@ def test_piece_count_is_capped_before_allocation(monkeypatch):
 @pytest.mark.parametrize("interpolation", ["linear", "previous"])
 def test_pieces_past_until_are_not_made(interpolation):
     """Cut at ``until``, a table keeps only the pieces that start up to it
-    (one spare), and gives the uncut solution's values bit for bit there."""
-    times, lams = [0.0, 10.0, 20.0], [[9.0, 4.0, 1.0], [13.0, 6.0, 1.5]]
-    full = integrate_general([9.0, 13.0], times, lams, interpolation)
+    (one spare), and gives the uncut solution's values bit for bit there;
+    at ``until = 0`` a flat ``linear`` row keeps one piece next to ramps
+    that keep two."""
+    times, lams = [0.0, 10.0, 20.0], [[9.0, 4.0, 1.0], [13.0, 6.0, 1.5], [2.0, 2.0, 2.0]]
+    full = integrate_general([9.0, 13.0, 2.0], times, lams, interpolation)
     t = np.linspace(0.0, 12.3, 500)
     for until in (12.3, 10.0, 0.0):
-        cut = integrate_general([9.0, 13.0], times, lams, interpolation, until=until)
+        cut = integrate_general([9.0, 13.0, 2.0], times, lams, interpolation, until=until)
         assert np.all(cut.starts <= until + 1.0) and cut.starts.size < full.starts.size
+        if until == 0.0 and interpolation == "linear":
+            assert np.diff(cut.first, append=cut.starts.size).tolist() == [2, 2, 1]
         shown = t[t <= until]
         assert all(np.array_equal(c, f) for c, f in zip(cut.evaluate(shown), full.evaluate(shown)))
     # a far row costs nothing before it is reached
