@@ -1,7 +1,7 @@
 """Exact entanglement entropy dynamics for quenched harmonic-oscillator
 chains: per-mode scale-factor evolution, kept-block covariances and their
-symplectic spectra, closed-form entropies, and independent references in
-``entchain.oracles``."""
+symplectic spectra, closed-form entropies, and the covariance-flow
+reference in ``entchain.oracles``."""
 
 __version__ = "0.1.0"
 
@@ -31,12 +31,11 @@ from .ermakov import (
 from .errors import (
     ConfigError,
     EntchainError,
-    GridError,
     IntegrationError,
     NumericsError,
 )
 from .gaussian import symplectic_eigenvalues
-from .oracles import covariance_series, kernel_spectrum
+from .oracles import covariance_series
 from .run import format_csv, make_figure, run, run_sweep, verify_report
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "ConfigError",
     "EntchainError",
     "EntropySeries",
-    "GridError",
     "IntegrationError",
     "ModeSolution",
     "NumericsError",
@@ -61,7 +59,6 @@ __all__ = [
     "format_csv",
     "from_dict",
     "integrate_general",
-    "kernel_spectrum",
     "make_figure",
     "mode_checks",
     "parse_config",

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 1,
-numerical contract violations (unphysical values, failed convergence,
-inadequate grids) exit with 2.
+numerical contract violations (unphysical values, failed integration
+checks) exit with 2.
 """
 
 
@@ -28,7 +28,3 @@ class IntegrationError(NumericsError):
         super().__init__(message)
         self.time = time
 
-
-class GridError(NumericsError):
-    """A discretization grid is too small or too coarse for the requested
-    computation."""

@@ -1,36 +1,33 @@
-"""Independent references for the scale-factor entropy pipeline.
+"""The covariance flow: an independent reference for the scale-factor
+entropy pipeline.
 
 No product run (``simulate``, ``sweep``, ``figure``) calls this module;
-``verify`` and the test suite compare the product path against it.
+``verify`` and the test suite compare the product path against it.  The
+second reference, kernel diagonalization, lives in the tests
+(``tests/support.py``).
 
-* Covariance dynamics.  The ground state of the pre-quench coupling
-  matrix K_i has covariance sigma(0) = diag(K_i^{-1/2}, K_i^{1/2}) / 2.
-  Every protocol carries it through pieces of constant K, each with its
-  exact symplectic propagator: a sudden quench is one piece, a
-  ``previous`` schedule one per row, and a ``linear`` schedule is cut
-  into fourth-order commutator-free Magnus pieces.  No scale factor is
-  evaluated.  Entropies come from the symplectic eigenvalues nu_j of
-  the kept block, taken by this module's own ``symplectic_eigenvalues``
-  (the positive spectrum of i F^T J F for a block factor F of sigma
-  built from two half-size ``eigh`` calls, on the position block and on
-  its Schur complement; the product path uses a Cholesky factor
-  instead), through a formula of their own:
+The ground state of the pre-quench coupling matrix K_i has covariance
+sigma(0) = diag(K_i^{-1/2}, K_i^{1/2}) / 2.  Every protocol carries it
+through pieces of constant K, each with its exact symplectic propagator:
+a sudden quench is one piece, a ``previous`` schedule one per row, and a
+``linear`` schedule is cut into fourth-order commutator-free Magnus
+pieces.  No scale factor is evaluated.  Entropies come from the
+symplectic eigenvalues nu_j of the kept block, taken by this module's
+own ``symplectic_eigenvalues`` (the positive spectrum of i F^T J F for a
+block factor F of sigma built from two half-size ``eigh`` calls, on the
+position block and on its Schur complement; the product path uses a
+Cholesky factor instead), through a formula of their own:
 
-      S_1 = sum_j (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2),
+    S_1 = sum_j (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2),
 
-  and Renyi orders go through xi_j = (2 nu_j - 1) / (2 nu_j + 1).
-
-* Kernel diagonalization.  For a single kept oscillator the reduced
-  kernel rho(x, x') is an explicit function of (gamma, beta, z); sampling
-  it on a uniform grid and diagonalizing the resulting matrix recovers
-  the occupation ladder directly, with no Gaussian-state algebra at all.
+and Renyi orders go through xi_j = (2 nu_j - 1) / (2 nu_j + 1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._record import Record, Value
+from ._record import Record
 from .chain import ChainSpec, bond_laplacian, build_coupling_matrix
 from .entanglement import (
     EntropySeries,
@@ -41,7 +38,7 @@ from .entanglement import (
     _validate_times,
 )
 from .ermakov import QuenchSchedule
-from .errors import GridError, IntegrationError, NumericsError
+from .errors import IntegrationError, NumericsError
 from .gaussian import physical_nu
 
 
@@ -355,95 +352,3 @@ def covariance_series(
             ent_out[a][block] = ents[a]
     return EntropySeries(times=times, xi=xi_out, entropies=ent_out)
 
-
-class KernelGrid(Value):
-    """Uniform position grid [-half_width, half_width] with ``points`` nodes."""
-
-    __slots__ = ("half_width", "points")
-
-    def __init__(self, half_width: float, points: int):
-        super().__init__(half_width, points)
-
-
-def kernel_spectrum(
-    gamma: float,
-    beta: float,
-    z: float = 0.0,
-    count: int = 8,
-    grid: KernelGrid | None = None,
-) -> np.ndarray:
-    """Leading eigenvalues of a one-oscillator reduced density matrix,
-    found by sampling its position-space kernel
-
-        rho(x, x') = sqrt((gamma - beta) / pi)
-                     * exp[i z (x^2 - x'^2) - gamma (x^2 + x'^2) / 2 + beta x x']
-
-    on a uniform grid and diagonalizing.  The kernel is Hermitian, so the
-    phase factor never changes the spectrum; ``z = 0`` leaves it out.
-    Descending eigenvalues, length ``count``.
-    """
-    gamma = float(gamma)
-    beta = float(beta)
-    if gamma <= 0 or gamma - abs(beta) <= 0:
-        raise ValueError(
-            f"kernel needs gamma > |beta| >= 0 for normalizability, "
-            f"got gamma={gamma:g}, beta={beta:g}"
-        )
-    decay = np.sqrt(gamma - beta)
-    if grid is None:
-        grid = KernelGrid(half_width=8.0 / decay, points=801)
-    if grid.points < 400:
-        raise GridError(f"kernel grid needs at least 400 points, got {grid.points}")
-    if grid.half_width < 6.0 / decay:
-        raise GridError(
-            f"kernel grid half-width {grid.half_width:g} is below the "
-            f"resolvable support 6/sqrt(gamma - beta) = {6.0 / decay:g}"
-        )
-    if count < 1:
-        raise ValueError("count must be at least 1")
-
-    x = np.linspace(-grid.half_width, grid.half_width, grid.points)
-    dx = x[1] - x[0]
-    sq = x**2
-    log_mag = -0.5 * gamma * (sq[:, None] + sq[None, :]) + beta * np.outer(x, x)
-    kernel = np.sqrt((gamma - beta) / np.pi) * np.exp(log_mag)
-    if z != 0.0:
-        kernel = kernel * np.exp(1j * z * (sq[:, None] - sq[None, :]))
-    weighted = kernel * dx
-    trace = float(np.trace(weighted).real)
-    if abs(trace - 1.0) > 1e-4:
-        raise GridError(
-            f"discretized kernel trace {trace:.6f} deviates from 1 by more than "
-            "1e-4; widen the grid or add points"
-        )
-    eigs = np.linalg.eigvalsh(weighted)
-    return eigs[::-1][:count].astype(float)
-
-
-def two_site_reduced(
-    omega_plus: float,
-    omega_minus: float,
-    b1: float,
-    db1: float,
-    b2: float,
-    db2: float,
-) -> tuple[float, float, float]:
-    """Closed-form reduced kernel (gamma, beta, z) for a two-site chain.
-
-    ``omega_plus``/``omega_minus`` are the pre-quench mode frequencies
-    (square roots of the coupling-matrix eigenvalues); (b1, db1) belong to
-    the center-of-mass mode and (b2, db2) to the relative mode.  Tracing
-    out either site gives the same kernel by symmetry, and a one-site
-    kernel has no skew block.
-    """
-    w1 = omega_plus / b1**2
-    w2 = omega_minus / b2**2
-    diff = w1 - w2
-    total = w1 + w2
-    rate = db1 / b1 - db2 / b2
-    gamma = 0.5 * total - (diff**2 - rate**2) / (4.0 * total)
-    beta = (diff**2 + rate**2) / (4.0 * total)
-    z = (db1 / (4 * b1) + db2 / (4 * b2)) - (diff / total) * (
-        db1 / (4 * b1) - db2 / (4 * b2)
-    )
-    return gamma, beta, z

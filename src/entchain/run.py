@@ -171,7 +171,7 @@ def run_sweep(raw_doc: dict, out_dir: str) -> list[str]:
 
 _FIG1_TARGETS = [2.15, 2.06, 2.01]
 _FIG2_OMEGAS = [0.3, 0.1, 0.01]
-_FIG34_SIZES = [4, 6, 10, 16, 20]
+_FIG3_SIZES = [4, 6, 10, 16, 20]
 
 _FIGURE_DOCS = {
     "fig1": {
@@ -198,7 +198,7 @@ _FIGURE_DOCS = {
     "fig3": {
         "model": {
             "mode": "oscillator",
-            "n": _FIG34_SIZES,
+            "n": _FIG3_SIZES,
             "boundary": "periodic",
             "omega_i": 3.0,
             "k_i": 2.0,
@@ -208,9 +208,7 @@ _FIGURE_DOCS = {
         "time": {"t_max": 200.0, "dt": 0.01},
     },
 }
-_FIGURE_DOCS["fig4"] = _FIGURE_DOCS["fig3"]
-
-FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig4")
+FIGURE_NAMES = ("fig1", "fig2", "fig3")
 
 
 def figure_documents(name: str) -> list[tuple[str, dict]]:
@@ -253,15 +251,19 @@ plt.savefig({json.dumps(name + ".png")}, dpi=200)
 
 
 def make_figure(name: str, out_dir: str) -> list[str]:
-    """Write one CSV per curve and a standalone plot script."""
+    """Write one CSV per curve and a standalone plot script; fig3 also
+    gets ``fig4_plot.py``, which plots its curves as S_1 / ln N (the
+    scaling collapse)."""
     combos = figure_documents(name)
     runs = [(f"{name}_{label}.csv", from_dict(doc)) for label, doc in combos]
     paths = _write_runs(runs, out_dir)
     files = [fname for fname, _ in runs]
     labels = [label for label, _ in combos]
-    script_path = os.path.join(out_dir, f"{name}_plot.py")
-    _write_atomic(script_path, [_plot_script(name, files, labels)])
-    return paths + [script_path]
+    for plot in [name, "fig4"] if name == "fig3" else [name]:
+        script_path = os.path.join(out_dir, f"{plot}_plot.py")
+        _write_atomic(script_path, [_plot_script(plot, files, labels)])
+        paths.append(script_path)
+    return paths
 
 
 def verify_report() -> tuple[str, bool]:

@@ -14,19 +14,20 @@ from entchain import (
     Partition,
     entropy_series,
     integrate_general,
-    kernel_spectrum,
     make_figure,
     mode_checks,
     quench_modes,
     solve_sudden,
     symplectic_eigenvalues,
 )
-from entchain.oracles import covariance_series, two_site_reduced
+from entchain.oracles import covariance_series
 from support import (
     _spectrum_peaks,
     assemble_state,
     extract_periods,
     fit_scaling,
+    kernel_ladder_gap,
+    pair_entropy_density,
     revival_period,
     to_covariance,
 )
@@ -206,23 +207,11 @@ def test_criterion_05_scale_factor_quality():
 
 
 def test_criterion_06_kernel_diagonalization():
-    """Position-space kernel eigenvalues reproduce the geometric ladder
-    for the evolved dimer, with and without the phase factor."""
-    chain = fig1_chain(2.15)
-    modes = quench_modes(chain)
-    sols = [solve_sudden(li, lf) for li, lf in zip(modes.lam_pre, modes.lam_post)]
-    worst = 0.0
-    for t in (0.0, 2.0, 7.5):
-        (b1, db1), (b2, db2) = sols[0].evaluate(t), sols[1].evaluate(t)
-        gamma, beta, z = two_site_reduced(
-            np.sqrt(modes.lam_pre[0]), np.sqrt(modes.lam_pre[1]), b1, db1, b2, db2
-        )
-        xi = beta / (gamma + np.sqrt(gamma**2 - beta**2))
-        ladder = (1.0 - xi) * xi ** np.arange(5)
-        for phase in (z, 0.0):
-            levels = kernel_spectrum(gamma, beta, phase, count=5)
-            worst = max(worst, float(np.abs(levels - ladder).max()))
-    _report(6, worst < 1e-4, f"max |kernel - ladder| over snapshots = {worst:.3e}")
+    """Position-space kernel eigenvalues of the evolved dimer's kept site,
+    with and without the phase factor, reproduce the geometric ladder of
+    the xi that ``entropy_series`` gives."""
+    worst = kernel_ladder_gap(fig1_chain(2.15), Partition.second_half(2), [0.0, 2.0, 7.5])
+    _report(6, worst < 1e-10, f"max |kernel - ladder| over snapshots = {worst:.3e}")
 
 
 def test_criterion_07_purity_and_complementarity():
@@ -270,6 +259,31 @@ def test_criterion_08_entropy_scaling_collapse():
         f"time-mean relative spread: {{10,16,20}} = {big_mean:.4f} < 0.10, "
         f"with n=4 = {full_mean:.4f} > 0.10",
     )
+
+
+VOLUME_SIZES = (32, 64, 128)
+
+
+def test_scaling_collapse_gives_way_to_a_volume_law():
+    """Past the paper's sizes the S_1 / ln N collapse of criterion 08
+    fails, and the time mean of S_1 grows linearly in N instead.  The
+    quasiparticle pairs of the fig3 quench carry s per site; on a ring
+    they wrap, so the share of pairs split by the cut is a triangle wave
+    in t whose mean is half its peak, and mean S_1 rises by s / 4 per
+    site.  The collapse measure must exceed criterion 08's gate, and
+    each rise lie within 10% of s / 4."""
+    times = uniform_times(100.0, 0.25)
+    series_by_size = {
+        n: entropy_series(fig3_chain(n), Partition.second_half(n), times)
+        for n in VOLUME_SIZES
+    }
+    window = times >= 5.0
+    spread = float(fit_scaling(series_by_size).relative_spread[window].mean())
+    means = [float(series_by_size[n].s1[window].mean()) for n in VOLUME_SIZES]
+    rises = np.diff(means) / np.diff(VOLUME_SIZES)
+    quarter = pair_entropy_density(fig3_chain(VOLUME_SIZES[0])) / 4
+    assert spread > 0.10, spread
+    assert np.all(np.abs(rises / quarter - 1.0) < 0.10), (rises, quarter)
 
 
 def test_criterion_09_trivial_limits():

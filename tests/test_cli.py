@@ -339,9 +339,9 @@ class TestFigures:
         assert len(figure_documents("fig1")) == 3
         assert len(figure_documents("fig2")) == 3
         assert len(figure_documents("fig3")) == 5
-        assert len(figure_documents("fig4")) == 5
-        with pytest.raises(ValueError, match="unknown figure"):
-            figure_documents("fig9")
+        for name in ("fig4", "fig9"):
+            with pytest.raises(ValueError, match="unknown figure"):
+                figure_documents(name)
 
     def test_fig1_smoke(self, tmp_path):
         paths = make_figure("fig1", str(tmp_path))
@@ -421,12 +421,13 @@ class TestFigures:
     def test_plot_scripts_against_stub_matplotlib(self, tmp_path, name):
         """The script each figure emits (``_plot_script``), on two tiny
         synthetic CSVs named for its first two curves, plots S_1 against t,
-        over ln N for fig4 with N read from the curve label, and saves
-        ``<name>.png``."""
+        over ln N for fig4 (fig3's curves) with N read from the curve
+        label, and saves ``<name>.png``."""
         out = tmp_path / "out"
         out.mkdir()
-        curves = figure_documents(name)[:2]
-        files = [f"{name}_{label}.csv" for label, _ in curves]
+        data = "fig3" if name == "fig4" else name
+        curves = figure_documents(data)[:2]
+        files = [f"{data}_{label}.csv" for label, _ in curves]
         want = []
         for index, ((label, doc), fname) in enumerate(zip(curves, files)):
             s1 = 0.25 + index
@@ -443,6 +444,19 @@ class TestFigures:
         assert [plot[3] for plot in calls["plots"]] == pytest.approx([w[3] for w in want],
                                                                      rel=1e-15)
 
+    def test_fig3_writes_the_fig4_plot_script(self, tmp_path, monkeypatch):
+        """``figure fig3`` writes its five CSVs, its own plot script and
+        fig4's, which plots those CSVs over ln N: fig4 computes nothing of
+        its own.  The curves run on a three-point grid here."""
+        run_module = importlib.import_module("entchain.run")
+        monkeypatch.setitem(run_module._FIGURE_DOCS["fig3"], "time",
+                            {"t_max": 0.02, "dt": 0.01})
+        out = tmp_path / "out"
+        paths = make_figure("fig3", str(out))
+        labels = [label for label, _ in figure_documents("fig3")]
+        files = [f"fig3_{label}.csv" for label in labels]
+        assert [os.path.basename(p) for p in paths] == files + ["fig3_plot.py", "fig4_plot.py"]
+        assert (out / "fig4_plot.py").read_text() == _plot_script("fig4", files, labels)
 
 class TestMain:
     def test_simulate_writes_file(self, tmp_path, capsys):

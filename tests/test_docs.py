@@ -115,6 +115,14 @@ def _last_time(node: str) -> float:
     raise AssertionError(f"{node} assigns no times")
 
 
+def _collapse_sizes() -> tuple:
+    """The ring sizes criterion 08 fits S_1 / ln N on and asserts collapse."""
+    (sizes,) = [ast.literal_eval(call.args[0].generators[0].iter)
+                for call in _calls(_test(COLLAPSE), "fit_scaling")
+                if isinstance(call.args[0], ast.DictComp)]
+    return sizes
+
+
 def _call_form(func) -> str:
     """``name(a, b=default, *, c=default)`` of a function's signature."""
     parts, star = [], False
@@ -152,6 +160,8 @@ FREE = "tests/test_entanglement.py::test_free_expansion_is_right_or_refused"
 SPECTRUM = "tests/test_oracles.py::test_spectrum_routes_match_50_digit_reference"
 RANDOM = "tests/test_oracles.py::test_random_chains_agree_across_paths"
 FAR = "tests/test_cli.py::TestMain::test_open_chain_far_times_are_right_or_refused"
+COLLAPSE = "tests/test_acceptance.py::test_criterion_08_entropy_scaling_collapse"
+VOLUME = "tests/test_acceptance.py::test_scaling_collapse_gives_way_to_a_volume_law"
 
 # (pattern, value): the group ``v`` of every match of ``pattern`` in the
 # README prose must equal ``value()``, a number or, for a string, the text.
@@ -193,6 +203,12 @@ QUOTED = [
                     "workdps")[0].args[0].value),
     (r"give S_1 within (?P<v>[\d.e-]+) of a", lambda: _bound(FAR, "s1_exact")),
     (r"of a (?P<v>\d+)-digit value", lambda: _digits(FAR)),
+    (r"rings of N from (?P<v>\d+) to \d+ sites", lambda: min(_collapse_sizes())),
+    (r"rings of N from \d+ to (?P<v>\d+) sites", lambda: max(_collapse_sizes())),
+    (r"From N = (?P<v>\d+) to \d+ it does not",
+     lambda: min(importlib.import_module("test_acceptance").VOLUME_SIZES)),
+    (r"From N = \d+ to (?P<v>\d+) it does not",
+     lambda: max(importlib.import_module("test_acceptance").VOLUME_SIZES)),
 ]
 # and each gate of README's ``verify`` list, which
 # ``test_verify_checks_are_listed`` holds to the checks the report prints
@@ -283,7 +299,7 @@ def test_cited_tests_exist():
     """Every test the README names is a test of the suite; the far-time
     and free-expansion ones are strict xfails."""
     nodes = re.findall(r"`(tests/test_\w+\.py(?:::\w+)+)`", PROSE)
-    assert {SUDDEN, TABLE, SPECTRUM, RANDOM, FAR, FREE} <= set(nodes)
+    assert {SUDDEN, TABLE, SPECTRUM, RANDOM, FAR, FREE, COLLAPSE, VOLUME} <= set(nodes)
     for node in nodes:
         assert callable(_test(node)), node
     for node in (FAR, FREE):

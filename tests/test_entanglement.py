@@ -33,16 +33,10 @@ from entchain.entanglement import (
 )
 from entchain.ermakov import QuenchSchedule, integrate_general
 from entchain.gaussian import mode_covariance, physical_nu
-from entchain.oracles import (
-    covariance_entropy,
-    covariance_series,
-    two_site_reduced,
-)
+from entchain.oracles import covariance_entropy, covariance_series
 from support import (
-    GaussianState,
     ReducedState,
     assemble_state,
-    mode_matrices,
     partial_trace,
     reduce_covariance,
     reduced_covariance,
@@ -265,24 +259,6 @@ class TestXiSpectrum:
         )
         with pytest.raises(NumericsError, match="positive-definite"):
             xi_spectrum(bad)
-
-
-def test_two_site_closed_form_matches_partial_trace():
-    rng = np.random.default_rng(99)
-    u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    for _ in range(200):
-        lam = rng.uniform(0.1, 9.0, size=2)
-        b = rng.uniform(0.3, 3.0, size=2)
-        bdot = rng.uniform(-2.0, 2.0, size=2)
-        omega, btilde = mode_matrices(u, lam, b, bdot)
-        state = GaussianState(omega=omega, btilde=btilde)
-        reduced = partial_trace(state, Partition.from_traced((1,), 2))
-        gamma, beta, z = two_site_reduced(
-            np.sqrt(lam[0]), np.sqrt(lam[1]), b[0], bdot[0], b[1], bdot[1]
-        )
-        assert abs(reduced.gamma[0, 0] - gamma) < 1e-12
-        assert abs(reduced.beta[0, 0] - beta) < 1e-12
-        assert abs(reduced.z[0, 0] - z) < 1e-12
 
 
 def test_xi_matches_symplectic_spectrum():
@@ -762,6 +738,40 @@ def test_general_protocols_match_the_50_digit_reference(interpolation):
     series = entropy_series(spec, part, times, alphas=(1, 2), schedule=schedule)
     for a in (1, 2):
         assert np.abs(series.entropies[a] - reference[a]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_linear_ramps_tend_to_their_sudden_and_adiabatic_limits(boundary):
+    """A ``linear`` ramp of duration T from (omega 3, k 2) to (omega 1,
+    k 2.5), on 8 sites with the second half traced, approaches the sudden
+    quench as T -> 0 with an error linear in T, and the final ground state
+    as T -> infinity with an error linear in 1/T (the ramp's kinks excite
+    the modes at first order; A. Polkovnikov et al., Rev. Mod. Phys. 83,
+    863 (2011)).  To first order in T a ramp is the sudden quench at its
+    midpoint, where lam takes its mean over the ramp, so against that
+    quench the error is quadratic in T; a wrong slope inside the ramp
+    breaks this.  Errors are max |S_1| differences over the 201 rows of
+    [T, T + 20]; each decade of T must change a linear error 8 to 12.5
+    times and a quadratic one 80 to 125 times."""
+    spec = ChainSpec(8, 3.0, 2.0, 1.0, 2.5, boundary)
+    part = Partition.second_half(spec.n)
+    window = np.linspace(0.0, 20.0, 201)
+
+    def ramp(duration):
+        schedule = QuenchSchedule([0.0, duration], [3.0, 1.0], [2.0, 2.5], "linear")
+        return entropy_series(spec, part, duration + window, schedule=schedule).s1
+
+    def sudden(start):
+        return entropy_series(spec, part, start + window).s1
+
+    ground = entropy_series(ChainSpec(8, 1.0, 2.5, 1.0, 2.5, boundary), part, [0.0]).s1[0]
+    short = (1e-4, 1e-3, 1e-2)
+    to_sudden = [np.abs(ramp(duration) - sudden(0.0)).max() for duration in short]
+    to_midpoint = [np.abs(ramp(duration) - sudden(duration / 2)).max() for duration in short]
+    to_ground = [np.abs(ramp(duration) - ground).max() for duration in (1e4, 1e3, 1e2)]
+    for errors, rate in ((to_sudden, 10.0), (to_midpoint, 100.0), (to_ground, 10.0)):
+        ratios = np.array(errors[1:]) / errors[:-1]
+        assert np.all((0.8 * rate <= ratios) & (ratios <= 1.25 * rate)), (errors, ratios)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -17,7 +17,6 @@ import entchain.entanglement
 import entchain.oracles
 from entchain import (
     ChainSpec,
-    GridError,
     IntegrationError,
     NumericsError,
     Partition,
@@ -27,7 +26,6 @@ from entchain import (
     entropy_series,
     from_dict,
     integrate_general,
-    kernel_spectrum,
     quench_modes,
     solve_sudden,
     symplectic_eigenvalues,
@@ -36,14 +34,22 @@ from entchain.chain import bond_laplacian
 from entchain.entanglement import UniformGrid, _chunk_rows, _sector_columns, _sector_spectrum
 from entchain.gaussian import _mode_weights, _site_table, mode_covariance
 from entchain.oracles import (
-    KernelGrid,
     SymplecticPropagator,
     covariance_entropy,
     ground_state_covariance,
-    two_site_reduced,
 )
 from entchain.run import figure_documents
-from support import mp_symplectic_eigenvalues, reduce_covariance, symplectic_form
+from support import (
+    GaussianState,
+    assemble_state,
+    kernel_ladder_gap,
+    kernel_spectrum,
+    mode_matrices,
+    mp_symplectic_eigenvalues,
+    partial_trace,
+    reduce_covariance,
+    symplectic_form,
+)
 
 XI_STATIC = 2.0 / (7.0 + 3.0 * np.sqrt(5.0))
 
@@ -754,8 +760,12 @@ class TestKernelSpectrum:
         assert np.abs(levels[1:]).max() < 1e-6
 
     def test_static_ladder_frozen(self):
-        reduced = two_site_reduced(1.0, 5.0, 1.0, 0.0, 1.0, 0.0)
-        levels = kernel_spectrum(reduced[0], reduced[1], reduced[2], count=3)
+        """The unquenched dimer with mode frequencies 1 and 5."""
+        u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        omega, btilde = mode_matrices(u, np.array([1.0, 25.0]), np.ones(2), np.zeros(2))
+        reduced = partial_trace(GaussianState(omega, btilde), Partition.from_traced((1,), 2))
+        levels = kernel_spectrum(reduced.gamma[0, 0], reduced.beta[0, 0], reduced.z[0, 0],
+                                 count=3)
         assert np.allclose(levels, [0.854102, 0.124612, 0.018181], atol=1e-6)
 
     def test_quench_snapshot_matches_ladder(self):
@@ -766,11 +776,8 @@ class TestKernelSpectrum:
         )
         qm = quench_modes(spec)
         sols = [solve_sudden(li, lf) for li, lf in zip(qm.lam_pre, qm.lam_post)]
-        t = 2.0
-        (b1, db1), (b2, db2) = sols[0].evaluate(t), sols[1].evaluate(t)
-        gamma, beta, z = two_site_reduced(
-            np.sqrt(qm.lam_pre[0]), np.sqrt(qm.lam_pre[1]), b1, db1, b2, db2
-        )
+        reduced = partial_trace(assemble_state(qm, sols, 2.0), Partition.from_traced((1,), 2))
+        gamma, beta, z = reduced.gamma[0, 0], reduced.beta[0, 0], reduced.z[0, 0]
         eps = np.sqrt(gamma**2 - beta**2)
         xi = beta / (gamma + eps)
         ladder = (1 - xi) * xi ** np.arange(5)
@@ -780,12 +787,24 @@ class TestKernelSpectrum:
         assert np.abs(without - ladder).max() < 1e-4
         assert np.abs(with_phase - without).max() < 1e-6
 
+    @pytest.mark.parametrize("boundary, traced", [("periodic", (2, 3, 4, 5)),
+                                                  ("open", (1, 2, 4, 5))], ids=["ring", "open"])
+    def test_kept_site_of_a_five_site_chain_referees_entropy_series(self, boundary, traced):
+        """Past the dimer: site 1 of a five-site ring and the middle site
+        of a five-site open chain, each kernel the partial trace of four
+        sites where the dimer's traces one."""
+        spec = ChainSpec(n=5, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary=boundary)
+        worst = kernel_ladder_gap(spec, Partition.from_traced(traced, 5), [0.0, 1.7, 9.4])
+        assert worst < 1e-10
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="normalizability"):
             kernel_spectrum(1.0, 1.5)
-        with pytest.raises(GridError, match="400"):
-            kernel_spectrum(2.0, 0.5, grid=KernelGrid(half_width=8.0, points=100))
-        with pytest.raises(GridError):
-            kernel_spectrum(2.0, 0.5, grid=KernelGrid(half_width=0.5, points=801))
+        with pytest.raises(ValueError, match="400"):
+            kernel_spectrum(2.0, 0.5, half_width=8.0, points=100)
+        with pytest.raises(ValueError, match="half-width"):
+            kernel_spectrum(2.0, 0.5, half_width=0.5, points=801)
         with pytest.raises(ValueError, match="count"):
             kernel_spectrum(2.0, 0.5, count=0)
+        with pytest.raises(ValueError, match="keeps one site"):
+            kernel_ladder_gap(ChainSpec(4, 3.0, 2.0, 0.3, 2.5), Partition.second_half(4), [0.0])

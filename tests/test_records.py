@@ -20,7 +20,7 @@ from entchain import (
     solve_sudden,
 )
 from entchain.entanglement import UniformGrid
-from entchain.oracles import KernelGrid, SymplecticPropagator
+from entchain.oracles import SymplecticPropagator
 
 SPEC = ChainSpec(4, 3.0, 2.0, 0.3, 2.5)
 
@@ -31,7 +31,6 @@ SCALARS = [
     (Partition((3, 4), (1, 2)), Partition.second_half(4)),
     (BoseHubbardSpec(3.0, 2.0, 1.0), BoseHubbardSpec(omega_bh_i=3.0, omega_bh_f=2.0, hop=1.0)),
     (UniformGrid(0.5, 3), UniformGrid(dt=0.5, size=3)),
-    (KernelGrid(8.0, 801), KernelGrid(half_width=8.0, points=801)),
 ]
 
 _TABLE = ([0.0, 1.0], [3.0, 0.3], [2.0, 2.5])
@@ -65,7 +64,7 @@ def test_every_record_class_is_covered():
     from entchain._record import Record, Value
 
     kinds = {type(record) for record in EVERY}
-    assert RunConfig in kinds and len(kinds) == len(EVERY) == 11
+    assert RunConfig in kinds and len(kinds) == len(EVERY) == 10
     assert kinds == set(_subclasses(Record)) - {Value}
 
 
