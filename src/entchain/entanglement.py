@@ -16,7 +16,7 @@ commutes with every covariance of the quenched chain, so the even and
 odd site combinations under it split the kept covariance into two
 sectors of about half the size (``_mirror_sectors``).  ``entropy_series``
 takes the symplectic spectrum of each sector and merges them, two
-half-size eigensolves per time point instead of one full-size one; a
+half-size spectra per time point instead of one full-size one; a
 kept block with no such reflection is one sector, the whole block.
 
 Rows are taken in two independent budgets, neither of which grows with

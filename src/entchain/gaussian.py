@@ -31,12 +31,15 @@ state, every nu_j = 1/2.
 The spectrum comes from a Cholesky factor sigma = L L^T: the real
 antisymmetric matrix A = L^T J L is similar to J sigma, so the nu_j are
 the positive eigenvalues of the Hermitian matrix i A (Williamson,
-Am. J. Math. 58, 141 (1936)).  That is one Cholesky factorization and one
-Hermitian eigensolve per matrix, with no matrix square root and no
-squared spectrum.  One and two modes, the sectors of the smallest kept
-blocks, skip the eigensolve: nu = |a_01| for one mode, and for two the
-lengths u, v of the self-dual and anti-self-dual parts of A give
-nu = (|u - v| / 2, (u + v) / 2), again without squaring the spectrum.
+Am. J. Math. 58, 141 (1936)), with no matrix square root and no squared
+spectrum.  The route depends on the size.  One and two modes, the
+sectors of the smallest kept blocks, call no LAPACK routine: the entries
+of L come from the unblocked Cholesky recurrence written out over the
+whole stack, and A's few nonzero entries from those.  One mode gives
+nu = a_01 = l_00 l_11; for two, the lengths u, v of the self-dual and
+anti-self-dual parts of A give nu = (|u - v| / 2, (u + v) / 2).  Three
+or more modes take one LAPACK Cholesky factorization and one Hermitian
+eigensolve per matrix.
 ``entchain.oracles`` keeps its own route as the reference: the same
 Williamson form, with the factor of sigma taken from ``eigh`` instead of
 Cholesky and an eigensolve at every size.
@@ -154,14 +157,71 @@ def mode_covariance(
     return _covariance(_mode_weights(lam0, b, bdot), _site_table(u_cols))
 
 
+def _small_factor(sigma: np.ndarray) -> list[list[np.ndarray]]:
+    """Lower Cholesky factor of each matrix of a stack (..., size, size),
+    as rows of entries: ``low[i][j]``, j <= i, holds l_ij of every matrix.
+
+    LAPACK's unblocked recurrence, reading only the lower triangle:
+    l_jj = sqrt(s_jj - sum_k l_jk l_jk) and
+    l_ij = (s_ij - sum_k l_ik l_jk) / l_jj, each sum taken over k < j from
+    k = 0 up.  Every entry is the same few elementwise operations in one
+    order, so a matrix gets the same bits alone as in a stack.  A pivot
+    that is not positive leaves l_jj zero or NaN, and the entries after it
+    infinite or NaN; the caller checks the diagonal.
+    """
+    size = sigma.shape[-1]
+    low: list[list[np.ndarray]] = []
+    for i in range(size):
+        low.append([])
+        for j in range(i + 1):
+            entry = sigma[..., i, j]
+            if j:
+                # Squares are products: ``**`` on the numpy scalars of a
+                # single matrix calls pow(), which can differ from x * x in
+                # the last bit.
+                dot = low[i][0] * low[j][0]
+                for k in range(1, j):
+                    dot = dot + low[i][k] * low[j][k]
+                entry = entry - dot
+            low[i].append(np.sqrt(entry) if i == j else entry / low[j][j])
+    return low
+
+
+def _factor_failure(sigma: np.ndarray) -> NumericsError:
+    """The error for a stack with a matrix that does not factor, naming the
+    worst-conditioned matrix of the stack.
+
+    Cholesky also fails once the condition number nears 1 / eps, and there
+    eigvalsh resolves the smallest eigenvalue only to about 2m eps times
+    the largest: below that level its value and even its sign are
+    roundoff, so it is not printed.
+    """
+    dim = sigma.shape[-1]
+    w = np.linalg.eigvalsh(sigma).reshape(-1, dim)
+    lo, hi = w[np.argmin(w[:, 0] / np.abs(w).max(axis=1)), [0, -1]]
+    roundoff = dim * np.finfo(float).eps * max(-lo, hi)
+    if lo < -roundoff:
+        state = f"must be positive-definite, got eigenvalues from {lo:.3e}"
+    elif lo > roundoff:
+        state = (
+            "is numerically singular, not positive-definite to working precision:"
+            f" eigenvalues from {lo:.3e}"
+        )
+    else:
+        state = f"is numerically singular: eigenvalues from 0 +/- {roundoff:.3e} (roundoff)"
+    return NumericsError(f"covariance matrix {state} to {hi:.3e}")
+
+
 def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, ascending.
 
     Factors sigma = L L^T (Cholesky) and takes the positive spectrum of
-    the Hermitian matrix i L^T J L, which is similar to i J sigma: in
-    closed form for one and two modes (see the module docstring), by
-    ``eigvalsh`` for three or more.  Either way the absolute error is
-    about eps ||sigma||.  A pure state gives all values 1/2.
+    the Hermitian matrix i L^T J L, which is similar to i J sigma.  One
+    and two modes call no LAPACK routine: the factor comes from the
+    Cholesky recurrence and the spectrum in closed form (see the module
+    docstring).  Three or more modes take ``np.linalg.cholesky`` and
+    ``eigvalsh``.  Either way the absolute error is about eps ||sigma||.
+    A pure state gives all values 1/2.
 
     ``sigma`` may be one (2m, 2m) matrix or a stack (..., 2m, 2m); the
     result has shape (..., m), and each matrix of a stack gets the same
@@ -177,47 +237,38 @@ def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     if not np.isfinite(sigma).all():
         raise NumericsError("covariance matrix has non-finite entries")
     m = sigma.shape[-1] // 2
-    try:
-        factor = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        # Report the worst-conditioned matrix of the stack.  Cholesky also
-        # fails once the condition number nears 1 / eps, and there
-        # eigvalsh resolves the smallest eigenvalue only to about
-        # 2m eps times the largest: below that level its value and even
-        # its sign are roundoff, so it is not printed.
-        w = np.linalg.eigvalsh(sigma).reshape(-1, 2 * m)
-        lo, hi = w[np.argmin(w[:, 0] / np.abs(w).max(axis=1)), [0, -1]]
-        roundoff = 2 * m * np.finfo(float).eps * max(-lo, hi)
-        if lo < -roundoff:
-            state = f"must be positive-definite, got eigenvalues from {lo:.3e}"
-        elif lo > roundoff:
-            state = (
-                "is numerically singular, not positive-definite to working precision:"
-                f" eigenvalues from {lo:.3e}"
-            )
-        else:
-            state = f"is numerically singular: eigenvalues from 0 +/- {roundoff:.3e} (roundoff)"
-        raise NumericsError(f"covariance matrix {state} to {hi:.3e}") from None
-    # L^T J L = Lx^T Lp - Lp^T Lx for the position rows Lx and momentum
-    # rows Lp of L; real antisymmetric, so i times it is Hermitian.
-    g = factor[..., :m, :].swapaxes(-1, -2) @ factor[..., m:, :]
-    a = g - g.swapaxes(-1, -2)
+    if m > 2:
+        try:
+            factor = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            raise _factor_failure(sigma) from None
+        # L^T J L = Lx^T Lp - Lp^T Lx for the position rows Lx and momentum
+        # rows Lp of L; real antisymmetric, so i times it is Hermitian.
+        g = factor[..., :m, :].swapaxes(-1, -2) @ factor[..., m:, :]
+        return np.linalg.eigvalsh(1j * (g - g.swapaxes(-1, -2)))[..., m:]
+    # A pivot that is not positive raises no numpy warning here: it fails
+    # the diagonal check below, as it fails LAPACK's (np.min keeps a NaN).
+    with np.errstate(all="ignore"):
+        low = _small_factor(sigma)
+    if not np.min([low[j][j] for j in range(2 * m)]) > 0:
+        raise _factor_failure(sigma)
     if m == 1:
-        return np.abs(a[..., 0, 1:])
-    if m == 2:
-        # so(4) = so(3) + so(3): the self-dual and anti-self-dual parts of
-        # A have lengths u and v with u^2 + v^2 = 2 sum_i<j a_ij^2 = 2 (nu_1^2
-        # + nu_2^2) and u^2 - v^2 = 4 Pf A = +-4 nu_1 nu_2, so they are
-        # nu_2 + nu_1 and nu_2 - nu_1 in some order.
-        # Squares are products: ``**`` on the numpy scalars of a single
-        # matrix calls pow(), which can differ from x * x in the last bit.
-        self_dual = (a[..., 0, 1] + a[..., 2, 3], a[..., 0, 2] - a[..., 1, 3],
-                     a[..., 0, 3] + a[..., 1, 2])
-        anti_dual = (a[..., 0, 1] - a[..., 2, 3], a[..., 0, 2] + a[..., 1, 3],
-                     a[..., 0, 3] - a[..., 1, 2])
-        u, v = (np.sqrt(x * x + y * y + z * z) for x, y, z in (self_dual, anti_dual))
-        return np.stack([np.abs(u - v), u + v], axis=-1) / 2
-    return np.linalg.eigvalsh(1j * a)[..., m:]
+        return (low[0][0] * low[1][1])[..., None]
+    # The five nonzero entries a_ij, i < j, of A = L^T J L (a_23 = 0).
+    (l00,), (l10, l11), (l20, l21, l22), (l30, l31, l32, l33) = low
+    a01 = l00 * l21 + l10 * l31 - l11 * l30
+    a02 = l00 * l22 + l10 * l32
+    a03 = l10 * l33
+    a12 = l11 * l32
+    a13 = l11 * l33
+    # so(4) = so(3) + so(3): the self-dual and anti-self-dual parts of A
+    # have lengths u and v with u^2 + v^2 = 2 sum_i<j a_ij^2 = 2 (nu_1^2 +
+    # nu_2^2) and u^2 - v^2 = 4 Pf A = +-4 nu_1 nu_2, so they are nu_2 +
+    # nu_1 and nu_2 - nu_1 in some order.
+    self_dual = (a01, a02 - a13, a03 + a12)
+    anti_dual = (a01, a02 + a13, a03 - a12)
+    u, v = (np.sqrt(x * x + y * y + z * z) for x, y, z in (self_dual, anti_dual))
+    return np.stack([np.abs(u - v), u + v], axis=-1) / 2
 
 
 def physical_nu(nu) -> np.ndarray:

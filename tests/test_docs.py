@@ -162,6 +162,7 @@ RANDOM = "tests/test_oracles.py::test_random_chains_agree_across_paths"
 FAR = "tests/test_cli.py::TestMain::test_open_chain_far_times_are_right_or_refused"
 COLLAPSE = "tests/test_acceptance.py::test_criterion_08_entropy_scaling_collapse"
 VOLUME = "tests/test_acceptance.py::test_scaling_collapse_gives_way_to_a_volume_law"
+NO_LAPACK = "tests/test_entanglement.py::TestEntropySeries::test_ramp_runs_without_an_eigensolver"
 
 # (pattern, value): the group ``v`` of every match of ``pattern`` in the
 # README prose must equal ``value()``, a number or, for a string, the text.
@@ -299,7 +300,7 @@ def test_cited_tests_exist():
     """Every test the README names is a test of the suite; the far-time
     and free-expansion ones are strict xfails."""
     nodes = re.findall(r"`(tests/test_\w+\.py(?:::\w+)+)`", PROSE)
-    assert {SUDDEN, TABLE, SPECTRUM, RANDOM, FAR, FREE, COLLAPSE, VOLUME} <= set(nodes)
+    assert {SUDDEN, TABLE, SPECTRUM, RANDOM, FAR, FREE, COLLAPSE, VOLUME, NO_LAPACK} <= set(nodes)
     for node in nodes:
         assert callable(_test(node)), node
     for node in (FAR, FREE):

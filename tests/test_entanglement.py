@@ -389,8 +389,9 @@ class TestEntropySeries:
 
     def test_ramp_runs_without_an_eigensolver(self, monkeypatch):
         """The benchmark's ramp (an 8-site ring, sites 1-4 kept, two
-        two-site sectors) calls no eigensolver: the mode basis is in closed
-        form and two-site spectra are too."""
+        two-site sectors) calls no LAPACK routine: the mode basis is in
+        closed form, and so are the Cholesky factor and the spectrum of
+        two-site sectors.  Cholesky, eigh and eigvalsh are refused."""
         spec = ChainSpec(n=8, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5)
         schedule = QuenchSchedule(*np.transpose(RAMP_TABLE), interpolation="linear")
         times = 0.5 * np.arange(201)
@@ -398,8 +399,9 @@ class TestEntropySeries:
                               schedule=schedule)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("an eigensolver was called")
+            raise AssertionError("a LAPACK routine was called")
 
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         got = entropy_series(spec, Partition.second_half(8), times, alphas=(1, 2),

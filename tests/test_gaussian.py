@@ -189,7 +189,8 @@ def test_cholesky_failure_message_follows_the_roundoff_level(monkeypatch):
     """The smallest eigenvalue is printed only beyond the roundoff level
     2m eps |largest|: a negative one makes the matrix indefinite, a
     positive one that Cholesky still rejects numerically singular, and one
-    within roundoff is replaced by that level."""
+    within roundoff is replaced by that level.  The two-mode cases fail
+    the closed-form pivot check; the three-mode one, LAPACK's Cholesky."""
     eps = np.finfo(float).eps
     with pytest.raises(NumericsError) as err:
         symplectic_eigenvalues(np.diag([4.0, -1e-14, 1.0, 1.0]))
@@ -208,7 +209,7 @@ def test_cholesky_failure_message_follows_the_roundoff_level(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", rejects)
     with pytest.raises(NumericsError) as err:
-        symplectic_eigenvalues(np.diag([4.0, 1e-13, 1.0, 1.0]))
+        symplectic_eigenvalues(np.diag([4.0, 1e-13, 1.0, 1.0, 1.0, 1.0]))
     assert str(err.value) == (
         "covariance matrix is numerically singular, not positive-definite to working"
         " precision: eigenvalues from 1.000e-13 to 4.000e+00"

@@ -207,7 +207,8 @@ class _Forbidden(Exception):
 def test_spectrum_routes_are_separate_code(monkeypatch):
     """The primary path and the oracle each run their own spectrum code:
     with Cholesky and QR unavailable the oracle still checks a fig2 curve,
-    and the primary path cannot run."""
+    and the primary path cannot run a fig3 curve (n = 10), whose sectors of
+    three and two sites take the LAPACK Cholesky route from three sites."""
     assert entchain.entanglement.symplectic_eigenvalues is not entchain.oracles.symplectic_eigenvalues
     config = from_dict(figure_documents("fig2")[0][1])
     times = np.linspace(0.0, 100.0, 201)
@@ -221,8 +222,10 @@ def test_spectrum_routes_are_separate_code(monkeypatch):
     oracle = covariance_series(config.chain, config.partition, times, alphas=(1, 2))
     for a in (1, 2):
         assert np.abs(oracle.entropies[a] - primary.entropies[a]).max() < 1e-8
+    wider = from_dict(figure_documents("fig3")[2][1])
+    assert wider.chain.n == 10
     with pytest.raises(_Forbidden):
-        entropy_series(config.chain, config.partition, times)
+        entropy_series(wider.chain, wider.partition, times)
 
 
 def _mp_symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
