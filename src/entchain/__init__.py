@@ -5,14 +5,8 @@ reference in ``entchain.oracles``."""
 
 __version__ = "0.1.0"
 
-from .bosehubbard import BoseHubbardSpec, to_oscillator
-from .chain import (
-    ChainSpec,
-    QuenchModes,
-    bond_laplacian,
-    build_coupling_matrix,
-    quench_modes,
-)
+from .bosehubbard import BoseHubbardSpec
+from .chain import ChainSpec, QuenchModes, quench_modes
 from .config import RunConfig, from_dict, parse_config
 from .entanglement import (
     EntropySeries,
@@ -21,13 +15,7 @@ from .entanglement import (
     renyi_entropy,
     von_neumann_entropy,
 )
-from .ermakov import (
-    ModeSolution,
-    QuenchSchedule,
-    integrate_general,
-    mode_checks,
-    solve_sudden,
-)
+from .ermakov import ModeSolution, QuenchSchedule, integrate_general
 from .errors import (
     ConfigError,
     EntchainError,
@@ -52,23 +40,18 @@ __all__ = [
     "QuenchModes",
     "QuenchSchedule",
     "RunConfig",
-    "bond_laplacian",
-    "build_coupling_matrix",
     "covariance_series",
     "entropy_series",
     "format_csv",
     "from_dict",
     "integrate_general",
     "make_figure",
-    "mode_checks",
     "parse_config",
     "quench_modes",
     "renyi_entropy",
     "run",
     "run_sweep",
-    "solve_sudden",
     "symplectic_eigenvalues",
-    "to_oscillator",
     "verify_report",
     "von_neumann_entropy",
 ]

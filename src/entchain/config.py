@@ -338,7 +338,8 @@ def expand_sweep(raw: dict) -> list[tuple[str, dict]]:
 
     Returns (label, document) pairs, labels like ``omega_bh_f=2.15`` with
     swept keys in sorted order; a document with no list-valued model keys
-    yields a single pair with an empty label.
+    yields a single pair with an empty label.  Two values of one key that
+    format to the same label are a ``ConfigError``.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
@@ -352,6 +353,13 @@ def expand_sweep(raw: dict) -> list[tuple[str, dict]]:
     for key in keys:
         if not swept[key]:
             raise ConfigError(f"model.{key}: sweep list must be non-empty")
+        labels = [json.dumps(v) for v in swept[key]]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(
+                    f"model.{key}: sweep values repeat the label {key}={label}, "
+                    "so their CSVs would overwrite each other"
+                )
     combos = []
     for values in product(*(swept[k] for k in keys)):
         doc = dict(raw)

@@ -67,13 +67,12 @@ from entchain import (
     Partition,
     QuenchModes,
     QuenchSchedule,
-    bond_laplacian,
     entropy_series,
     quench_modes,
-    solve_sudden,
 )
-from entchain.chain import Phase
+from entchain.chain import Phase, bond_laplacian
 from entchain.entanglement import _validate_xi
+from entchain.ermakov import solve_sudden
 from entchain.gaussian import physical_nu
 from entchain.oracles import symplectic_eigenvalues
 

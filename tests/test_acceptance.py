@@ -15,11 +15,10 @@ from entchain import (
     entropy_series,
     integrate_general,
     make_figure,
-    mode_checks,
     quench_modes,
-    solve_sudden,
     symplectic_eigenvalues,
 )
+from entchain.ermakov import mode_checks, solve_sudden
 from entchain.oracles import covariance_series
 from support import (
     _spectrum_peaks,

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from entchain import BoseHubbardSpec, Partition, entropy_series, to_oscillator
+from entchain import BoseHubbardSpec, Partition, entropy_series
+from entchain.bosehubbard import to_oscillator
 from support import from_oscillator, mode_frequencies
 
 

@@ -15,12 +15,11 @@ from entchain import (
     NumericsError,
     Partition,
     QuenchModes,
-    bond_laplacian,
-    build_coupling_matrix,
     quench_modes,
-    solve_sudden,
 )
 from entchain import chain
+from entchain.chain import bond_laplacian, build_coupling_matrix
+from entchain.ermakov import solve_sudden
 from entchain.gaussian import symplectic_eigenvalues
 from entchain.oracles import covariance_entropy
 from support import assemble_state, periodic_eigenvalues, reduce_covariance, to_covariance

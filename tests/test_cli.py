@@ -302,6 +302,20 @@ class TestSweep:
         paths = run_sweep(dict(STATIC_DOC), str(tmp_path))
         assert [os.path.basename(p) for p in paths] == ["run.csv"]
 
+    @pytest.mark.parametrize("values", ["[2.5, 2.5]", "[0.3, 0.30]"])
+    def test_values_with_one_label_are_refused(self, tmp_path, capsys, values):
+        """Two values of one swept key that print as the same label would
+        write one CSV for two combinations: a config error, and no CSV."""
+        text = json.dumps(QUENCH_DOC).replace('"k_f": 2.5', f'"k_f": {values}')
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config_path), "--output", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: model.k_f: ")
+        assert "wrote" not in captured.out
+        assert not out_dir.exists() or not os.listdir(out_dir)
+
     def test_each_csv_is_written_before_the_next_run(self, tmp_path, monkeypatch, capsys):
         """Each combination's CSV is on disk before the next combination
         runs, and a numerical failure in the last one leaves the earlier

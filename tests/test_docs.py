@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import entchain
+from entchain import ChainSpec, NumericsError, Partition, QuenchSchedule
 from entchain import chain, config, entropy_series, ermakov, from_dict, gaussian
 from entchain import integrate_general, verify_report
 from entchain.cli import build_parser, main
@@ -154,6 +155,23 @@ def _python_floor() -> str:
     return re.search(r'requires-python = ">=([\d.]+)"', text).group(1)
 
 
+# README's slow ramp: the open chain of the ramp-limit test, ramped over this long
+SLOW_RAMP = 1e5
+
+
+def _slow_ramp_pieces() -> float:
+    """The Taylor pieces the slow ramp needs, to three digits, from the
+    count ``integrate_general`` refuses it with."""
+    spec = ChainSpec(8, 3.0, 2.0, 1.0, 2.5, "open")
+    schedule = QuenchSchedule([0.0, SLOW_RAMP], [3.0, 1.0], [2.0, 2.5])
+    try:
+        entropy_series(spec, Partition.second_half(spec.n), [SLOW_RAMP], schedule=schedule)
+    except NumericsError as err:
+        count = float(re.search(r"needs (\S+) Taylor pieces", str(err)).group(1))
+        return float(f"{count:.3g}")
+    raise AssertionError("the slow ramp is within the piece cap")
+
+
 SUDDEN = "tests/test_entanglement.py::test_sudden_quench_matches_the_50_digit_reference"
 TABLE = "tests/test_entanglement.py::test_general_protocols_match_the_50_digit_reference"
 FREE = "tests/test_entanglement.py::test_free_expansion_is_right_or_refused"
@@ -172,6 +190,9 @@ QUOTED = [
     (r"`model\.n` at most (?P<v>[\d,]+)", lambda: config.MAX_SITES),
     (r"time grid at most (?P<v>[\d,]+) points", lambda: config.MAX_TIME_POINTS),
     (r"(?:at most|more than) (?P<v>2\^\d+) Taylor pieces", lambda: ermakov._MAX_PIECES),
+    (r"\|slope\|\^\(1/3\)\) / (?P<v>\d+) pieces", lambda: ermakov._PIECE_PHASE),
+    (r"ramped over T = (?P<v>[\d.e]+) needs", lambda: SLOW_RAMP),
+    (r"needs (?P<v>[\d.e]+)\.", _slow_ramp_pieces),
     (r"`tolerance` \(default (?P<v>[\d.e-]+)\)", lambda: from_dict(GENERAL).tolerance),
     (r"`time\.dt` \(default (?P<v>[\d.]+)\)", lambda: from_dict(MINIMAL).dt),
     (r"`time\.t_max` \(default (?P<v>[\d.]+)\)", lambda: from_dict(MINIMAL).t_max),
@@ -247,6 +268,7 @@ PLAIN = [
     "grid 0, dt, 2 dt, ... of floor(t_max / dt) + 1 points",
     "order 1",
     "omega^2 + 4 k",
+    "|slope|^(1/3)",
     "1..N",
     "`mu[0]` exactly 0",
     "2-norm",

@@ -14,10 +14,10 @@ from entchain import (
     ChainSpec,
     NumericsError,
     quench_modes,
-    solve_sudden,
     symplectic_eigenvalues,
 )
 from entchain import gaussian
+from entchain.ermakov import solve_sudden
 from entchain.gaussian import (
     _TABLE_VALUES,
     _covariance,

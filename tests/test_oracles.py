@@ -21,17 +21,16 @@ from entchain import (
     NumericsError,
     Partition,
     QuenchSchedule,
-    build_coupling_matrix,
     covariance_series,
     entropy_series,
     from_dict,
     integrate_general,
     quench_modes,
-    solve_sudden,
     symplectic_eigenvalues,
 )
-from entchain.chain import bond_laplacian
+from entchain.chain import bond_laplacian, build_coupling_matrix
 from entchain.entanglement import UniformGrid, _chunk_rows, _sector_columns, _sector_spectrum
+from entchain.ermakov import solve_sudden
 from entchain.gaussian import _mode_weights, _site_table, mode_covariance
 from entchain.oracles import (
     SymplecticPropagator,

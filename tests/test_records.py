@@ -13,13 +13,13 @@ from entchain import (
     Partition,
     QuenchSchedule,
     RunConfig,
-    build_coupling_matrix,
     entropy_series,
     from_dict,
     quench_modes,
-    solve_sudden,
 )
+from entchain.chain import build_coupling_matrix
 from entchain.entanglement import UniformGrid
+from entchain.ermakov import solve_sudden
 from entchain.oracles import SymplecticPropagator
 
 SPEC = ChainSpec(4, 3.0, 2.0, 0.3, 2.5)
