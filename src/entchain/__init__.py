@@ -24,7 +24,7 @@ from .errors import (
 )
 from .gaussian import symplectic_eigenvalues
 from .oracles import covariance_series
-from .run import format_csv, make_figure, run, run_sweep, verify_report
+from .run import format_csv, make_figure, run_sweep, verify_report
 
 __all__ = [
     "__version__",
@@ -49,7 +49,6 @@ __all__ = [
     "parse_config",
     "quench_modes",
     "renyi_entropy",
-    "run",
     "run_sweep",
     "symplectic_eigenvalues",
     "verify_report",

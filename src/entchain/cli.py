@@ -49,10 +49,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_document(path: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text: {exc}") from exc
     try:
         raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit

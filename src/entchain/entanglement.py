@@ -180,6 +180,8 @@ def _validate_times(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if times[0] < 0:
         raise ValueError("times must be non-negative")
     if times.size > 1 and np.diff(times).min() <= 0:
@@ -291,8 +293,8 @@ def entropy_series(
     *,
     chunks: bool = False,
 ) -> EntropySeries | Iterator[EntropySeries]:
-    """Entanglement entropies of the kept block at non-negative, strictly
-    increasing times: an array, or a ``UniformGrid``.
+    """Entanglement entropies of the kept block at finite, non-negative,
+    strictly increasing times: an array, or a ``UniformGrid``.
 
     With ``schedule=None`` the quench is sudden (spec's pre -> post
     parameters), run as the one-row ``previous`` schedule

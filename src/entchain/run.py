@@ -91,10 +91,10 @@ def _run_csv(config: RunConfig):
     yield from _csv(config, _series(config, chunks=True))
 
 
-def format_csv(config: RunConfig, series: EntropySeries) -> str:
-    """A configured run's CSV over ``series`` (``run(config)``) as one
-    string, byte for byte the text its ``simulate`` writes."""
-    return "".join(_csv(config, [series]))
+def format_csv(config: RunConfig) -> str:
+    """Run a config and return its CSV, formatted from the whole series,
+    as one string: byte for byte the text its ``simulate`` writes."""
+    return "".join(_csv(config, [run(config)]))
 
 
 @contextmanager

@@ -673,19 +673,38 @@ def _mp_entropy(nus, alpha):
 # The quasiparticle picture of a sudden quench.
 
 
-def pair_entropy_density(spec: ChainSpec) -> float:
-    """Entropy per site that the quasiparticle pairs of a sudden quench
-    carry on an infinite chain: the mean over momenta q of
-    s(n_q) = (n_q + 1) ln(n_q + 1) - n_q ln n_q, where
+def _pair_modes(spec: ChainSpec):
+    """Pair entropy s(n_q) = (n_q + 1) ln(n_q + 1) - n_q ln n_q and
+    post-quench group velocity v_q = dw_f / dq = k_f sin q / w_f of the
+    momenta q on the midpoints of 200,000 cells of (0, pi), where
     n_q = (w_i / w_f + w_f / w_i) / 4 - 1/2 is the post-quench occupation
     of mode q and w(q)^2 = omega^2 + 4 k sin^2(q / 2) (P. Calabrese and
-    J. Cardy, J. Stat. Mech. (2005) P04010).  The mean is taken on the
-    midpoints of 200,000 cells of (0, pi), as s is even in q."""
+    J. Cardy, J. Stat. Mech. (2005) P04010).  Both are even in q, so a
+    mean over these q is a mean over the Brillouin zone."""
     q = np.pi * (np.arange(200_000) + 0.5) / 200_000
     w_i, w_f = (np.sqrt(omega**2 + 4.0 * k * np.sin(q / 2) ** 2)
                 for omega, k in ((spec.omega_i, spec.k_i), (spec.omega_f, spec.k_f)))
     n = (w_i / w_f + w_f / w_i) / 4 - 0.5
-    return float(np.mean((n + 1) * np.log1p(n) - n * np.log(np.maximum(n, 1e-300))))
+    s = (n + 1) * np.log1p(n) - n * np.log(np.maximum(n, 1e-300))
+    return s, spec.k_f * np.sin(q) / w_f
+
+
+def pair_entropy_density(spec: ChainSpec) -> float:
+    """Entropy per site that the quasiparticle pairs of a sudden quench
+    carry on an infinite chain: the mean over momenta q of s(n_q)."""
+    s, _ = _pair_modes(spec)
+    return float(np.mean(s))
+
+
+def quasiparticle_entropy(spec: ChainSpec, length: int, times) -> np.ndarray:
+    """The quasiparticle law for a block of ``length`` sites in an
+    infinite chain after a sudden quench,
+    S_qp(t) = integral dq / 2 pi  s(n_q) min(2 |v_q| t, length):
+    a pair emitted inside the block with one member outside adds s(n_q)
+    (V. Alba and P. Calabrese, PNAS 114, 7947 (2017); J. Cotler et al.,
+    JHEP 11 (2016) 166 for free bosons)."""
+    s, v = _pair_modes(spec)
+    return np.array([np.mean(s * np.minimum(2.0 * np.abs(v) * t, length)) for t in times])
 
 
 # Closed forms of the chain and of the two-well map.

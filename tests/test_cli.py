@@ -1,7 +1,7 @@
 """Run execution, CSV output, figure pipelines, and the command line."""
 
 import errno
-import importlib
+import inspect
 import json
 import math
 import os
@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import entchain.run as run_module
 from entchain import (
     ChainSpec,
     EntropySeries,
@@ -22,13 +23,12 @@ from entchain import (
     format_csv,
     from_dict,
     make_figure,
-    run,
     run_sweep,
     verify_report,
 )
 from entchain.cli import main
 from entchain.config import canonical_echo
-from entchain.run import _plot_script, figure_documents
+from entchain.run import _plot_script, figure_documents, run
 from support import sudden_reference
 
 STATIC_DOC = {
@@ -52,6 +52,15 @@ QUENCH_DOC = {
         "k_f": 2.5,
     },
     "time": {"t_max": 0.2, "dt": 0.1},
+    "entropy": {"alphas": [1, 2]},
+}
+
+
+RAMP_DOC = {
+    "model": {"n": 8, "boundary": "periodic", "omega_i": 3.0, "k_i": 2.0},
+    "quench": {"kind": "general",
+               "table": [[0.0, 3.0, 2.0], [10.0, 2.0, 2.2], [20.0, 1.0, 2.4], [30.0, 0.3, 2.5]]},
+    "time": {"t_max": 100.0, "dt": 0.01},
     "entropy": {"alphas": [1, 2]},
 }
 
@@ -102,11 +111,20 @@ class TestRun:
         np.testing.assert_allclose(series.entropies[1], 0.48653, rtol=0, atol=1e-4)
         assert np.ptp(series.entropies[1]) < 1e-12
 
+    def test_package_attribute_is_the_module(self):
+        """The package root does not re-export the function ``run``, so
+        ``entchain.run`` and ``import entchain.run`` give the module."""
+        import entchain
+
+        assert inspect.ismodule(run_module)
+        assert entchain.run is sys.modules["entchain.run"] is run_module
+        assert "run" not in entchain.__all__
+
 
 class TestFormatCsv:
     def test_layout(self):
         config = from_dict(QUENCH_DOC)
-        text = format_csv(config, run(config))
+        text = format_csv(config)
         lines = text.split("\n")
         assert lines[0] == f"# config: {canonical_echo(config)}"
         assert lines[1] == "t,xi_1,xi_2,S_1,S_2"
@@ -120,7 +138,7 @@ class TestFormatCsv:
         doc["output"] = {"precision": 3}
         config = from_dict(doc)
         series = run(config)
-        row = format_csv(config, series).split("\n")[2].split(",")
+        row = format_csv(config).split("\n")[2].split(",")
         expected = [
             f"{series.times[0]:.3g}",
             f"{series.xi[0, 0]:.3g}",
@@ -139,7 +157,8 @@ class TestFormatCsv:
         want = [
             ",".join("{:.{p}g}".format(v, p=precision) for v in row) for row in zip(*columns)
         ]
-        assert format_csv(csv_config((1, 3), precision), series).split("\n")[2:-1] == want
+        text = "".join(run_module._csv(csv_config((1, 3), precision), [series]))
+        assert text.split("\n")[2:-1] == want
 
     @pytest.mark.parametrize("alphas", [(1,), (1, 2, 3)], ids=["S1", "S123"])
     @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
@@ -164,35 +183,42 @@ class TestFormatCsv:
         header = ",".join(["t", "xi_1", "xi_2"] + [f"S_{a}" for a in alphas])
         want = f"# config: {canonical_echo(config)}\n{header}\n" + "".join(
             row % tuple(r) for r in values.tolist())
-        # the package binds the function run under the module's name
-        run_module = importlib.import_module("entchain.run")
         pieces = list(run_module._csv(config, [series]))
         assert len(pieces) == 1 + -(-rows // run_module._CSV_ROWS)
         assert "".join(pieces) == want
 
     def test_echo_in_header_reparses_to_same_run(self):
         config = from_dict(STATIC_DOC)
-        header = format_csv(config, run(config)).split("\n")[0]
+        header = format_csv(config).split("\n")[0]
         echo = json.loads(header[len("# config: "):])
         assert canonical_echo(from_dict(echo)) == canonical_echo(config)
 
     def test_repeat_runs_byte_identical(self):
         config = from_dict(QUENCH_DOC)
-        assert format_csv(config, run(config)) == format_csv(config, run(config))
+        assert format_csv(config) == format_csv(config)
+
+    @pytest.mark.parametrize("doc", [RAMP_DOC] + [doc for _, doc in figure_documents("fig2")],
+                             ids=["ramp"] + [label for label, _ in figure_documents("fig2")])
+    def test_matches_simulate_to_the_byte(self, tmp_path, doc):
+        """``format_csv`` takes a config alone and formats that config's
+        whole series: the bytes ``simulate`` writes chunk by chunk, on the
+        benchmark's ramp (10,001 rows in several chunks) and fig2's
+        curves."""
+        assert list(inspect.signature(format_csv).parameters) == ["config"]
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == format_csv(from_dict(doc)).encode()
 
 
 class TestWriteCsv:
     def test_creates_parent_directories(self, tmp_path):
-        # the package binds the function run under the module's name
-        run_module = importlib.import_module("entchain.run")
         config = from_dict(STATIC_DOC)
         target = tmp_path / "nested" / "deeper" / "out.csv"
         run_module._write_atomic(str(target), run_module._run_csv(config))
-        assert target.read_text() == format_csv(config, run(config))
+        assert target.read_text() == format_csv(config)
 
     def test_failure_mid_write_keeps_old_file(self, tmp_path):
-        # the package binds the function run under the module's name
-        run_module = importlib.import_module("entchain.run")
         doc = json.loads(json.dumps(QUENCH_DOC))
         doc["time"] = {"t_max": 300.0, "dt": 0.1}  # 3001 rows, three row chunks
 
@@ -215,8 +241,6 @@ class TestWriteCsv:
         """A full disk while the CSV is written or closed exits 1 with
         ``error: cannot write ...``; the temporary file is removed and the
         earlier file at the path is left as it was."""
-        # the package binds the function run under the module's name
-        run_module = importlib.import_module("entchain.run")
 
         class FullDisk:
             def __init__(self, handle):
@@ -247,8 +271,6 @@ class TestWriteCsv:
         assert sorted(os.listdir(tmp_path)) == ["config.json", "out.csv"]
 
     def test_rows_come_in_chunks(self):
-        # the package binds the function run under the module's name
-        run_module = importlib.import_module("entchain.run")
         doc = json.loads(json.dumps(QUENCH_DOC))
         doc["time"] = {"t_max": 300.0, "dt": 0.1}
         config = from_dict(doc)
@@ -256,15 +278,13 @@ class TestWriteCsv:
         pieces = list(run_module._csv(config, [series]))
         rows, piece = 3001, run_module._CSV_ROWS
         assert [p.count("\n") for p in pieces] == [2] + [piece] * (rows // piece) + [rows % piece]
-        assert "".join(pieces) == format_csv(config, series)
+        assert "".join(pieces) == format_csv(config)
 
     def test_writing_holds_one_piece_at_a_time(self, tmp_path):
         """Writing a 200,001-row series allocates about one
         ``_CSV_ROWS``-row piece of values and text at a time (by
         ``tracemalloc``), far below the 6.4 MB of the series' values or
         the 10 MB of its text."""
-        # the package binds the function run under the module's name
-        run_module = importlib.import_module("entchain.run")
         times = 0.01 * np.arange(200_001)
         series = EntropySeries(
             times=times,
@@ -294,7 +314,7 @@ class TestSweep:
             single = json.loads(json.dumps(QUENCH_DOC))
             single["model"]["omega_f"] = omega_f
             config = from_dict(single)
-            expected = format_csv(config, run(config))
+            expected = format_csv(config)
             with open(path) as handle:
                 assert handle.read() == expected
 
@@ -320,8 +340,6 @@ class TestSweep:
         """Each combination's CSV is on disk before the next combination
         runs, and a numerical failure in the last one leaves the earlier
         CSVs complete, no temporary file, and exit 2."""
-        # the package binds the function run under the module's name
-        run_module = importlib.import_module("entchain.run")
         real_run_csv = run_module._run_csv
         doc = json.loads(json.dumps(QUENCH_DOC))
         doc["model"]["omega_f"] = [0.3, 0.1, 0.05]
@@ -345,7 +363,7 @@ class TestSweep:
             single = json.loads(json.dumps(QUENCH_DOC))
             single["model"]["omega_f"] = omega_f
             config = from_dict(single)
-            assert (out_dir / name).read_text() == format_csv(config, run(config))
+            assert (out_dir / name).read_text() == format_csv(config)
 
 
 class TestFigures:
@@ -462,7 +480,6 @@ class TestFigures:
         """``figure fig3`` writes its five CSVs, its own plot script and
         fig4's, which plots those CSVs over ln N: fig4 computes nothing of
         its own.  The curves run on a three-point grid here."""
-        run_module = importlib.import_module("entchain.run")
         monkeypatch.setitem(run_module._FIGURE_DOCS["fig3"], "time",
                             {"t_max": 0.02, "dt": 0.01})
         out = tmp_path / "out"
@@ -480,14 +497,14 @@ class TestMain:
         assert f"wrote {out_path}" in capsys.readouterr().out
         with open(out_path) as handle:
             config = from_dict(STATIC_DOC)
-            assert handle.read() == format_csv(config, run(config))
+            assert handle.read() == format_csv(config)
 
     def test_simulate_stdout_fallback(self, tmp_path, capsys):
         config_path = write_config(tmp_path, STATIC_DOC)
         assert main(["simulate", "--config", config_path]) == 0
         out = capsys.readouterr().out
         config = from_dict(STATIC_DOC)
-        assert out == format_csv(config, run(config))
+        assert out == format_csv(config)
 
     def test_simulate_uses_config_output_path(self, tmp_path, capsys):
         doc = json.loads(json.dumps(STATIC_DOC))
@@ -552,6 +569,16 @@ class TestMain:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_file_not_utf8_exits_1_without_traceback(self, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        proc = _run_cli([command, "--config", str(path), "--output", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {path}: config file is not UTF-8 text: ")
+        assert "Traceback" not in proc.stderr
+        assert os.listdir(tmp_path) == ["bad.json"]
+
     def test_non_finite_table_exits_1_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text(
@@ -597,8 +624,6 @@ class TestMain:
         with ``error: cannot write ...`` and no traceback, before any run."""
         import entchain.cli as cli_module
 
-        # the package binds the function run under the module's name
-        run_module = importlib.import_module("entchain.run")
 
         def no_run(config):
             raise AssertionError("ran before checking the output path")
@@ -1054,7 +1079,7 @@ class TestMain:
         doc["time"] = {"t_max": 300.0, "dt": 0.1}
         config_path = write_config(tmp_path, doc)
         config = from_dict(doc)
-        expected = format_csv(config, run(config))
+        expected = format_csv(config)
         assert len(expected) > 65536
         out = tmp_path / "out.csv"
         code = (

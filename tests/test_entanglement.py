@@ -575,6 +575,19 @@ class TestEntropySeries:
         with pytest.raises(ValueError, match="covers"):
             entropy_series(spec, Partition.second_half(6), [0.0, 0.1])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("series", [entropy_series, covariance_series],
+                             ids=["product", "oracle"])
+    @pytest.mark.parametrize("times", [[np.nan], [0.0, np.nan], [0.0, 1.0, np.inf]],
+                             ids=["nan", "then-nan", "then-inf"])
+    def test_non_finite_times_are_refused(self, series, times):
+        """A NaN or infinite time is refused by name before any work, on
+        both paths: NaN passes every ordering check, and inf a spacing
+        check."""
+        spec = ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary="periodic")
+        with pytest.raises(ValueError, match="^times must be finite$"):
+            series(spec, Partition.second_half(4), times)
+
     def test_long_uniform_grid_is_accepted(self):
         """dt * arange(N) rounds each time to half an ulp of itself: from
         t = 70000 at dt = 0.01 the steps spread by 1.5e-9 of dt.  Its rows
