@@ -20,7 +20,7 @@ from ._record import Value
 from .bosehubbard import BoseHubbardSpec
 from .chain import ChainSpec
 from .entanglement import Partition, UniformGrid
-from .ermakov import DEFAULT_TOLERANCE, QuenchSchedule
+from .ermakov import QuenchSchedule
 from .errors import ConfigError
 
 _TOP_BLOCKS = ("version", "model", "quench", "partition", "time", "entropy", "output")
@@ -40,14 +40,14 @@ class RunConfig(Value):
     """Validated run parameters plus the canonical document they came from.
     A ``schedule`` of None means a sudden quench."""
 
-    __slots__ = ("chain", "schedule", "tolerance", "partition", "t_max", "dt", "alphas",
-                 "output_path", "precision", "echo")
+    __slots__ = ("chain", "schedule", "partition", "t_max", "dt", "alphas", "output_path",
+                 "precision", "echo")
 
-    def __init__(self, chain: ChainSpec, schedule: QuenchSchedule | None, tolerance: float,
+    def __init__(self, chain: ChainSpec, schedule: QuenchSchedule | None,
                  partition: Partition, t_max: float, dt: float, alphas: tuple[int, ...],
                  output_path: str | None, precision: int, echo: dict):
-        super().__init__(chain, schedule, tolerance, partition, t_max, dt, alphas,
-                         output_path, precision, echo)
+        super().__init__(chain, schedule, partition, t_max, dt, alphas, output_path,
+                         precision, echo)
 
     @property
     def grid(self) -> UniformGrid:
@@ -143,18 +143,16 @@ def _choice(block: dict, key: str, path: str, options, default=None) -> str:
 
 def _parse_model(raw: dict):
     """Validate the ``model`` and ``quench`` blocks.  Returns the chain, the
-    schedule (None for a sudden quench), the tolerance, and the ``model``
-    and ``quench`` sections of the echo, built from the validated values."""
+    schedule (None for a sudden quench), and the ``model`` and ``quench``
+    sections of the echo, built from the validated values."""
     model = _as_block(raw, "model")
     if not raw.get("model"):
         raise ConfigError("model: required block is missing")
     mode = _choice(model, "mode", "model", {"oscillator", "bose_hubbard"}, default="oscillator")
     quench = _as_block(raw, "quench")
-    _reject_unknown(quench, {"kind", "table", "interpolation", "tolerance"}, "quench")
+    _reject_unknown(quench, {"kind", "table", "interpolation"}, "quench")
     kind = _choice(quench, "kind", "quench", {"sudden", "general"}, default="sudden")
 
-    tolerance = _number(quench, "tolerance", "quench", default=DEFAULT_TOLERANCE,
-                        minimum=0.0, exclusive=True)
     if kind == "sudden" and ("table" in quench or "interpolation" in quench):
         extra = "table" if "table" in quench else "interpolation"
         raise _fail(f"quench.{extra}", "only valid for quench.kind = general")
@@ -172,7 +170,7 @@ def _parse_model(raw: dict):
             raise ConfigError(f"model: {exc}") from exc
         model_echo = {"mode": mode, "omega_bh_i": omega_bh_i, "omega_bh_f": omega_bh_f,
                       "hop": hop}
-        return chain, None, tolerance, model_echo, {"kind": kind}
+        return chain, None, model_echo, {"kind": kind}
 
     allowed = {"mode", "n", "boundary", "omega_i", "k_i"}
     if kind == "sudden":
@@ -218,8 +216,7 @@ def _parse_model(raw: dict):
         except ValueError as exc:
             raise ConfigError(f"quench.table: {exc}") from exc
         omega_f, k_f = schedule.final_params
-        quench_echo = {"kind": kind, "table": rows, "interpolation": interpolation,
-                       "tolerance": tolerance}
+        quench_echo = {"kind": kind, "table": rows, "interpolation": interpolation}
     else:
         omega_f = model_echo["omega_f"] = _number(model, "omega_f", "model", minimum=0.0)
         k_f = model_echo["k_f"] = _number(model, "k_f", "model", minimum=0.0)
@@ -232,7 +229,7 @@ def _parse_model(raw: dict):
         )
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    return chain, schedule, tolerance, model_echo, quench_echo
+    return chain, schedule, model_echo, quench_echo
 
 
 def _parse_partition(raw: dict, n: int) -> Partition:
@@ -261,7 +258,7 @@ def from_dict(raw: dict) -> RunConfig:
     if "version" in raw and not isinstance(raw["version"], str):
         raise ConfigError("version: expected a string")
 
-    chain, schedule, tolerance, model_echo, quench_echo = _parse_model(raw)
+    chain, schedule, model_echo, quench_echo = _parse_model(raw)
     partition = _parse_partition(raw, chain.n)
 
     time_block = _as_block(raw, "time")
@@ -308,7 +305,6 @@ def from_dict(raw: dict) -> RunConfig:
     return RunConfig(
         chain=chain,
         schedule=schedule,
-        tolerance=tolerance,
         partition=partition,
         t_max=t_max,
         dt=dt,

@@ -41,7 +41,6 @@ import numpy as np
 from ._record import Record, Value
 from .chain import ChainSpec, quench_modes
 from .ermakov import (
-    DEFAULT_TOLERANCE,
     ModeSolution,
     QuenchSchedule,
     integrate_general,
@@ -289,7 +288,6 @@ def entropy_series(
     times,
     alphas=(1,),
     schedule: QuenchSchedule | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
     *,
     chunks: bool = False,
 ) -> EntropySeries | Iterator[EntropySeries]:
@@ -300,8 +298,8 @@ def entropy_series(
     parameters), run as the one-row ``previous`` schedule
     [[0, omega_f, k_f]].  Each mode follows the schedule up to the last
     time, with the Wronskian of its scale factor checked against
-    ``tolerance``.  Rows are taken in chunks and blocks (see the module
-    docstring).
+    ``entchain.ermakov._WRONSKIAN_TOLERANCE``.  Rows are taken in chunks
+    and blocks (see the module docstring).
 
     The chunk loop is the one source of rows.  By default its chunks are
     collected into whole columns (times, xi and one series per order).
@@ -324,7 +322,7 @@ def entropy_series(
         schedule = QuenchSchedule([0.0], [spec.omega_f], [spec.k_f], "previous")
     lams = schedule.omegas**2 + modes.mu[:, None] * schedule.ks
     solution = integrate_general(modes.lam_pre, schedule.times, lams, schedule.interpolation,
-                                 tolerance=tolerance, until=times[-1])
+                                 until=times[-1])
 
     sectors = _sector_columns(spec, modes.u, partition.kept)
     tables = [_site_table(cols) for cols in sectors]

@@ -21,7 +21,7 @@ class NumericsError(EntchainError):
 
 class IntegrationError(NumericsError):
     """An integration self-check failed: a scale factor's Wronskian
-    drifted past its tolerance, or the covariance oracle's piece doubling
+    drifted past its fixed bound, or the covariance oracle's piece doubling
     hit its limit.  ``time`` is where the failure showed."""
 
     def __init__(self, message: str, time: float | None = None):

@@ -42,7 +42,6 @@ def _series(config: RunConfig, chunks: bool = False):
         config.grid,
         alphas=config.alphas,
         schedule=config.schedule,
-        tolerance=config.tolerance,
         chunks=chunks,
     )
 

@@ -598,6 +598,22 @@ class TestMain:
         assert main(["simulate", "--config", config_path]) == 1
         assert "model.typo: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        RAMP_DOC,
+        QUENCH_DOC,
+        {"model": {"mode": "bose_hubbard", "omega_bh_i": 3.0, "omega_bh_f": 2.15, "hop": 2.0}},
+    ], ids=["general", "sudden", "bose_hubbard"])
+    def test_quench_tolerance_is_an_unknown_key(self, tmp_path, capsys, doc):
+        """The Wronskian bound is fixed: a config that sets it is refused
+        whatever its quench kind or model mode."""
+        doc = json.loads(json.dumps(doc))
+        doc["quench"] = {**doc.get("quench", {}), "tolerance": 1e-10}
+        output = tmp_path / "o.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--output", str(output)]) == 1
+        assert "quench.tolerance: unknown key" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_bad_flag(self, capsys):
         assert main(["simulate", "--nope"]) == 1
         assert "error:" in capsys.readouterr().err

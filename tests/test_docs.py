@@ -24,7 +24,7 @@ import numpy as np
 import entchain
 from entchain import ChainSpec, NumericsError, Partition, QuenchSchedule
 from entchain import chain, config, entropy_series, ermakov, from_dict, gaussian
-from entchain import integrate_general, verify_report
+from entchain import integrate_general, quench_modes, verify_report
 from entchain.cli import build_parser, main
 from entchain.errors import ConfigError
 from support import sudden_reference
@@ -37,8 +37,6 @@ FENCE = re.compile(r"^```(\w*)\n(.*?)^```\n", re.M | re.S)
 PROSE = re.sub(r"\s+", " ", FENCE.sub("", TEXT))
 
 MINIMAL = {"model": {"n": 4, "omega_i": 1.0, "k_i": 1.0, "omega_f": 1.0, "k_f": 1.0}}
-GENERAL = {"model": {"n": 4, "omega_i": 1.0, "k_i": 1.0},
-           "quench": {"kind": "general", "table": [[0.0, 1.0, 1.0]]}}
 
 
 def _fenced(language: str) -> list[str]:
@@ -172,6 +170,29 @@ def _slow_ramp_pieces() -> float:
     raise AssertionError("the slow ramp is within the piece cap")
 
 
+# The long table whose Wronskian drift README quotes, k = 5 throughout.
+LONG_RAMP = ChainSpec(64, 30.0, 5.0, 1.0, 5.0), 1000.0
+
+
+def _long_ramp_text() -> str:
+    spec, duration = LONG_RAMP
+    return (f"a {spec.n}-site ring ramped from omega {spec.omega_i:g} to {spec.omega_f:g} "
+            f"over t = {duration:g}")
+
+
+@functools.cache
+def _long_ramp_drift() -> tuple[int, float]:
+    """The Taylor pieces of the long ramp and the largest drift of their
+    Wronskians, to two digits."""
+    spec, duration = LONG_RAMP
+    modes = quench_modes(spec)
+    lams = np.stack([spec.omega_i**2 + spec.k_i * modes.mu,
+                     spec.omega_f**2 + spec.k_f * modes.mu], axis=1)
+    phis = integrate_general(modes.lam_pre, [0.0, duration], lams).phis
+    drift = np.abs(phis[:, 0, 0] * phis[:, 1, 1] - phis[:, 0, 1] * phis[:, 1, 0] - 1.0)
+    return phis.shape[0], float(f"{drift.max():.2g}")
+
+
 SUDDEN = "tests/test_entanglement.py::test_sudden_quench_matches_the_50_digit_reference"
 TABLE = "tests/test_entanglement.py::test_general_protocols_match_the_50_digit_reference"
 FREE = "tests/test_entanglement.py::test_free_expansion_is_right_or_refused"
@@ -181,6 +202,9 @@ FAR = "tests/test_cli.py::TestMain::test_open_chain_far_times_are_right_or_refus
 COLLAPSE = "tests/test_acceptance.py::test_criterion_08_entropy_scaling_collapse"
 VOLUME = "tests/test_acceptance.py::test_scaling_collapse_gives_way_to_a_volume_law"
 NO_LAPACK = "tests/test_entanglement.py::TestEntropySeries::test_ramp_runs_without_an_eigensolver"
+LAWS = [f"tests/test_acceptance.py::{name}" for name in (
+    "test_static_block_follows_the_area_and_log_laws", "test_gapless_quench_grows_like_ln_t",
+    "test_large_ring_follows_the_quasiparticle_law")]
 
 # (pattern, value): the group ``v`` of every match of ``pattern`` in the
 # README prose must equal ``value()``, a number or, for a string, the text.
@@ -193,7 +217,11 @@ QUOTED = [
     (r"\|slope\|\^\(1/3\)\) / (?P<v>\d+) pieces", lambda: ermakov._PIECE_PHASE),
     (r"ramped over T = (?P<v>[\d.e]+) needs", lambda: SLOW_RAMP),
     (r"needs (?P<v>[\d.e]+)\.", _slow_ramp_pieces),
-    (r"`tolerance` \(default (?P<v>[\d.e-]+)\)", lambda: from_dict(GENERAL).tolerance),
+    (r"may drift by at most (?P<v>[\d.e-]+), a fixed bound", lambda: ermakov._WRONSKIAN_TOLERANCE),
+    (r"largest drift measured is (?P<v>[\d.e-]+),", lambda: _long_ramp_drift()[1]),
+    (r"over the (?P<v>[\d,]+) Taylor pieces of a", lambda: _long_ramp_drift()[0]),
+    (r"Taylor pieces of (?P<v>a \d+-site ring ramped from omega \d+ to \d+ over t = \d+)",
+     _long_ramp_text),
     (r"`time\.dt` \(default (?P<v>[\d.]+)\)", lambda: from_dict(MINIMAL).dt),
     (r"`time\.t_max` \(default (?P<v>[\d.]+)\)", lambda: from_dict(MINIMAL).t_max),
     (r"`entropy\.alphas` \(default `(?P<v>\[[\d, ]*\])`\)",
@@ -273,6 +301,7 @@ PLAIN = [
     "`mu[0]` exactly 0",
     "2-norm",
     "t^2",
+    "(c/3) ln xi",
 ]
 
 
@@ -322,7 +351,8 @@ def test_cited_tests_exist():
     """Every test the README names is a test of the suite; the far-time
     and free-expansion ones are strict xfails."""
     nodes = re.findall(r"`(tests/test_\w+\.py(?:::\w+)+)`", PROSE)
-    assert {SUDDEN, TABLE, SPECTRUM, RANDOM, FAR, FREE, COLLAPSE, VOLUME, NO_LAPACK} <= set(nodes)
+    cited = {SUDDEN, TABLE, SPECTRUM, RANDOM, FAR, FREE, COLLAPSE, VOLUME, NO_LAPACK, *LAWS}
+    assert cited <= set(nodes)
     for node in nodes:
         assert callable(_test(node)), node
     for node in (FAR, FREE):
