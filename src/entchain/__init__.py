@@ -5,8 +5,7 @@ reference in ``entchain.oracles``."""
 
 __version__ = "0.1.0"
 
-from .bosehubbard import BoseHubbardSpec
-from .chain import ChainSpec, QuenchModes, quench_modes
+from .chain import ChainSpec, QuenchModes, bose_hubbard_chain, quench_modes
 from .config import RunConfig, from_dict, parse_config
 from .entanglement import (
     EntropySeries,
@@ -28,7 +27,6 @@ from .run import format_csv, make_figure, run_sweep, verify_report
 
 __all__ = [
     "__version__",
-    "BoseHubbardSpec",
     "ChainSpec",
     "ConfigError",
     "EntchainError",
@@ -40,6 +38,7 @@ __all__ = [
     "QuenchModes",
     "QuenchSchedule",
     "RunConfig",
+    "bose_hubbard_chain",
     "covariance_series",
     "entropy_series",
     "format_csv",

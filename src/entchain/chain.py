@@ -72,6 +72,35 @@ class ChainSpec(Value):
         raise ValueError(f"unknown phase {phase!r}")
 
 
+def bose_hubbard_chain(omega_bh_i: float, omega_bh_f: float, hop: float) -> ChainSpec:
+    """Two-site Bose-Hubbard dimer quench as a pair of coupled oscillators.
+
+    In the large-filling semiclassical regime the dimer with on-site
+    frequency ``omega_bh`` and hopping ``J`` behaves as two unit-mass
+    oscillators on an open two-site chain with
+
+        omega = omega_bh - J        (on-site frequency)
+        k     = 2 * omega_bh * J    (spring coupling).
+
+    The normal-mode frequencies are then ``omega_plus = omega_bh - J`` and
+    ``omega_minus = omega_bh + J``, which is the identity
+    ``omega_minus**2 = omega**2 + 2 k``.  The quench changes ``omega_bh``
+    from ``omega_bh_i`` to ``omega_bh_f`` at fixed ``hop``.  Requires
+    ``omega_bh_i > J >= 0`` and ``omega_bh_f >= J``: the gapless point
+    ``omega_bh == J`` is allowed post-quench only.
+    """
+    if hop < 0:
+        raise ValueError("hopping J must be non-negative")
+    for omega_bh, gapless in ((omega_bh_i, False), (omega_bh_f, True)):
+        if omega_bh < hop or (omega_bh == hop and not gapless):
+            raise ValueError(
+                f"need omega_bh > J (got omega_bh={omega_bh}, J={hop}); "
+                "omega_bh == J is allowed post-quench only"
+            )
+    return ChainSpec(n=2, omega_i=omega_bh_i - hop, k_i=2.0 * omega_bh_i * hop,
+                     omega_f=omega_bh_f - hop, k_f=2.0 * omega_bh_f * hop, boundary="open")
+
+
 class QuenchModes(Record):
     """Shared normal-mode data for both phases of a quench.
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import __version__
 from ._record import Value
-from .bosehubbard import BoseHubbardSpec
-from .chain import ChainSpec
+from .chain import ChainSpec, bose_hubbard_chain
 from .entanglement import Partition, UniformGrid
 from .ermakov import QuenchSchedule
 from .errors import ConfigError
@@ -165,7 +164,7 @@ def _parse_model(raw: dict):
         omega_bh_f = _number(model, "omega_bh_f", "model", minimum=0.0)
         hop = _number(model, "hop", "model", minimum=0.0)
         try:
-            chain = BoseHubbardSpec(omega_bh_i, omega_bh_f, hop).chain_spec()
+            chain = bose_hubbard_chain(omega_bh_i, omega_bh_f, hop)
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
         model_echo = {"mode": mode, "omega_bh_i": omega_bh_i, "omega_bh_f": omega_bh_f,

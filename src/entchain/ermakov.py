@@ -157,15 +157,10 @@ class ModeSolution(Record):
         """(b(t), b'(t)) for scalar or array t >= 0, each of shape
         ``np.shape(t) + np.shape(column)``: (times, modes) for a stack,
         floats for one mode at one time."""
-        b, bdot = self._derivatives(t, second=False)
+        b, bdot = self._per_mode(np.shape(t), *self._columns(t, second=False))
         if b.ndim == 0:
             return float(b), float(bdot)
         return b, bdot
-
-    def _derivatives(self, t, second: bool = True):
-        """b, b' and, with ``second``, b'' and lam(t), shaped as
-        ``evaluate``'s results."""
-        return self._per_mode(np.shape(t), *self._columns(t, second))
 
     def _per_mode(self, shape, *values):
         """Each mode's column of (times, columns) arrays, shaped as
@@ -181,8 +176,8 @@ class ModeSolution(Record):
     # that follow are reported once, at the end, with the first such time.
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def _columns(self, t, second: bool):
-        """``_derivatives`` of each column once: arrays (times, columns)
-        over the flattened t."""
+        """b, b' and, with ``second``, b'' and lam(t) of each column once:
+        arrays (times, columns) over the flattened t."""
         t = np.asarray(t, dtype=float).ravel()
         if np.any(t < 0):
             raise ValueError("scale factor is defined for t >= 0 only")

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from entchain import (
-    BoseHubbardSpec,
     ChainSpec,
     NumericsError,
     Partition,
+    bose_hubbard_chain,
     entropy_series,
     integrate_general,
     make_figure,
@@ -23,6 +23,7 @@ from entchain import (
 from entchain.ermakov import mode_checks, solve_sudden
 from entchain.oracles import covariance_series
 from support import (
+    _pair_modes,
     _spectrum_peaks,
     assemble_state,
     extract_periods,
@@ -47,7 +48,7 @@ def _report(num: int, ok: bool, text: str) -> None:
 
 
 def fig1_chain(target: float) -> ChainSpec:
-    return BoseHubbardSpec(omega_bh_i=3.0, omega_bh_f=target, hop=2.0).chain_spec()
+    return bose_hubbard_chain(omega_bh_i=3.0, omega_bh_f=target, hop=2.0)
 
 
 def fig2_chain(omega_f: float) -> ChainSpec:
@@ -295,12 +296,20 @@ def test_large_ring_follows_the_quasiparticle_law():
     S_qp(t) up to a correction of order one that does not grow with l
     (0.40, 0.44 and 0.47 at l = 32, 64, 128 on 201 rows over [0, 100]),
     while S_qp(100) grows from 8.1 to 28.5.  So the gap stays below 0.5
-    and its share of S_qp(100) falls as l grows.  About 3 s of CPU on one
-    core, mostly the l = 128 block."""
+    and its share of S_qp(100) falls as l grows.
+
+    Before the fastest pairs cross the block, at t* = l / (2 v_max), the
+    law is linear with slope mean(2 |v_q| s(n_q)) = 0.40996.  A straight
+    line fitted to S_1 over [0.2 t*, 0.8 t*] has slope 0.4212, 0.4136 and
+    0.4113 at l = 32, 64 and 128 (ratios 1.027, 1.009 and 1.003): the
+    ratio stays within 0.05 of 1 and nears it as l grows.  About 3 s of
+    CPU on one core, mostly the l = 64 and 128 blocks."""
     n = 1024
     spec = ChainSpec(n=n, omega_i=3.0, k_i=2.0, omega_f=1.0, k_f=2.5, boundary="periodic")
     times = np.linspace(0.0, 100.0, 201)
-    shares = []
+    pair_s, v = _pair_modes(spec)
+    rate, v_max = float(np.mean(2.0 * np.abs(v) * pair_s)), float(np.abs(v).max())
+    shares, misfits = [], []
     for length in (32, 64, 128):
         kept = Partition.from_traced(range(length + 1, n + 1), n)
         s1 = entropy_series(spec, kept, times).s1
@@ -308,7 +317,13 @@ def test_large_ring_follows_the_quasiparticle_law():
         gap = float(np.abs(s1 - s1[0] - law).max())
         assert gap < 0.5, (length, gap)
         shares.append(gap / law[-1])
+        crossing = length / (2.0 * v_max)
+        linear = (times >= 0.2 * crossing) & (times <= 0.8 * crossing)
+        slope = np.polyfit(times[linear], s1[linear], 1)[0]
+        assert abs(slope / rate - 1.0) < 0.05, (length, slope, rate)
+        misfits.append(abs(slope / rate - 1.0))
     assert np.all(np.diff(shares) < 0), shares
+    assert np.all(np.diff(misfits) < 0), misfits
 
 
 def _static_s1(omega: float, length: int) -> float:
@@ -395,7 +410,7 @@ def test_criterion_09_trivial_limits():
     free = entropy_series(uncoupled, Partition.second_half(4), times, alphas=(1, 2))
     uncoupled_max = max(float(np.abs(free.entropies[a]).max()) for a in (1, 2))
 
-    dimer = BoseHubbardSpec(omega_bh_i=3.0, omega_bh_f=2.15, hop=0.0).chain_spec()
+    dimer = bose_hubbard_chain(omega_bh_i=3.0, omega_bh_f=2.15, hop=0.0)
     hopless = entropy_series(dimer, Partition.second_half(2), times)
     hopless_max = float(np.abs(hopless.s1).max())
 

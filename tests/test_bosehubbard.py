@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from entchain import BoseHubbardSpec, Partition, entropy_series
-from entchain.bosehubbard import to_oscillator
+from entchain import ChainSpec, Partition, bose_hubbard_chain, entropy_series
 from support import from_oscillator, mode_frequencies
 
 
 def test_zero_hopping_is_identity():
-    assert to_oscillator(2.5, 0.0) == (2.5, 0.0)
+    spec = bose_hubbard_chain(2.5, 2.5, 0.0)
+    assert (spec.omega_i, spec.k_i, spec.omega_f, spec.k_f) == (2.5, 0.0, 2.5, 0.0)
     assert from_oscillator(2.5, 0.0) == (2.5, 0.0)
 
 
 def test_reference_values():
-    omega, k = to_oscillator(3.0, 2.0)
+    spec = bose_hubbard_chain(3.0, 2.15, 2.0)
+    omega, k = spec.omega_i, spec.k_i
     assert omega == pytest.approx(1.0, abs=0)
     assert k == pytest.approx(12.0, abs=0)
     # the relative-mode frequency squared closes the identity w_minus^2 = w^2 + 2k
@@ -39,31 +40,30 @@ def test_round_trip_property():
     for _ in range(10_000):
         omega_bh = float(rng.uniform(0.05, 8.0))
         hop = float(rng.uniform(0.0, omega_bh * 0.999))
-        omega, k = to_oscillator(omega_bh, hop)
-        back_bh, back_hop = from_oscillator(omega, k)
+        spec = bose_hubbard_chain(omega_bh, omega_bh, hop)
+        back_bh, back_hop = from_oscillator(spec.omega_i, spec.k_i)
         assert abs(back_bh - omega_bh) < 1e-12 * max(1.0, omega_bh)
         assert abs(back_hop - hop) < 1e-12 * max(1.0, omega_bh)
 
 
 def test_validation():
-    with pytest.raises(ValueError, match="non-negative"):
-        to_oscillator(1.0, -0.1)
-    # gapless point allowed only when asked for (post-quench use)
-    with pytest.raises(ValueError):
-        to_oscillator(2.0, 2.0)
-    assert to_oscillator(2.0, 2.0, allow_gapless=True)[0] == 0.0
-    with pytest.raises(ValueError):
-        to_oscillator(1.0, 2.0, allow_gapless=True)
-
-    with pytest.raises(ValueError):
-        BoseHubbardSpec(omega_bh_i=2.0, omega_bh_f=3.0, hop=2.0)
-    with pytest.raises(ValueError):
-        BoseHubbardSpec(omega_bh_i=3.0, omega_bh_f=1.9, hop=2.0)
+    gapless = "omega_bh == J is allowed post-quench only"
+    for args, message in (
+        ((1.0, 1.0, -0.1), "hopping J must be non-negative"),
+        ((2.0, 3.0, 2.0), f"need omega_bh > J (got omega_bh=2.0, J=2.0); {gapless}"),
+        ((1.0, 3.0, 2.0), f"need omega_bh > J (got omega_bh=1.0, J=2.0); {gapless}"),
+        ((3.0, 1.9, 2.0), f"need omega_bh > J (got omega_bh=1.9, J=2.0); {gapless}"),
+    ):
+        with pytest.raises(ValueError) as info:
+            bose_hubbard_chain(*args)
+        assert str(info.value) == message, args
+    # the gapless point omega_bh == J is allowed after the quench
+    spec = bose_hubbard_chain(3.0, 2.0, 2.0)
+    assert (spec.omega_f, spec.k_f) == (0.0, 8.0)
 
 
 def test_chain_spec_mapping():
-    bh = BoseHubbardSpec(omega_bh_i=3.0, omega_bh_f=2.15, hop=2.0)
-    spec = bh.chain_spec()
+    spec = bose_hubbard_chain(omega_bh_i=3.0, omega_bh_f=2.15, hop=2.0)
     assert spec.n == 2
     assert spec.boundary == "open"
     assert spec.omega_i == pytest.approx(1.0)
@@ -73,19 +73,16 @@ def test_chain_spec_mapping():
 
 
 def test_pipeline_equivalence():
-    """Driving the entropy pipeline through the Bose-Hubbard wrapper must
-    equal driving it with mapped oscillator parameters, exactly."""
-    from entchain import ChainSpec
-
-    bh = BoseHubbardSpec(omega_bh_i=3.0, omega_bh_f=2.15, hop=2.0)
-    omega_i, k_i = to_oscillator(3.0, 2.0)
-    omega_f, k_f = to_oscillator(2.15, 2.0, allow_gapless=True)
-    direct = ChainSpec(
-        n=2, omega_i=omega_i, k_i=k_i, omega_f=omega_f, k_f=k_f, boundary="open"
-    )
+    """The dimer's chain is the open two-site chain of the mapped oscillator
+    parameters, omega_bh - J and 2 omega_bh J, to the bit, and drives the
+    entropy pipeline exactly as that chain does."""
+    via_bh = bose_hubbard_chain(3.0, 2.15, 2.0)
+    direct = ChainSpec(n=2, omega_i=3.0 - 2.0, k_i=2.0 * 3.0 * 2.0,
+                       omega_f=2.15 - 2.0, k_f=2.0 * 2.15 * 2.0, boundary="open")
+    assert via_bh == direct
     times = 0.05 * np.arange(201)
     part = Partition.second_half(2)
-    via_bh = entropy_series(bh.chain_spec(), part, times, alphas=(1, 2))
-    via_chain = entropy_series(direct, part, times, alphas=(1, 2))
-    assert np.array_equal(via_bh.s1, via_chain.s1)
-    assert np.array_equal(via_bh.entropies[2], via_chain.entropies[2])
+    series_bh = entropy_series(via_bh, part, times, alphas=(1, 2))
+    series_chain = entropy_series(direct, part, times, alphas=(1, 2))
+    assert np.array_equal(series_bh.s1, series_chain.s1)
+    assert np.array_equal(series_bh.entropies[2], series_chain.entropies[2])

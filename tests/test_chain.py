@@ -40,6 +40,15 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=f"largest {phase}-quench coupling eigenvalue"):
             ChainSpec(2, *params)
     ChainSpec(2, 1e154, 1e307, 1.0, 0.0)  # 1e308 + 4e307 is still finite
+    with pytest.raises(ValueError, match="^unknown phase 'mid'$"):
+        ChainSpec(2, 1.0, 0.0, 1.0, 0.0).params("mid")
+    with pytest.raises(ValueError, match="^need at least 2 sites$"):
+        bond_laplacian(1, "open")
+    with pytest.raises(ValueError, match="^unknown boundary 'twisted'$"):
+        bond_laplacian(4, "twisted")
+    # a positive omega_i whose square underflows to 0 leaves no ground state
+    with pytest.raises(NumericsError, match=r"^pre-quench spectrum must be positive, got 0\.000e\+00$"):
+        quench_modes(ChainSpec(4, 1e-170, 2.0, 0.3, 2.5))
 
 
 def test_bond_laplacian_shapes():

@@ -569,6 +569,23 @@ class TestMain:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_config_root_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: config root must be an object\n"
+
+    def test_underflowing_pre_quench_frequency_exits_2(self, tmp_path, capsys):
+        """omega_i = 1e-170 is positive, but its square underflows to 0: the
+        pre-quench chain has no ground state, a numerical failure."""
+        doc = {"model": {"n": 4, "omega_i": 1e-170, "k_i": 2.0, "omega_f": 0.3, "k_f": 2.5}}
+        output = tmp_path / "o.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--output", str(output)]) == 2
+        assert capsys.readouterr().err == (
+            "error: pre-quench spectrum must be positive, got 0.000e+00\n")
+        assert not output.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_config_file_not_utf8_exits_1_without_traceback(self, tmp_path, command):
         path = tmp_path / "bad.json"
@@ -612,6 +629,22 @@ class TestMain:
         assert main(["simulate", "--config", write_config(tmp_path, doc),
                      "--output", str(output)]) == 1
         assert "quench.tolerance: unknown key" in capsys.readouterr().err
+        assert not output.exists()
+
+    @pytest.mark.parametrize("omega_bh_i, omega_bh_f, bad", [(2.0, 2.15, 2.0), (3.0, 1.9, 1.9)],
+                             ids=["gapless before", "overhopped after"])
+    def test_unphysical_dimer_exits_1(self, tmp_path, capsys, omega_bh_i, omega_bh_f, bad):
+        """A dimer gapless before the quench, or with omega_bh below J after
+        it, is a config error naming the offending omega_bh."""
+        doc = {"model": {"mode": "bose_hubbard", "omega_bh_i": omega_bh_i,
+                         "omega_bh_f": omega_bh_f, "hop": 2.0}}
+        output = tmp_path / "o.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--output", str(output)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: model: need omega_bh > J (got omega_bh={bad}, J=2.0); "
+            "omega_bh == J is allowed post-quench only\n"
+        )
         assert not output.exists()
 
     def test_bad_flag(self, capsys):
@@ -788,7 +821,8 @@ class TestMain:
                 env=env, stdout=subprocess.DEVNULL,
             )
             _, status, usage = os.wait4(proc.pid, 0)
-            assert os.waitstatus_to_exitcode(status) == 0
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
             assert out.read_text().count("\n") == 2 + rows
             peaks[rows] = usage.ru_maxrss * 1024  # kilobytes on Linux
         growth = (peaks[100_001] - peaks[20_001]) / 80_000

@@ -285,6 +285,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
 
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("model", "omega_i", 0, "model.omega_i: must be greater than 0, got 0"),
+        ("model", "k_i", -1.0, "model.k_i: must be at least 0, got -1"),
+        ("model", "n", None, "model.n: required key is missing"),
+        ("model", "n", 4.0, "model.n: expected an integer, got 4.0"),
+        ("output", "path", 3, "output.path: expected a string, got 3"),
+        ("model", "omega_i", 1e200,
+         "model: the largest pre-quench coupling eigenvalue, omega**2 + 4 k, is not finite"),
+    ], ids=["not greater", "below minimum", "missing integer", "float integer",
+            "path not a string", "infinite coupling"])
+    def test_typed_messages(self, block, key, value, message):
+        """Each check names its key, or the block a record refused."""
+        doc = minimal_doc()
+        doc.setdefault(block, {})[key] = value
+        if value is None:
+            del doc[block][key]
+        with pytest.raises(ConfigError) as info:
+            from_dict(doc)
+        assert str(info.value) == message
+
 
 class TestQuenchKinds:
     def test_sudden_rejects_table(self):
@@ -316,6 +336,11 @@ class TestQuenchKinds:
         }
         with pytest.raises(ConfigError, match=r"quench\.table\[0\]"):
             from_dict(doc)
+        # the rows are triples, but the schedule they make starts late
+        doc["quench"]["table"] = [[1.0, 3.0, 2.0]]
+        with pytest.raises(ConfigError) as info:
+            from_dict(doc)
+        assert str(info.value) == "quench.table: sample times must start at t = 0"
 
     def test_general_final_params_come_from_table(self):
         doc = {
@@ -401,6 +426,12 @@ class TestSweep:
         doc["model"]["omega_f"] = []
         with pytest.raises(ConfigError, match="sweep list must be non-empty"):
             expand_sweep(doc)
+
+    def test_root_and_model_are_objects(self):
+        with pytest.raises(ConfigError, match="^config root must be an object, got list$"):
+            expand_sweep([minimal_doc()])
+        with pytest.raises(ConfigError, match="^model: required block is missing$"):
+            expand_sweep({"time": {"dt": 0.1}})
 
     def test_each_combo_parses(self):
         doc = minimal_doc()

@@ -574,6 +574,11 @@ class TestEntropySeries:
             entropy_series(spec, part, [0.0, 0.1], alphas=(1.5,))
         with pytest.raises(ValueError, match="covers"):
             entropy_series(spec, Partition.second_half(6), [0.0, 0.1])
+        for times in ([], [[0.0, 0.1]]):
+            with pytest.raises(ValueError, match="^times must be a non-empty 1-d array$"):
+                entropy_series(spec, part, times)
+        with pytest.raises(ValueError, match="^need at least one entropy order$"):
+            entropy_series(spec, part, [0.0, 0.1], alphas=())
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("series", [entropy_series, covariance_series],

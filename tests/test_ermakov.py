@@ -132,7 +132,7 @@ def test_solve_sudden_validation():
 def _assert_solves_ode(sol, t, lam):
     """b'' from the fundamental solutions satisfies b'' + lam b = lam(0) / b**3
     for a lam(t) computed outside the solver."""
-    b, _, bdd, _ = sol._derivatives(t)
+    b, _, bdd, _ = (v[:, 0] for v in sol._columns(t, second=True))  # one mode, one column
     assert np.abs(bdd + lam * b - sol.lam_initial / b**3).max() < 1e-10
 
 
@@ -158,6 +158,17 @@ def test_protocol_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             integrate_general(1.0, [0.0, 1.0], [1.0, bad])
+    with pytest.raises(ValueError, match="^table needs at least one sample time$"):
+        QuenchSchedule([], [], [])
+    with pytest.raises(ValueError, match="^values must match the sample times in shape$"):
+        QuenchSchedule([0.0, 1.0], [1.0], [1.0, 1.0])
+    free = solve_sudden(1.0, 0.0)
+    with pytest.raises(ValueError, match="^scale factor is defined for t >= 0 only$"):
+        free.evaluate(-1.0)
+    # a gapless mode's b grows like t, and b**2 overflows past t of about 1e154
+    assert free.evaluate(1e154) == (1e154, 1.0)
+    with pytest.raises(NumericsError, match=r"^scale factor b\(t\) is not finite at t = 1e\+155$"):
+        free.evaluate([1.0, 1e155, 1e160])
         with pytest.raises(ValueError, match="finite"):
             integrate_general(1.0, [0.0, bad], [1.0, 2.0])
 

@@ -706,6 +706,11 @@ def test_covariance_series_validation():
     for bad in (0.0, -1e-10):
         with pytest.raises(ValueError, match="tolerance"):
             covariance_series(spec, part, np.array([0.0, 1.0]), schedule=schedule, tolerance=bad)
+    with pytest.raises(ValueError, match="^partition covers 4 sites but the chain has 2$"):
+        covariance_series(spec, Partition.second_half(4), [0.0])
+    with pytest.raises(NumericsError, match="^propagator needs a positive-semidefinite "
+                                            r"coupling matrix, got eigenvalue -1\.000e\+00$"):
+        SymplecticPropagator.from_coupling(np.diag([1.0, -1.0]))
 
 
 def test_unreachable_tolerance_raises_integration_error():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from entchain import (
-    BoseHubbardSpec,
     ChainSpec,
     Partition,
     QuenchSchedule,
@@ -29,7 +28,6 @@ SPEC = ChainSpec(4, 3.0, 2.0, 0.3, 2.5)
 SCALARS = [
     (SPEC, ChainSpec(n=4, omega_i=3.0, k_i=2.0, omega_f=0.3, k_f=2.5, boundary="periodic")),
     (Partition((3, 4), (1, 2)), Partition.second_half(4)),
-    (BoseHubbardSpec(3.0, 2.0, 1.0), BoseHubbardSpec(omega_bh_i=3.0, omega_bh_f=2.0, hop=1.0)),
     (UniformGrid(0.5, 3), UniformGrid(dt=0.5, size=3)),
 ]
 
@@ -64,7 +62,7 @@ def test_every_record_class_is_covered():
     from entchain._record import Record, Value
 
     kinds = {type(record) for record in EVERY}
-    assert RunConfig in kinds and len(kinds) == len(EVERY) == 10
+    assert RunConfig in kinds and len(kinds) == len(EVERY) == 9
     assert kinds == set(_subclasses(Record)) - {Value}
 
 
