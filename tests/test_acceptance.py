@@ -320,8 +320,9 @@ def test_large_ring_follows_the_quasiparticle_law():
         crossing = length / (2.0 * v_max)
         linear = (times >= 0.2 * crossing) & (times <= 0.8 * crossing)
         slope = np.polyfit(times[linear], s1[linear], 1)[0]
-        assert abs(slope / rate - 1.0) < 0.05, (length, slope, rate)
-        misfits.append(abs(slope / rate - 1.0))
+        slope_misfit = abs(slope / rate - 1.0)
+        assert slope_misfit < 0.05, (length, slope, rate)
+        misfits.append(slope_misfit)
     assert np.all(np.diff(shares) < 0), shares
     assert np.all(np.diff(misfits) < 0), misfits
 

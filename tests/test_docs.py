@@ -255,7 +255,7 @@ QUOTED = [
     (r"of a (?P<v>\d+)-digit value", lambda: _digits(FAR)),
     (r"rings of N from (?P<v>\d+) to \d+ sites", lambda: min(_collapse_sizes())),
     (r"rings of N from \d+ to (?P<v>\d+) sites", lambda: max(_collapse_sizes())),
-    (r"to a ratio within (?P<v>[\d.]+) of 1", lambda: _bound(LAWS[2], "slope /")),
+    (r"to a ratio within (?P<v>[\d.]+) of 1", lambda: _bound(LAWS[2], "slope_misfit")),
     (r"From N = (?P<v>\d+) to \d+ it does not",
      lambda: min(importlib.import_module("test_acceptance").VOLUME_SIZES)),
     (r"From N = \d+ to (?P<v>\d+) it does not",

@@ -158,6 +158,8 @@ def test_protocol_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             integrate_general(1.0, [0.0, 1.0], [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            integrate_general(1.0, [0.0, bad], [1.0, 2.0])
     with pytest.raises(ValueError, match="^table needs at least one sample time$"):
         QuenchSchedule([], [], [])
     with pytest.raises(ValueError, match="^values must match the sample times in shape$"):
